@@ -16,7 +16,15 @@ import time
 from fractions import Fraction
 from typing import Any
 
-from .core import Allocation, FairnessReport, Instance, check_alpha_efx, check_tefx
+from .core import (
+    CRITERIA,
+    TWO,
+    Allocation,
+    FairnessReport,
+    Instance,
+    check_alpha_efx,
+    check_criterion,
+)
 from .errors import ChorefairError, VerificationError
 from .ido import partial_ido_2efx
 from .oracles import (
@@ -126,8 +134,8 @@ def allocation_from_json(data: dict, m: int) -> Allocation:
     bundles = [frozenset(int(c) - 1 for c in b) for b in data["allocation"]]
     pool = frozenset(int(c) - 1 for c in data.get("pool", ()))
     alloc = Allocation(tuple(bundles), pool)
-    if alloc.chores() and max(alloc.chores()) >= m:
-        raise ValueError("allocation references chores outside the instance")
+    if alloc.chores() != frozenset(range(m)):
+        raise ValueError(f"bundles and pool must hold exactly the chores 1..{m}")
     return alloc
 
 
@@ -179,7 +187,7 @@ def _parse_agent_list(raw: str, n: int) -> frozenset[int]:
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = instance_from_json(_load_json(args.instance))
     started = time.perf_counter()
-    criterion, alpha = "alpha_efx", Fraction(2)
+    criterion, alpha = "alpha_efx", TWO
     trace_lines: list[str] = []
 
     if args.algorithm == "three-agent-2efx":
@@ -208,23 +216,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         alloc = tefx_three_group(instance, groups)
         criterion, alpha = "tefx", None
     elif args.algorithm == "exhaustive":
-        criterion = args.criterion or "efx"
-        alpha = Fraction(args.alpha) if args.alpha else Fraction(1)
+        criterion, alpha = args.criterion or "efx", Fraction(args.alpha or 1)
         alloc = exhaustive_search(instance, criterion, alpha)
         if alloc is None:
             print("no allocation satisfies the criterion", file=sys.stderr)
             return 1
-        if criterion == "efx":
-            criterion, alpha = "alpha_efx", Fraction(1)
-        elif criterion == "tefx":
-            alpha = None
     else:
         raise ValueError(f"unknown algorithm {args.algorithm!r}")
 
-    if criterion == "tefx":
-        report = check_tefx(alloc, instance)
-    else:
-        report = check_alpha_efx(alloc, instance, alpha)
+    report = check_criterion(alloc, instance, criterion, alpha)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": args.algorithm,
@@ -245,11 +245,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = instance_from_json(_load_json(args.instance))
     alloc = allocation_from_json(_load_json(args.allocation), instance.m)
-    if args.criterion == "tefx":
-        report = check_tefx(alloc, instance)
-    else:
-        alpha = Fraction(1) if args.criterion == "efx" else Fraction(args.alpha or "2")
-        report = check_alpha_efx(alloc, instance, alpha)
+    report = check_criterion(alloc, instance, args.criterion, args.alpha or 2)
     json.dump(report_to_json(report), sys.stdout, indent=2, sort_keys=True)
     print()
     return 0 if report.verdict else 1
@@ -320,15 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--group1", help="1-based agents, e.g. 1,2")
     solve.add_argument("--group2")
     solve.add_argument("--group3")
-    solve.add_argument("--criterion", choices=["efx", "alpha_efx", "tefx"])
+    solve.add_argument("--criterion", choices=CRITERIA)
     solve.add_argument("--alpha")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check an allocation against a criterion")
     verify.add_argument("--instance", required=True)
     verify.add_argument("--allocation", required=True)
-    verify.add_argument("--criterion", required=True,
-                        choices=["efx", "alpha_efx", "tefx"])
+    verify.add_argument("--criterion", required=True, choices=CRITERIA)
     verify.add_argument("--alpha")
     verify.set_defaults(func=cmd_verify)
 

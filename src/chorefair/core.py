@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError
 from .oracles import CostOracle
 
 ONE = Fraction(1)
+TWO = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def _check_shapes(alloc: Allocation, instance: Instance) -> None:
         raise DimensionError(
             f"allocation has {alloc.n} bundles, instance has {instance.n} agents")
     all_chores = alloc.chores()
-    if all_chores and max(all_chores) >= instance.m:
+    if all_chores and not (0 <= min(all_chores) and max(all_chores) < instance.m):
         raise DimensionError("allocation references chores outside the instance")
 
 
@@ -117,6 +118,64 @@ def max_removal_cost(oracle: CostOracle, chores: Iterable[int]) -> Fraction:
     if not bundle:
         return Fraction(0)
     return max(oracle.cost(bundle - {c}) for c in bundle)
+
+
+CRITERIA = ("efx", "alpha_efx", "tefx")
+
+
+def resolve_criterion(
+    criterion: str, alpha: Fraction | int | str = ONE
+) -> tuple[str, Fraction | None]:
+    """The check a criterion name selects, with its alpha: "efx" is
+    alpha-EFX at alpha = 1, "alpha_efx" keeps alpha, "tefx" takes none."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}")
+    if criterion == "tefx":
+        return "tefx", None
+    return "alpha_efx", ONE if criterion == "efx" else Fraction(alpha)
+
+
+def _violations(
+    oracle: CostOracle,
+    agent: int,
+    bundles: Sequence[frozenset[int]],
+    criterion: str,
+    alpha: Fraction | None,
+) -> Iterator[Witness]:
+    """Every (agent, j, c) violating the criterion ("alpha_efx" or "tefx")
+    against the agent's own bundle, by j and then c ascending."""
+    mine = bundles[agent]
+    if not mine:
+        return
+    chores = sorted(mine)
+    if criterion == "tefx":
+        for j, other in enumerate(bundles):
+            if j != agent:
+                for c in chores:
+                    lhs, rhs = oracle.cost(mine - {c}), oracle.cost(other | {c})
+                    if lhs > rhs:
+                        yield Witness(agent, j, c, lhs, rhs)
+        return
+    # alpha-EFX: each removal cost once per agent; a j is walked chore by
+    # chore only when the worst removal exceeds alpha * C(X_j).  EFX
+    # (alpha = 1) skips the Fraction product, the dearest step per j.
+    removals = [oracle.cost(mine - {c}) for c in chores]
+    worst = max(removals)
+    for j, other in enumerate(bundles):
+        if j == agent:
+            continue
+        rhs = oracle.cost(other) if alpha == 1 else alpha * oracle.cost(other)
+        if worst > rhs:
+            for c, lhs in zip(chores, removals):
+                if lhs > rhs:
+                    yield Witness(agent, j, c, lhs, rhs)
+
+
+def _all_violations(
+    alloc: Allocation, instance: Instance, criterion: str, alpha: Fraction | None
+) -> Iterator[Witness]:
+    for i, oracle in enumerate(instance.oracles):
+        yield from _violations(oracle, i, alloc.bundles, criterion, alpha)
 
 
 def check_alpha_efx(
@@ -130,70 +189,40 @@ def check_alpha_efx(
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     _check_shapes(alloc, instance)
-    witnesses = []
-    for i in range(instance.n):
-        oracle = instance.oracles[i]
-        mine = alloc.bundles[i]
-        for j in range(instance.n):
-            if i == j:
-                continue
-            rhs = alpha * oracle.cost(alloc.bundles[j])
-            for c in sorted(mine):
-                lhs = oracle.cost(mine - {c})
-                if lhs > rhs:
-                    witnesses.append(Witness(i, j, c, lhs, rhs))
-    return FairnessReport("alpha_efx", alpha, not witnesses, tuple(witnesses))
+    witnesses = tuple(_all_violations(alloc, instance, "alpha_efx", alpha))
+    return FairnessReport("alpha_efx", alpha, not witnesses, witnesses)
 
 
 def check_tefx(alloc: Allocation, instance: Instance) -> FairnessReport:
     """tEFX report: every removal beats the corresponding transfer."""
     _check_shapes(alloc, instance)
-    witnesses = []
-    for i in range(instance.n):
-        oracle = instance.oracles[i]
-        mine = alloc.bundles[i]
-        for j in range(instance.n):
-            if i == j:
-                continue
-            other = alloc.bundles[j]
-            for c in sorted(mine):
-                lhs = oracle.cost(mine - {c})
-                rhs = oracle.cost(other | {c})
-                if lhs > rhs:
-                    witnesses.append(Witness(i, j, c, lhs, rhs))
-    return FairnessReport("tefx", None, not witnesses, tuple(witnesses))
+    witnesses = tuple(_all_violations(alloc, instance, "tefx", None))
+    return FairnessReport("tefx", None, not witnesses, witnesses)
+
+
+def check_criterion(
+    alloc: Allocation, instance: Instance, criterion: str,
+    alpha: Fraction | int | str = ONE,
+) -> FairnessReport:
+    """Report for a criterion name, as mapped by resolve_criterion."""
+    criterion, alpha = resolve_criterion(criterion, alpha)
+    if criterion == "tefx":
+        return check_tefx(alloc, instance)
+    return check_alpha_efx(alloc, instance, alpha)
 
 
 def is_alpha_efx(
     alloc: Allocation, instance: Instance, alpha: Fraction | int = ONE
 ) -> bool:
     """Short-circuit verdict (no witness collection) for hot loops."""
-    alpha = Fraction(alpha)
-    for i in range(instance.n):
-        oracle = instance.oracles[i]
-        mine = alloc.bundles[i]
-        if not mine:
-            continue
-        worst = max_removal_cost(oracle, mine)
-        for j in range(instance.n):
-            if i != j and worst > alpha * oracle.cost(alloc.bundles[j]):
-                return False
-    return True
+    if not isinstance(alpha, Fraction):  # exhaustive_search calls per allocation
+        alpha = Fraction(alpha)
+    return next(_all_violations(alloc, instance, "alpha_efx", alpha), None) is None
 
 
 def is_tefx(alloc: Allocation, instance: Instance) -> bool:
     """Short-circuit tEFX verdict."""
-    for i in range(instance.n):
-        oracle = instance.oracles[i]
-        mine = alloc.bundles[i]
-        for j in range(instance.n):
-            if i == j:
-                continue
-            other = alloc.bundles[j]
-            for c in mine:
-                if oracle.cost(mine - {c}) > oracle.cost(other | {c}):
-                    return False
-    return True
+    return next(_all_violations(alloc, instance, "tefx", None), None) is None
 
 
 def check_partial_property2(alloc: Allocation, instance: Instance) -> tuple[bool, ...]:

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .core import Allocation, Instance, check_alpha_efx, is_alpha_efx
+from .core import ONE, Allocation, Instance, check_alpha_efx, is_alpha_efx
 from .errors import PreconditionError, VerificationError
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -210,10 +210,6 @@ class PerturbedOracle(CostOracle):
 
     def __repr__(self) -> str:
         return f"PerturbedOracle({self.base!r}, epsilon={self.epsilon})"
-
-
-def evaluate_cost(oracle: CostOracle, chores: Iterable[int]) -> Fraction:
-    return oracle.cost(chores)
 
 
 # ---------------------------------------------------------------------------

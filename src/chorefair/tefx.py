@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import Allocation, Instance, check_tefx, max_removal_cost
-from .errors import EnumerationLimitError, PreconditionError, VerificationError
-from .oracles import CostOracle, env_enum_limit, ratio_bound
-
-TWO = Fraction(2)
-EXHAUSTIVE_LIMIT = 10**7
+from .core import ONE, TWO, Allocation, Instance, _violations, check_tefx
+from .errors import PreconditionError, VerificationError
+from .oracles import CostOracle, ratio_bound
+from .verify import partitions
 
 Bundles = list[frozenset[int]]
 
@@ -43,24 +41,26 @@ def is_efx_feasible(
     bundle: frozenset[int], others: Sequence[frozenset[int]], oracle: CostOracle
 ) -> bool:
     """Every removal from the bundle stays within every other bundle's cost."""
-    if not bundle:
-        return True
-    worst = max_removal_cost(oracle, bundle)
-    return all(worst <= oracle.cost(b) for b in others)
+    return next(_violations(oracle, 0, [bundle, *others], "alpha_efx", ONE),
+                None) is None
 
 
 def is_tefx_feasible(
     bundle: frozenset[int], others: Sequence[frozenset[int]], oracle: CostOracle
 ) -> bool:
     """Every removal stays within every other bundle plus the removed chore."""
-    return all(
-        oracle.cost(bundle - {c}) <= oracle.cost(b | {c})
-        for c in bundle
-        for b in others
-    )
+    return next(_violations(oracle, 0, [bundle, *others], "tefx", None),
+                None) is None
 
 
-def _min_cost_index(bundles: Bundles, oracle: CostOracle) -> int:
+def _efx_violator(bundles: Sequence[frozenset[int]], oracle: CostOracle) -> int | None:
+    """First bundle that is not EFX-feasible under the oracle, or None."""
+    return next((i for i, b in enumerate(bundles)
+                 if not is_efx_feasible(b, bundles[:i] + bundles[i + 1:], oracle)),
+                None)
+
+
+def _min_cost_index(bundles: Sequence[frozenset[int]], oracle: CostOracle) -> int:
     costs = [oracle.cost(b) for b in bundles]
     return costs.index(min(costs))
 
@@ -79,13 +79,6 @@ def identical_cost_efx(m: int, bundle_count: int, oracle: CostOracle) -> Bundles
     if oracle.m != m:
         raise PreconditionError("oracle chore count disagrees with m")
 
-    def verified(bundles: Bundles) -> Bundles | None:
-        for i, b in enumerate(bundles):
-            others = bundles[:i] + bundles[i + 1:]
-            if not is_efx_feasible(b, others, oracle):
-                return None
-        return bundles
-
     order = sorted(range(m), key=lambda c: (-oracle.singleton(c), c))
     bundles: Bundles = [frozenset() for _ in range(bundle_count)]
     for c in order:
@@ -93,14 +86,8 @@ def identical_cost_efx(m: int, bundle_count: int, oracle: CostOracle) -> Bundles
         target = grow.index(min(grow))
         bundles[target] = bundles[target] | {c}
 
-    budget = m * m * bundle_count
-    for _ in range(budget):
-        violator = None
-        for i, b in enumerate(bundles):
-            others = bundles[:i] + bundles[i + 1:]
-            if not is_efx_feasible(b, others, oracle):
-                violator = i
-                break
+    for _ in range(m * m * bundle_count):
+        violator = _efx_violator(bundles, oracle)
         if violator is None:
             return bundles
         src = bundles[violator]
@@ -112,32 +99,14 @@ def identical_cost_efx(m: int, bundle_count: int, oracle: CostOracle) -> Bundles
             break
         bundles[violator] = src - {chore}
         bundles[dest] = bundles[dest] | {chore}
-    else:
-        bundles = None  # budget exhausted without converging
 
-    if bundles is not None and verified(bundles):
-        return bundles
     # exhaustive fallback over assignment vectors
-    if bundle_count**m > env_enum_limit(EXHAUSTIVE_LIMIT):
-        raise EnumerationLimitError(
-            f"local search failed and {bundle_count}^{m} assignments exceed "
-            "the exhaustive-search limit")
-    counters = [0] * m
-    while True:
-        candidate: Bundles = [frozenset() for _ in range(bundle_count)]
-        for c, pos in enumerate(counters):
-            candidate[pos] = candidate[pos] | {c}
-        if verified(candidate):
-            return candidate
-        for idx in range(m - 1, -1, -1):
-            counters[idx] += 1
-            if counters[idx] < bundle_count:
-                break
-            counters[idx] = 0
-        else:
-            raise VerificationError(
-                "no single-oracle EFX partition exists; the oracle is "
-                "likely not monotone")
+    for candidate in partitions(m, bundle_count):
+        if _efx_violator(candidate, oracle) is None:
+            return list(candidate)
+    raise VerificationError(
+        "no single-oracle EFX partition exists; the oracle is likely not "
+        "monotone")
 
 
 class MoveStep(NamedTuple):
@@ -174,71 +143,63 @@ def tefx_two_group(
     if ratio_bound(c2) > TWO:
         raise PreconditionError("second cost function must be 2-ratio-bounded")
 
+    front = n - k + 1  # count of C1-constrained positions
     if k == 1:
         bundles = identical_cost_efx(m, n, c1)
         cheap = _min_cost_index(bundles, c2)
         bundles[cheap], bundles[n - 1] = bundles[n - 1], bundles[cheap]
-        result = Allocation.full(bundles)
-        _check_two_group(result.bundles, c1, c2, k)
-        return result
-
-    bundles = list(tefx_two_group(m, n, c1, c2, k - 1, trace).bundles)
-    front = n - k + 1  # count of C1-constrained positions
-    max_iters = m + 1
-    for _ in range(max_iters):
-        feasible = next(
-            (i for i in range(front)
-             if is_tefx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c2)),
-            None,
-        )
-        if feasible is not None:
-            # relabel within the identically-priced front so the boundary
-            # position carries the tEFX-feasible bundle
-            bundles[feasible], bundles[front - 1] = (
-                bundles[front - 1], bundles[feasible])
-            break
-        cheap = _min_cost_index(bundles, c2)
-        bundles[cheap], bundles[n - 1] = bundles[n - 1], bundles[cheap]
-        # worst single-removal over the front bundles, ties to lowest chore
-        best: tuple[Fraction, int, int] | None = None
-        for i in range(front):
-            for c in sorted(bundles[i]):
-                left = c1.cost(bundles[i] - {c})
-                if best is None or left > best[0]:
-                    best = (left, i, c)
-        if best is None:
-            raise VerificationError("front bundles are empty but infeasible")
-        _, src, chore = best
-        bundles[src], bundles[0] = bundles[0], bundles[src]
-        bundles[0] = bundles[0] - {chore}
-        bundles[n - 1] = bundles[n - 1] | {chore}
-        phi = sum(len(bundles[i]) for i in range(front))
-        if trace is not None:
-            trace.append(MoveStep(k, chore, src, n - 1, phi))
-        # both invariants must survive every move
-        for i in range(front):
-            if not is_efx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c1):
-                raise VerificationError("front EFX-feasibility lost in loop")
-        for i in range(front, n):
-            if not is_tefx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c2):
-                raise VerificationError("back tEFX-feasibility lost in loop")
     else:
-        raise VerificationError("two-group loop failed to terminate")
+        bundles = list(tefx_two_group(m, n, c1, c2, k - 1, trace).bundles)
+        for _ in range(m + 1):
+            feasible = next(
+                (i for i in range(front)
+                 if is_tefx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c2)),
+                None,
+            )
+            if feasible is not None:
+                # relabel within the identically-priced front so the boundary
+                # position carries the tEFX-feasible bundle
+                bundles[feasible], bundles[front - 1] = (
+                    bundles[front - 1], bundles[feasible])
+                break
+            cheap = _min_cost_index(bundles, c2)
+            bundles[cheap], bundles[n - 1] = bundles[n - 1], bundles[cheap]
+            # worst single-removal over the front bundles, ties to lowest chore
+            best: tuple[Fraction, int, int] | None = None
+            for i in range(front):
+                for c in sorted(bundles[i]):
+                    left = c1.cost(bundles[i] - {c})
+                    if best is None or left > best[0]:
+                        best = (left, i, c)
+            if best is None:
+                raise VerificationError("front bundles are empty but infeasible")
+            _, src, chore = best
+            bundles[src], bundles[0] = bundles[0], bundles[src]
+            bundles[0] = bundles[0] - {chore}
+            bundles[n - 1] = bundles[n - 1] | {chore}
+            phi = sum(len(bundles[i]) for i in range(front))
+            if trace is not None:
+                trace.append(MoveStep(k, chore, src, n - 1, phi))
+            # both invariants must survive every move
+            _check_two_group(bundles, c1, c2, front, front)
+        else:
+            raise VerificationError("two-group loop failed to terminate")
     result = Allocation.full(bundles)
-    _check_two_group(result.bundles, c1, c2, k)
+    _check_two_group(result.bundles, c1, c2, front, front - 1)
     return result
 
 
 def _check_two_group(
-    bundles: Sequence[frozenset[int]], c1: CostOracle, c2: CostOracle, k: int
+    bundles: Sequence[frozenset[int]], c1: CostOracle, c2: CostOracle,
+    front: int, tefx_start: int,
 ) -> None:
-    n = len(bundles)
-    front = n - k + 1
+    """Positions before `front` EFX-feasible under C1, positions from
+    `tefx_start` on tEFX-feasible under C2."""
     for i in range(front):
-        if not is_efx_feasible(bundles[i], list(bundles[:i]) + list(bundles[i + 1:]), c1):
+        if not is_efx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c1):
             raise VerificationError(f"bundle {i} not EFX-feasible under C1")
-    for i in range(front - 1, n):
-        if not is_tefx_feasible(bundles[i], list(bundles[:i]) + list(bundles[i + 1:]), c2):
+    for i in range(tefx_start, len(bundles)):
+        if not is_tefx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c2):
             raise VerificationError(f"bundle {i} not tEFX-feasible under C2")
 
 
@@ -260,36 +221,20 @@ def tefx_three_group(instance: Instance, groups: GroupSpec) -> Allocation:
     c2 = instance.oracles[min(groups.group2)]
     ell = len(groups.group2)
 
+    agents = sorted(groups.group1) + sorted(groups.group2)
+    bundles: list[frozenset[int]] = [frozenset()] * n
     if not groups.group3:
-        shared = tefx_two_group(instance.m, n, c1, c2, ell)
-        order = sorted(groups.group1) + sorted(groups.group2)
+        shared = tefx_two_group(instance.m, n, c1, c2, ell).bundles
     else:
         agent3 = min(groups.group3)
-        c3 = instance.oracles[agent3]
-        shared = tefx_two_group(instance.m, n, c1, c2, ell + 1)
-        costs3 = [c3.cost(b) for b in shared.bundles]
-        pick = costs3.index(min(costs3))
-        if pick < n - ell:
-            group1_positions = [i for i in range(n - ell) if i != pick]
-            group2_positions = list(range(n - ell, n))
-        else:
-            group1_positions = list(range(n - ell - 1))
-            group2_positions = [i for i in range(n - ell - 1, n) if i != pick]
-        order_positions = group1_positions + group2_positions
-        bundles: list[frozenset[int]] = [frozenset()] * n
-        bundles[agent3] = shared.bundles[pick]
-        agents = sorted(groups.group1) + sorted(groups.group2)
-        for agent, pos in zip(agents, order_positions):
-            bundles[agent] = shared.bundles[pos]
-        result = Allocation.full(bundles)
-        report = check_tefx(result, instance)
-        if not report.verdict:
-            raise VerificationError(f"output not tEFX: {report.witnesses[:3]}")
-        return result
-
-    bundles = [frozenset()] * n
-    for agent, pos in zip(order, range(n)):
-        bundles[agent] = shared.bundles[pos]
+        shared = tefx_two_group(instance.m, n, c1, c2, ell + 1).bundles
+        # the third agent takes its cheapest bundle; the other agents keep
+        # the remaining positions in order, whichever group it came from
+        pick = _min_cost_index(shared, instance.oracles[agent3])
+        bundles[agent3] = shared[pick]
+        shared = shared[:pick] + shared[pick + 1:]
+    for agent, bundle in zip(agents, shared):
+        bundles[agent] = bundle
     result = Allocation.full(bundles)
     report = check_tefx(result, instance)
     if not report.verdict:

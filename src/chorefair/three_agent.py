@@ -10,11 +10,12 @@ exhaustive EFX search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .core import (
+    TWO,
     Allocation,
     Instance,
     check_alpha_efx,
@@ -32,8 +33,6 @@ CASE_IDS = (
     "D1", "D21", "D22", "D23",
 )
 
-TWO = Fraction(2)
-
 
 class BranchStep(NamedTuple):
     """One decision or construction step inside solve_case."""
@@ -48,18 +47,13 @@ class CaseContext:
 
     ``roles[r]`` is the actual agent playing role r (0-based); ``orders[r]``
     is that agent's full most-costly-first chore order, so
-    ``orders[r][t]`` is the role's (t+1)-th most costly chore.  The b/M'/D
-    fields are filled in during solve_case for the two deep B-cases.
+    ``orders[r][t]`` is the role's (t+1)-th most costly chore.
     """
 
     roles: tuple[int, int, int]
     orders: tuple[tuple[int, ...], ...]
     b1_1: int | None = None
     b2_1: int | None = None
-    b1_2: int | None = None
-    b2_2: int | None = None
-    m_prime: frozenset[int] | None = None
-    d: frozenset[int] | None = None
 
     def top(self, role: int, rank: int) -> int:
         """rank-th most costly chore of the given role (both 1-based)."""
@@ -308,9 +302,6 @@ def _solve_deep_b(
     pair = sorted((c(3, 1), c(3, 2)),
                   key=lambda ch: (-o1.cost((ch,)), ch))
     ctx.b1_1, ctx.b2_1 = pair[0], pair[1]
-    pair2 = sorted((c(3, 1), c(3, 2)),
-                   key=lambda ch: (-o2.cost((ch,)), ch))
-    ctx.b1_2, ctx.b2_2 = pair2[0], pair2[1]
     b1, b2 = ctx.b1_1, ctx.b2_1
 
     if case == "B2221":
@@ -322,7 +313,6 @@ def _solve_deep_b(
     # role-space seed: <{b2, mid1}, {b1}, {top3}>, threshold C_1(mid1)
     seed = [{b2, mid1}, {b1}, {top3}]
     m_prime = frozenset(range(instance.m)) - {b1, b2, mid1, top3}
-    ctx.m_prime = m_prime
     threshold = o1.cost((mid1,))
     trace.append(BranchStep(f"anchors b1={b1} b2={b2}",
                             _alloc(instance, roles, seed)))
@@ -336,7 +326,6 @@ def _solve_deep_b(
 
     if o1.cost(m_prime | {b1}) >= threshold:
         d = find_subset_D(o1, b1, m_prime, threshold, strict_peel)
-        ctx.d = d
         trace.append(BranchStep(f"D={sorted(d)}"))
         x1, x2 = {b2, mid1}, {b1} | set(d)
         envies_1 = o2.cost(x2) > o2.cost(x1)

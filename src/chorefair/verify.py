@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .core import Allocation, Instance, max_removal_cost
+from .core import (
+    Allocation,
+    Instance,
+    is_alpha_efx,
+    is_tefx,
+    max_removal_cost,
+    resolve_criterion,
+)
 from .envy_graph import (
     ChorePlaced,
     TopTradingGraph,
@@ -26,30 +33,17 @@ from .oracles import AdditiveOracle, env_enum_limit
 SEARCH_LIMIT = 10**7
 
 
-def _passes(alloc: Allocation, instance: Instance, criterion: str,
-            alpha: Fraction) -> bool:
-    if criterion == "tefx":
-        for i in range(instance.n):
-            oracle = instance.oracles[i]
-            mine = alloc.bundles[i]
-            for j in range(instance.n):
-                if i == j:
-                    continue
-                other = alloc.bundles[j]
-                for c in mine:
-                    if oracle.cost(mine - {c}) > oracle.cost(other | {c}):
-                        return False
-        return True
-    for i in range(instance.n):
-        oracle = instance.oracles[i]
-        mine = alloc.bundles[i]
-        if not mine:
-            continue
-        worst = max_removal_cost(oracle, mine)
-        for j in range(instance.n):
-            if i != j and worst > alpha * oracle.cost(alloc.bundles[j]):
-                return False
-    return True
+def partitions(m: int, count: int) -> Iterator[tuple[frozenset[int], ...]]:
+    """Every split of chores 0..m-1 into `count` bundles, lexicographic over
+    the chore -> bundle assignment vectors; refuses past the search limit."""
+    if count**m > env_enum_limit(SEARCH_LIMIT):
+        raise EnumerationLimitError(
+            f"{count}^{m} assignments exceed the search limit")
+    for assignment in itertools.product(range(count), repeat=m):
+        bundles = [set() for _ in range(count)]
+        for chore, position in enumerate(assignment):
+            bundles[position].add(chore)
+        yield tuple(map(frozenset, bundles))
 
 
 def exhaustive_search(
@@ -62,19 +56,11 @@ def exhaustive_search(
 
     criterion: "efx" (alpha forced to 1), "alpha_efx", or "tefx".
     """
-    if criterion not in ("efx", "alpha_efx", "tefx"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    alpha = Fraction(1) if criterion == "efx" else Fraction(alpha)
-    space = instance.n**instance.m
-    if space > env_enum_limit(SEARCH_LIMIT):
-        raise EnumerationLimitError(
-            f"{instance.n}^{instance.m} allocations exceed the search limit")
-    for assignment in itertools.product(range(instance.n), repeat=instance.m):
-        bundles = [set() for _ in range(instance.n)]
-        for chore, agent in enumerate(assignment):
-            bundles[agent].add(chore)
-        alloc = Allocation.full(bundles)
-        if _passes(alloc, instance, criterion, alpha):
+    criterion, alpha = resolve_criterion(criterion, alpha)
+    for bundles in partitions(instance.m, instance.n):
+        alloc = Allocation(bundles, frozenset())
+        if (is_tefx(alloc, instance) if criterion == "tefx"
+                else is_alpha_efx(alloc, instance, alpha)):
             return alloc
     return None
 

@@ -146,6 +146,21 @@ def test_verify_exit_codes(tmp_path, capsys):
                  str(broken), "--criterion", "efx"]) == 2
 
 
+@pytest.mark.parametrize("bundles", [
+    [[1], [2], [3]],              # chores 4, 5 and 6 are left out
+    [[0, 1], [2, 3], [4, 5, 6]],  # chore ids start at 1
+])
+def test_verify_rejects_allocation_not_covering_chores(tmp_path, capsys, bundles):
+    inst_path = write_instance(tmp_path, counterexample_instance(20, 8))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"allocation": bundles}))
+    assert main(["verify", "--instance", inst_path, "--allocation", str(alloc),
+                 "--criterion", "efx"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_gen_reproducible_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["gen", "--family", "additive_ratio", "--n", "3", "--m", "8",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,9 @@ from chorefair import (
     check_alpha_efx,
     check_partial_property2,
     check_tefx,
+    generate_instance,
+    independent_alpha_efx,
+    independent_tefx,
     is_alpha_efx,
     is_tefx,
     max_removal_cost,
@@ -38,6 +42,8 @@ def test_shape_mismatch_is_an_error():
     alloc = Allocation.full([{0}, {1}])
     with pytest.raises(DimensionError):
         check_alpha_efx(alloc, COUNTEREXAMPLE)
+    with pytest.raises(DimensionError):  # a 1-based chore 0 read as -1
+        check_tefx(Allocation.full([{-1}, {1}, {2}]), COUNTEREXAMPLE)
 
 
 def test_max_removal_cost_additive():
@@ -68,10 +74,36 @@ def test_tefx_weaker_than_efx():
         assert check_tefx(alloc, inst).verdict
 
 
+def _sweep_allocations(rng, m):
+    """Full allocations, partial ones with a pool, and ones whose third
+    bundle is always empty, in turn."""
+    for k in range(30):
+        slots = (3, 4, 2)[k % 3]
+        bundles, pool = [set(), set(), set()], set()
+        for chore in range(m):
+            slot = rng.randrange(slots)
+            (pool if slot == 3 else bundles[slot]).add(chore)
+        yield Allocation(tuple(map(frozenset, bundles)), frozenset(pool))
+
+
 def test_verdict_matches_shortcuts():
-    alloc = Allocation.full([{1}, {2, 3, 4}, {0, 5}])
-    assert is_alpha_efx(alloc, COUNTEREXAMPLE, 2) == check_alpha_efx(alloc, COUNTEREXAMPLE, 2).verdict
-    assert is_tefx(alloc, COUNTEREXAMPLE) == check_tefx(alloc, COUNTEREXAMPLE).verdict
+    families = ("additive", "capped_additive", "max_of_additive")
+    cases = [(COUNTEREXAMPLE, Allocation.full([{1}, {2, 3, 4}, {0, 5}]))]
+    for seed in range(30):
+        inst = generate_instance(families[seed % 3], 3, 6, seed)
+        cases += [(inst, alloc)
+                  for alloc in _sweep_allocations(random.Random(seed), 6)]
+    for inst, alloc in cases:
+        reports = [(check_alpha_efx(alloc, inst, alpha),
+                    is_alpha_efx(alloc, inst, alpha),
+                    independent_alpha_efx(alloc, inst, alpha))
+                   for alpha in (1, Fraction(3, 2), 2)]
+        reports.append((check_tefx(alloc, inst), is_tefx(alloc, inst),
+                        independent_tefx(alloc, inst)))
+        for report, shortcut, independent in reports:
+            assert report.verdict == shortcut == independent
+            keys = [w[:3] for w in report.witnesses]
+            assert keys == sorted(set(keys))
 
 
 def test_alpha_below_one_rejected():

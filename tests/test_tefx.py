@@ -5,6 +5,7 @@ import pytest
 
 from chorefair import (
     AdditiveOracle,
+    Allocation,
     GroupSpec,
     Instance,
     MaxOfAdditiveOracle,
@@ -12,6 +13,8 @@ from chorefair import (
     check_tefx,
     generate_instance,
     identical_cost_efx,
+    is_alpha_efx,
+    is_tefx,
     tefx_three_group,
     tefx_two_group,
 )
@@ -29,6 +32,14 @@ def test_feasibility_predicates():
     good = frozenset({2, 3})
     assert is_efx_feasible(good, [frozenset({0, 1})], oracle)
     assert is_tefx_feasible(b, [frozenset({0})], oracle)  # 6 <= 5 + 3
+    # a singleton is feasible either way, so for two agents sharing the
+    # oracle the core verdicts are those of the other bundle
+    inst = Instance(4, 2, (oracle, oracle))
+    single = frozenset({0})
+    for bundle in (b, good, frozenset()):
+        alloc = Allocation((bundle, single), frozenset())
+        assert is_efx_feasible(bundle, [single], oracle) == is_alpha_efx(alloc, inst)
+        assert is_tefx_feasible(bundle, [single], oracle) == is_tefx(alloc, inst)
 
 
 def test_identical_cost_efx_singletons():
