@@ -38,10 +38,12 @@ def main():
     trace = []
     alloc = tefx_two_group(m, n, c1, c2, k, trace=trace)
     print(f"\ntwo-group construction, {n} bundles, last {k} for group 2:")
-    for step in trace:
-        print(f"  level k={step.k}: moved chore c{step.chore + 1} from "
-              f"bundle {step.source + 1} to bundle {step.target + 1} "
-              f"(front chores remaining: {step.phi})")
+    for move in trace:
+        source, target = move.agents
+        front = move.allocation.bundles[: n - move.step + 1]
+        print(f"  level k={move.step}: moved chore c{move.chore + 1} from "
+              f"bundle {source + 1} to bundle {target + 1} "
+              f"(front chores remaining: {sum(map(len, front))})")
     print("  bundles:", [sorted(c + 1 for c in b) for b in alloc.bundles])
 
     # add a third, unrelated agent: it simply picks its cheapest bundle

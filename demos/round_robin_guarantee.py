@@ -43,8 +43,9 @@ def main():
     alloc, trace = round_robin_allocate(instance)
     print("pick sequence (3 agents, 9 chores, costs within a factor 3):")
     for pick in trace.picks:
-        cost = instance.oracles[pick.agent].singleton(pick.chore)
-        print(f"  round {pick.round}: agent {pick.agent + 1} takes "
+        (agent,) = pick.agents
+        cost = instance.oracles[agent].singleton(pick.chore)
+        print(f"  round {pick.step}: agent {agent + 1} takes "
               f"c{pick.chore + 1} (cost {cost})")
     bound = guarantee_ratio(3, round_count(instance))
     print(f"  guarantee: {bound}-EFX; verdict "

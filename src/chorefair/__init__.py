@@ -7,6 +7,7 @@ generators.  All arithmetic is rational; no floats anywhere.
 
 from .core import (
     Allocation,
+    Event,
     FairnessReport,
     Instance,
     Witness,

@@ -20,6 +20,7 @@ from .core import (
     CRITERIA,
     TWO,
     Allocation,
+    Event,
     FairnessReport,
     Instance,
     check_alpha_efx,
@@ -152,6 +153,31 @@ def report_to_json(report: FairnessReport) -> dict:
     }
 
 
+def _event_line(event: Event) -> str:
+    """One trace line, agents, chores and bundle positions 1-based."""
+    agents = [a + 1 for a in event.agents]
+    chore = None if event.chore is None else event.chore + 1
+    if event.kind == "pick":
+        line = f"round {event.step}: agent {agents[0]} takes chore {chore}"
+    elif event.kind == "place":
+        line = f"chore {chore} to sink agent {agents[0]}"
+    elif event.kind == "cycle":
+        line = "envy cycle " + " -> ".join(map(str, agents + agents[:1]))
+    elif event.kind == "move":
+        line = (f"level k={event.step}: chore {chore} from bundle {agents[0]} "
+                f"to bundle {agents[1]}")
+    else:
+        line = event.note
+        if agents:
+            line += f", roles 1-3 played by agents {agents}"
+    if event.allocation is not None:
+        data = allocation_to_json(event.allocation)
+        line += f": bundles {data['allocation']}"
+        if data["pool"]:
+            line += f", pool {data['pool']}"
+    return line
+
+
 def write_json_atomic(path: str, payload: dict) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -188,32 +214,32 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = instance_from_json(_load_json(args.instance))
     started = time.perf_counter()
     criterion, alpha = "alpha_efx", TWO
-    trace_lines: list[str] = []
+    trace: list[Event] | None = [] if args.trace else None
 
     if args.algorithm == "three-agent-2efx":
-        alloc = three_agent_2efx(instance)
+        alloc = three_agent_2efx(instance, trace)
     elif args.algorithm == "partial-ido-2efx":
-        alloc = partial_ido_2efx(instance)
+        alloc = partial_ido_2efx(instance, trace)
     elif args.algorithm == "round-robin":
         order = None
         if args.order:
             order = [int(part) - 1 for part in args.order.split(",")]
-        alloc, trace = round_robin_allocate(instance, order)
+        alloc, picks = round_robin_allocate(instance, order)
         criterion, alpha = "tefx", None
-        trace_lines = [f"round {p.round}: agent {p.agent + 1} takes chore "
-                       f"{p.chore + 1}" for p in trace.picks]
+        if trace is not None:
+            trace.extend(picks.picks)
     elif args.algorithm == "tefx-two-group":
         if args.k is None:
             raise ValueError("--k is required for tefx-two-group")
         alloc = tefx_two_group(instance.m, instance.n, instance.oracles[0],
-                               instance.oracles[-1], args.k)
+                               instance.oracles[-1], args.k, trace)
         criterion, alpha = "tefx", None
     elif args.algorithm == "tefx-three-group":
         groups = GroupSpec(
             _parse_agent_list(args.group1 or "", instance.n),
             _parse_agent_list(args.group2 or "", instance.n),
             _parse_agent_list(args.group3 or "", instance.n))
-        alloc = tefx_three_group(instance, groups)
+        alloc = tefx_three_group(instance, groups, trace)
         criterion, alpha = "tefx", None
     elif args.algorithm == "exhaustive":
         criterion, alpha = args.criterion or "efx", Fraction(args.alpha or 1)
@@ -232,8 +258,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         **report_to_json(report),
         "timings": {"seconds": round(time.perf_counter() - started, 6)},
     }
-    if args.trace and trace_lines:
-        payload["trace"] = trace_lines
+    if trace is not None:
+        payload["trace"] = [_event_line(event) for event in trace]
     if args.output:
         write_json_atomic(args.output, payload)
     else:

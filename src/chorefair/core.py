@@ -72,13 +72,29 @@ class Allocation:
     def is_full(self) -> bool:
         return not self.pool
 
-    def replace(self, agent: int, bundle: Iterable[int]) -> "Allocation":
-        new = list(self.bundles)
-        new[agent] = frozenset(bundle)
-        return Allocation(tuple(new), self.pool)
-
     def chores(self) -> frozenset[int]:
         return frozenset().union(*self.bundles, self.pool)
+
+
+class Event(NamedTuple):
+    """One step of a solver run, recorded when the caller passes a trace list.
+
+    kind "branch": a case-analysis step, named in ``note``; the first one
+    of a case holds the agents playing roles 1-3 in ``agents``.
+    kind "cycle": ``agents`` rotated bundles along a top trading cycle.
+    kind "place": pool ``chore`` went to the sink ``agents[0]``.
+    kind "pick": ``agents[0]`` took ``chore`` in round ``step`` (1-based).
+    kind "move": ``chore`` went from bundle position ``agents[0]`` to
+    ``agents[1]`` at two-group level ``step`` (= k).
+    ``allocation`` is the snapshot after the step, where the solver takes one.
+    """
+
+    kind: str
+    agents: tuple[int, ...] = ()
+    chore: int | None = None
+    step: int | None = None
+    allocation: Allocation | None = None
+    note: str = ""
 
 
 class Witness(NamedTuple):
@@ -225,22 +241,24 @@ def is_tefx(alloc: Allocation, instance: Instance) -> bool:
     return next(_all_violations(alloc, instance, "tefx", None), None) is None
 
 
+def eligible_bundles(
+    oracle: CostOracle, alloc: Allocation, beta: Fraction | int = ONE
+) -> list[int]:
+    """Every j with C(b) <= beta*C(X_j) for each pool chore b (every j when
+    the pool is empty).  The set shrinks as C(b) grows, so only the costliest
+    pool chore needs testing."""
+    if not alloc.pool:
+        return list(range(alloc.n))
+    worst = max(oracle.singleton(b) for b in alloc.pool)
+    return [j for j, bundle in enumerate(alloc.bundles)
+            if worst <= beta * oracle.cost(bundle)]
+
+
 def check_partial_property2(alloc: Allocation, instance: Instance) -> tuple[bool, ...]:
     """Per agent i: every pool chore costs at most C_i(X_j) for >= n-1 agents j.
 
     Vacuously true for full allocations.
     """
     _check_shapes(alloc, instance)
-    results = []
-    for i in range(instance.n):
-        oracle = instance.oracles[i]
-        bundle_costs = [oracle.cost(b) for b in alloc.bundles]
-        ok = True
-        for b in alloc.pool:
-            single = oracle.singleton(b)
-            covered = sum(1 for cost in bundle_costs if single <= cost)
-            if covered < instance.n - 1:
-                ok = False
-                break
-        results.append(ok)
-    return tuple(results)
+    return tuple(len(eligible_bundles(oracle, alloc)) >= instance.n - 1
+                 for oracle in instance.oracles)

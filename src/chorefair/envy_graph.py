@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .core import ONE, Allocation, Instance, check_alpha_efx, is_alpha_efx
+from .core import (
+    ONE,
+    Allocation,
+    Event,
+    Instance,
+    check_alpha_efx,
+    eligible_bundles,
+    is_alpha_efx,
+)
 from .errors import PreconditionError, VerificationError
 
 
@@ -28,12 +36,6 @@ class TopTradingGraph:
         sources = [i for i, _ in self.edges]
         if len(sources) != len(set(sources)):
             raise ValueError("out-degree must be at most 1")
-
-    def out_edge(self, agent: int) -> int | None:
-        for i, j in self.edges:
-            if i == agent:
-                return j
-        return None
 
     def sinks(self) -> tuple[int, ...]:
         pointing = {i for i, _ in self.edges}
@@ -116,54 +118,34 @@ def compute_extension_witness(
     """
     beta = Fraction(beta)
     eligible = []
-    for i in range(instance.n):
-        oracle = instance.oracles[i]
-        good = set()
-        for j in range(instance.n):
-            bound = beta * oracle.cost(alloc.bundles[j])
-            if all(oracle.singleton(b) <= bound for b in alloc.pool):
-                good.add(j)
+    for i, oracle in enumerate(instance.oracles):
+        good = eligible_bundles(oracle, alloc, beta)
         if len(good) < instance.n - 1:
-            bad_j = min(set(range(instance.n)) - good)
-            bound = beta * instance.oracles[i].cost(alloc.bundles[bad_j])
+            bad_j = min(set(range(instance.n)) - set(good))
+            bound = beta * oracle.cost(alloc.bundles[bad_j])
             chore = next(
-                b for b in sorted(alloc.pool)
-                if instance.oracles[i].singleton(b) > bound)
+                b for b in sorted(alloc.pool) if oracle.singleton(b) > bound)
             raise PreconditionError(
                 f"agent {i} has only {len(good)} eligible agents "
-                f"{sorted(good)} (need >= {instance.n - 1}); pool chore "
+                f"{good} (need >= {instance.n - 1}); pool chore "
                 f"{chore} exceeds beta*C_{i}(X_{bad_j})")
         eligible.append(frozenset(good))
     return ExtensionWitness(tuple(eligible), beta)
-
-
-class CycleRemoved(NamedTuple):
-    cycle: tuple[int, ...]
-    allocation: Allocation
-
-
-class ChorePlaced(NamedTuple):
-    sink: int
-    chore: int
-    allocation: Allocation
-
-
-TraceEvent = CycleRemoved | ChorePlaced
 
 
 def _ttece(
     alloc: Allocation,
     instance: Instance,
     pool_order: Sequence[int],
-    trace: list[TraceEvent] | None = None,
+    trace: list[Event] | None = None,
 ) -> Allocation:
     """Top trading envy cycle elimination: per pool chore, eliminate cycles,
     then hand the chore to the lowest-index sink.  No guarantee checks here.
     """
-
-    def record_cycle(cycle: tuple[int, ...], snapshot: Allocation) -> None:
-        if trace is not None:
-            trace.append(CycleRemoved(cycle, snapshot))
+    record_cycle = None
+    if trace is not None:
+        def record_cycle(cycle: tuple[int, ...], snapshot: Allocation) -> None:
+            trace.append(Event("cycle", cycle, allocation=snapshot))
 
     current = alloc
     for chore in pool_order:
@@ -177,7 +159,7 @@ def _ttece(
             current.pool - {chore},
         )
         if trace is not None:
-            trace.append(ChorePlaced(sink, chore, current))
+            trace.append(Event("place", (sink,), chore, allocation=current))
     return current
 
 
@@ -186,27 +168,21 @@ def extend_partial(
     instance: Instance,
     alpha: Fraction | int = ONE,
     beta: Fraction | int = ONE,
-    check_preconditions: bool = True,
-    pool_order: Sequence[int] | None = None,
-    trace: list[TraceEvent] | None = None,
+    trace: list[Event] | None = None,
 ) -> Allocation:
     """Extend an alpha-EFX partial allocation to a full max(alpha, beta+1)-EFX
-    one by repeated cycle elimination and sink placement.
+    one by repeated cycle elimination and sink placement, pool chores in
+    ascending order.
 
     The eligibility precondition (n-1 agents j per agent i with
-    C_i(b) <= beta*C_i(X_j) for every pool chore b) is verified at entry
-    unless disabled; the output guarantee is always verified.
+    C_i(b) <= beta*C_i(X_j) for every pool chore b) is verified at entry,
+    and the output guarantee at exit.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
-    if check_preconditions:
-        if not is_alpha_efx(alloc, instance, alpha):
-            raise PreconditionError(
-                f"input partial allocation is not {alpha}-EFX")
-        compute_extension_witness(alloc, instance, beta)
-    order = tuple(pool_order) if pool_order is not None else tuple(sorted(alloc.pool))
-    if frozenset(order) != alloc.pool or len(order) != len(alloc.pool):
-        raise ValueError("pool_order must enumerate the pool exactly once")
-    result = _ttece(alloc, instance, order, trace)
+    if not is_alpha_efx(alloc, instance, alpha):
+        raise PreconditionError(f"input partial allocation is not {alpha}-EFX")
+    compute_extension_witness(alloc, instance, beta)
+    result = _ttece(alloc, instance, sorted(alloc.pool), trace)
     guarantee = max(alpha, beta + 1)
     report = check_alpha_efx(result, instance, guarantee)
     if not report.verdict:

@@ -7,7 +7,7 @@ allocation yields a 2-EFX full allocation for subadditive costs.
 
 from __future__ import annotations
 
-from .core import Allocation, Instance, check_alpha_efx
+from .core import Allocation, Event, Instance, check_alpha_efx
 from .envy_graph import extend_partial
 from .errors import PreconditionError, VerificationError
 from .oracles import top_chore_order
@@ -33,7 +33,8 @@ def first_ido_disagreement(instance: Instance, k: int) -> tuple[int, int, int, i
     return None
 
 
-def partial_ido_2efx(instance: Instance) -> Allocation:
+def partial_ido_2efx(instance: Instance, trace: list[Event] | None = None
+                     ) -> Allocation:
     """Full 2-EFX allocation for subadditive costs sharing the top-(n-1)
     ordering; errors if the ordering property fails."""
     k = instance.n - 1
@@ -49,7 +50,7 @@ def partial_ido_2efx(instance: Instance) -> Allocation:
     for t, chore in enumerate(shared_top):
         bundles[t] = frozenset({chore})
     seed = Allocation.from_bundles(bundles, instance.m)
-    result = extend_partial(seed, instance, alpha=1, beta=1)
+    result = extend_partial(seed, instance, alpha=1, beta=1, trace=trace)
     report = check_alpha_efx(result, instance, 2)
     if not report.verdict:
         raise VerificationError(

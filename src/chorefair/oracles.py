@@ -19,9 +19,7 @@ from .errors import EnumerationLimitError, PreconditionError
 ENV_MAX_ENUM = "CHOREFAIR_MAX_ENUM"
 
 # default enumeration guards (number of chores m)
-MONOTONE_LIMIT = 14
-NONDEGENERATE_LIMIT = 14
-SUBADDITIVE_LIMIT = 10
+CHECK_LIMITS = {"monotone": 14, "subadditive": 10, "nondegenerate": 14}
 DELTA_LIMIT_ADDITIVE = 20
 DELTA_LIMIT_GENERAL = 14
 
@@ -231,12 +229,7 @@ def _all_subsets(m: int):
 
 
 def validate_oracle(
-    oracle: CostOracle,
-    checks: Iterable[str] = ("monotone",),
-    *,
-    monotone_limit: int | None = None,
-    subadditive_limit: int | None = None,
-    nondegenerate_limit: int | None = None,
+    oracle: CostOracle, checks: Iterable[str] = ("monotone",)
 ) -> dict[str, CheckResult]:
     """Exhaustively check structural properties of an oracle.
 
@@ -246,47 +239,35 @@ def validate_oracle(
     m = oracle.m
     results: dict[str, CheckResult] = {}
     for check in checks:
+        if check not in CHECK_LIMITS:
+            raise ValueError(f"unknown check {check!r}")
+        limit = env_enum_limit(CHECK_LIMITS[check])
+        if m > limit:
+            raise EnumerationLimitError(
+                f"{check} check needs m <= {limit}, got m={m}")
+        bad = []
         if check == "monotone":
-            limit = monotone_limit if monotone_limit is not None else env_enum_limit(MONOTONE_LIMIT)
-            if m > limit:
-                raise EnumerationLimitError(
-                    f"monotone check needs m <= {limit}, got m={m}")
-            bad = []
             for sub in _all_subsets(m):
                 base = oracle.cost(sub)
                 for c in range(m):
                     if c not in sub and oracle.cost(sub | {c}) < base:
                         bad.append((tuple(sorted(sub)), c))
-            results[check] = CheckResult(check, not bad, tuple(bad))
         elif check == "subadditive":
-            limit = subadditive_limit if subadditive_limit is not None else env_enum_limit(SUBADDITIVE_LIMIT)
-            if m > limit:
-                raise EnumerationLimitError(
-                    f"subadditive check needs m <= {limit}, got m={m}")
-            bad = []
             # every chore goes to S, T or neither: 3^m disjoint pairs
             for assignment in itertools.product(range(3), repeat=m):
                 s = frozenset(c for c, a in enumerate(assignment) if a == 1)
                 t = frozenset(c for c, a in enumerate(assignment) if a == 2)
                 if oracle.cost(s | t) > oracle.cost(s) + oracle.cost(t):
                     bad.append((tuple(sorted(s)), tuple(sorted(t))))
-            results[check] = CheckResult(check, not bad, tuple(bad))
-        elif check == "nondegenerate":
-            limit = nondegenerate_limit if nondegenerate_limit is not None else env_enum_limit(NONDEGENERATE_LIMIT)
-            if m > limit:
-                raise EnumerationLimitError(
-                    f"nondegenerate check needs m <= {limit}, got m={m}")
+        else:
             seen: dict[Fraction, frozenset[int]] = {}
-            bad = []
             for sub in _all_subsets(m):
                 value = oracle.cost(sub)
                 if value in seen:
                     bad.append((tuple(sorted(seen[value])), tuple(sorted(sub))))
                 else:
                     seen[value] = sub
-            results[check] = CheckResult(check, not bad, tuple(bad))
-        else:
-            raise ValueError(f"unknown check {check!r}")
+        results[check] = CheckResult(check, not bad, tuple(bad))
     return results
 
 
@@ -447,14 +428,16 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
         shared_top = rng.sample(range(m), k)
         built = []
         rest = [c for c in range(m) if c not in shared_top]
+        # distinct non-top costs from 1..hi-1; hi stays 100 while m - k <= 99
+        hi = max(100, len(rest) + 1)
         for _ in range(n):
             costs = [Fraction(0)] * m
-            low_pool = rng.sample(range(1, 100), len(rest))
+            low_pool = rng.sample(range(1, hi), len(rest))
             for c, v in zip(rest, low_pool):
                 costs[c] = Fraction(v)
             # shared top-k strictly above everything else and strictly ordered
             for rank, c in enumerate(shared_top):
-                costs[c] = Fraction(100 * (k - rank + 1) + rng.randint(0, 99))
+                costs[c] = Fraction(hi * (k - rank + 1) + rng.randint(0, hi - 1))
             built.append(AdditiveOracle(costs))
         oracles = tuple(built)
         instance = Instance(m, n, oracles)

@@ -12,18 +12,12 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import Allocation, Instance
+from .core import Allocation, Event, Instance
 from .errors import PreconditionError, VerificationError
 
 
-class Pick(NamedTuple):
-    round: int
-    agent: int
-    chore: int
-
-
 class RoundRobinTrace(NamedTuple):
-    picks: tuple[Pick, ...]
+    picks: tuple[Event, ...]  # "pick" events, in pick order
 
 
 def round_count(instance: Instance) -> int:
@@ -58,7 +52,7 @@ def round_robin_allocate(
             raise PreconditionError("agent_order must be a permutation of the agents")
     remaining = set(range(instance.m))
     bundles: list[set[int]] = [set() for _ in range(instance.n)]
-    picks: list[Pick] = []
+    picks: list[Event] = []
     t = 0
     while remaining:
         t += 1
@@ -69,14 +63,15 @@ def round_robin_allocate(
             chore = min(remaining, key=lambda c: (oracle.singleton(c), c))
             remaining.remove(chore)
             bundles[agent].add(chore)
-            picks.append(Pick(t, agent, chore))
+            picks.append(Event("pick", (agent,), chore, t))
     trace = RoundRobinTrace(tuple(picks))
     last: dict[int, Fraction] = {}
     for pick in trace.picks:
-        cost = instance.oracles[pick.agent].singleton(pick.chore)
-        if pick.agent in last and cost < last[pick.agent]:
+        (agent,) = pick.agents
+        cost = instance.oracles[agent].singleton(pick.chore)
+        if agent in last and cost < last[agent]:
             raise VerificationError("pick costs decreased across rounds")
-        last[pick.agent] = cost
+        last[agent] = cost
     if len({p.chore for p in trace.picks}) != instance.m:
         raise VerificationError("some chore was picked twice or never")
     return Allocation.full(bundles), trace

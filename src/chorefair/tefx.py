@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .core import ONE, TWO, Allocation, Instance, _violations, check_tefx
+from .core import ONE, TWO, Allocation, Event, Instance, _violations, check_tefx
 from .errors import PreconditionError, VerificationError
 from .oracles import CostOracle, ratio_bound
 from .verify import partitions
@@ -109,24 +109,13 @@ def identical_cost_efx(m: int, bundle_count: int, oracle: CostOracle) -> Bundles
         "monotone")
 
 
-class MoveStep(NamedTuple):
-    """One loop iteration: chore moved from the front max-removal bundle to
-    the global min-cost bundle, with the potential value after the move."""
-
-    k: int
-    chore: int
-    source: int
-    target: int
-    phi: int
-
-
 def tefx_two_group(
     m: int,
     n: int,
     c1: CostOracle,
     c2: CostOracle,
     k: int,
-    trace: list[MoveStep] | None = None,
+    trace: list[Event] | None = None,
 ) -> Allocation:
     """Bundles 1..n-k+1 EFX-feasible under C1 and n-k+1..n tEFX-feasible
     under C2 (1-based positions; the boundary bundle satisfies both).
@@ -134,7 +123,8 @@ def tefx_two_group(
     Recursive on k: the base case partitions under C1 alone and parks the
     cheapest C2 bundle last; each later level moves the front bundles'
     worst removal chore onto the cheapest bundle until some front bundle
-    becomes tEFX-feasible under C2.
+    becomes tEFX-feasible under C2.  Each move is a "move" event; the
+    chores on the first n-k+1 bundles of its snapshot fall by one per move.
     """
     if not 1 <= k <= n:
         raise PreconditionError("need 1 <= k <= n")
@@ -177,9 +167,9 @@ def tefx_two_group(
             bundles[src], bundles[0] = bundles[0], bundles[src]
             bundles[0] = bundles[0] - {chore}
             bundles[n - 1] = bundles[n - 1] | {chore}
-            phi = sum(len(bundles[i]) for i in range(front))
             if trace is not None:
-                trace.append(MoveStep(k, chore, src, n - 1, phi))
+                trace.append(Event("move", (src, n - 1), chore, k,
+                                   Allocation.full(bundles)))
             # both invariants must survive every move
             _check_two_group(bundles, c1, c2, front, front)
         else:
@@ -203,10 +193,13 @@ def _check_two_group(
             raise VerificationError(f"bundle {i} not tEFX-feasible under C2")
 
 
-def tefx_three_group(instance: Instance, groups: GroupSpec) -> Allocation:
+def tefx_three_group(
+    instance: Instance, groups: GroupSpec, trace: list[Event] | None = None
+) -> Allocation:
     """Full tEFX allocation when agents form (general C1, additive
     2-ratio-bounded C2, at most one general C3) groups with identical
-    within-group oracles.  Output verified by check_tefx.
+    within-group oracles.  Output verified by check_tefx.  The trace holds
+    the two-group core's moves, over its bundle positions.
     """
     n = instance.n
     if groups.group1 | groups.group2 | groups.group3 != frozenset(range(n)):
@@ -224,10 +217,10 @@ def tefx_three_group(instance: Instance, groups: GroupSpec) -> Allocation:
     agents = sorted(groups.group1) + sorted(groups.group2)
     bundles: list[frozenset[int]] = [frozenset()] * n
     if not groups.group3:
-        shared = tefx_two_group(instance.m, n, c1, c2, ell).bundles
+        shared = tefx_two_group(instance.m, n, c1, c2, ell, trace).bundles
     else:
         agent3 = min(groups.group3)
-        shared = tefx_two_group(instance.m, n, c1, c2, ell + 1).bundles
+        shared = tefx_two_group(instance.m, n, c1, c2, ell + 1, trace).bundles
         # the third agent takes its cheapest bundle; the other agents keep
         # the remaining positions in order, whichever group it came from
         pick = _min_cost_index(shared, instance.oracles[agent3])

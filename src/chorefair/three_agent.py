@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .core import (
     TWO,
     Allocation,
+    Event,
     Instance,
     check_alpha_efx,
     check_partial_property2,
@@ -34,13 +35,6 @@ CASE_IDS = (
 )
 
 
-class BranchStep(NamedTuple):
-    """One decision or construction step inside solve_case."""
-
-    label: str
-    allocation: Allocation | None = None
-
-
 @dataclass
 class CaseContext:
     """Role-relabeled view of a 3-agent instance.
@@ -52,8 +46,6 @@ class CaseContext:
 
     roles: tuple[int, int, int]
     orders: tuple[tuple[int, ...], ...]
-    b1_1: int | None = None
-    b2_1: int | None = None
 
     def top(self, role: int, rank: int) -> int:
         """rank-th most costly chore of the given role (both 1-based)."""
@@ -64,7 +56,7 @@ class CaseContext:
 class CaseOutcome:
     kind: str  # "PartialWithProperties" or "Full2EFX"
     allocation: Allocation
-    trace: tuple[BranchStep, ...] = ()
+    trace: tuple[Event, ...] = ()  # "branch" events
 
 
 def _pair_sharing(values: list) -> tuple[int, int] | None:
@@ -208,7 +200,7 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext) -> CaseOutcome:
     roles = ctx.roles
     oracles = [instance.oracles[a] for a in roles]
     c = ctx.top  # c(role 1-based, rank) in role space
-    trace: list[BranchStep] = [BranchStep(f"case {case}, roles {roles}")]
+    trace = [Event("branch", roles, note=f"case {case}")]
 
     def pick_rest(bundles: list[set[int]], pickers: tuple[int, ...]) -> None:
         taken = set().union(*bundles)
@@ -261,48 +253,49 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext) -> CaseOutcome:
     else:
         raise ValueError(f"unknown case {case!r}")
 
-    alloc = _alloc(instance, roles, bundles)
-    trace.append(BranchStep("seed", alloc))
-    return _verified_outcome(instance, kind, alloc, trace)
+    return _verified_outcome(
+        instance, kind, _alloc(instance, roles, bundles), trace)
 
 
 def _verified_outcome(
     instance: Instance, kind: str, alloc: Allocation,
-    trace: list[BranchStep],
+    trace: list[Event],
 ) -> CaseOutcome:
+    trace.append(Event("branch", allocation=alloc, note="seed"))
     if kind == "PartialWithProperties" and alloc.is_full:
         kind = "Full2EFX"
     report = check_alpha_efx(alloc, instance, TWO)
     if not report.verdict:
         raise VerificationError(
             f"case outcome not 2-EFX: {report.witnesses[:3]}; "
-            f"trace={[s.label for s in trace]}")
+            f"trace={[e.note for e in trace]}")
     if kind == "PartialWithProperties":
         props = check_partial_property2(alloc, instance)
         if not all(props):
             raise VerificationError(
                 f"pool property fails for agents "
                 f"{[i for i, ok in enumerate(props) if not ok]}; "
-                f"trace={[s.label for s in trace]}")
+                f"trace={[e.note for e in trace]}")
     elif not alloc.is_full:
         raise VerificationError("Full2EFX outcome left chores unallocated")
     return CaseOutcome(kind, alloc, tuple(trace))
 
 
 def _solve_deep_b(
-    instance: Instance, case: str, ctx: CaseContext, trace: list[BranchStep]
+    instance: Instance, case: str, ctx: CaseContext, trace: list[Event]
 ) -> CaseOutcome:
     """Cases where roles 1 and 2 share both top chores and role 3's top two
     are fresh: anchor placement, the peeled subset D, and envy-driven swaps.
     """
     roles = ctx.roles
     c = ctx.top
+
+    def branch(note: str, allocation: Allocation | None = None) -> None:
+        trace.append(Event("branch", allocation=allocation, note=note))
+
     o1, o2, o3 = (instance.oracles[a] for a in roles)
     # role 3's top two, ordered by role 1's cost (tie: lower chore index)
-    pair = sorted((c(3, 1), c(3, 2)),
-                  key=lambda ch: (-o1.cost((ch,)), ch))
-    ctx.b1_1, ctx.b2_1 = pair[0], pair[1]
-    b1, b2 = ctx.b1_1, ctx.b2_1
+    b1, b2 = sorted((c(3, 1), c(3, 2)), key=lambda ch: (-o1.cost((ch,)), ch))
 
     if case == "B2221":
         top3, mid1 = c(1, 1), c(1, 2)   # shared: roles 1 and 2 agree on both
@@ -314,25 +307,25 @@ def _solve_deep_b(
     seed = [{b2, mid1}, {b1}, {top3}]
     m_prime = frozenset(range(instance.m)) - {b1, b2, mid1, top3}
     threshold = o1.cost((mid1,))
-    trace.append(BranchStep(f"anchors b1={b1} b2={b2}",
-                            _alloc(instance, roles, seed)))
+    branch("anchors: role 2 holds b1 alone, role 1 holds b2 and its second "
+           "chore", allocation=_alloc(instance, roles, seed))
 
     if case == "B2222" and not o1.cost((mid1,)) > TWO * o1.cost((b1,)):
         # role 1's worst removal already fits within twice role 2's bundle
-        trace.append(BranchStep("no strong envy possible; keep seed"))
+        branch("no strong envy possible; keep seed")
         return _verified_outcome(
             instance, "PartialWithProperties",
             _alloc(instance, roles, seed), trace)
 
     if o1.cost(m_prime | {b1}) >= threshold:
         d = find_subset_D(o1, b1, m_prime, threshold, strict_peel)
-        trace.append(BranchStep(f"D={sorted(d)}"))
+        branch("peeled subset D joins b1")
         x1, x2 = {b2, mid1}, {b1} | set(d)
         envies_1 = o2.cost(x2) > o2.cost(x1)
         if case == "B2221":
             if envies_1:
                 x1, x2 = x2, x1
-                trace.append(BranchStep("role 2 envied role 1; bundles swapped"))
+                branch("role 2 envied role 1; bundles swapped")
                 # when b1 has the min marginal in the swapped bundle, the
                 # peeled set stays within twice the threshold
                 drops = {ch: o1.cost((frozenset(x1)) - {ch}) for ch in x1}
@@ -342,10 +335,10 @@ def _solve_deep_b(
             return _verified_outcome(instance, "PartialWithProperties", alloc, trace)
         # crossed case: three rescue allocations depending on role 2's envy
         if envies_1:
-            trace.append(BranchStep("role 2 envies role 1"))
+            branch("role 2 envies role 1")
             bundles = [{b1} | set(d), {top3, b2}, {mid1}]
         elif max_removal_cost(o2, x2) > TWO * o2.cost((top3,)):
-            trace.append(BranchStep("role 2 strongly envies role 3"))
+            branch("role 2 strongly envies role 3")
             if o3.cost(d) <= o3.cost((c(3, 2),)):
                 bundles = [{mid1, c(3, 1)}, {top3, c(3, 2)}, set(d)]
             else:
@@ -354,32 +347,32 @@ def _solve_deep_b(
             assert max_removal_cost(o1, {b2, mid1}) <= TWO * o1.cost(d)
             assert max_removal_cost(o2, x2) <= TWO * o2.cost(d)
         else:
-            trace.append(BranchStep("role 2 content; keep seed with D"))
+            branch("role 2 content; keep seed with D")
             bundles = [x1, x2, {top3}]
         alloc = _alloc(instance, roles, bundles)
         return _verified_outcome(instance, "PartialWithProperties", alloc, trace)
 
     # the whole pool is too cheap to reach the threshold: allocate it all
-    trace.append(BranchStep("pool below threshold; full allocation"))
+    branch("pool below threshold; full allocation")
     if case == "B2221":
         x1, x2 = {b2, mid1}, {b1} | set(m_prime)
         if o2.cost(x2) > o2.cost(x1):
             x1, x2 = x2, x1
-            trace.append(BranchStep("role 2 envied role 1; bundles swapped"))
+            branch("role 2 envied role 1; bundles swapped")
         elif max_removal_cost(o1, x1) > TWO * o1.cost(x2):
-            trace.append(BranchStep("role 1 strongly envied role 2; regroup"))
+            branch("role 1 strongly envied role 2; regroup")
             x1, x2 = {b1, b2} | set(m_prime), {mid1}
         alloc = _alloc(instance, roles, [x1, x2, {top3}])
         return _verified_outcome(instance, "Full2EFX", alloc, trace)
     bundles = [{b1} | set(m_prime), {top3, b2}, {mid1}]
     if max_removal_cost(o2, bundles[1]) > TWO * o2.cost(bundles[0]):
-        trace.append(BranchStep("role 2 strongly envied role 1; regroup"))
+        branch("role 2 strongly envied role 1; regroup")
         bundles = [{top3}, {b1, b2} | set(m_prime), {mid1}]
     alloc = _alloc(instance, roles, bundles)
     return _verified_outcome(instance, "Full2EFX", alloc, trace)
 
 
-def three_agent_2efx(instance: Instance, trace: list[BranchStep] | None = None
+def three_agent_2efx(instance: Instance, trace: list[Event] | None = None
                      ) -> Allocation:
     """Full 2-EFX allocation for 3 monotone subadditive agents.
 
@@ -397,6 +390,9 @@ def three_agent_2efx(instance: Instance, trace: list[BranchStep] | None = None
             raise VerificationError(
                 "no EFX allocation for m <= 5; cost functions are likely "
                 "not monotone subadditive")
+        if trace is not None:
+            trace.append(Event("branch", allocation=alloc,
+                               note="m <= 5: first EFX allocation found"))
         return alloc
     case, ctx = classify_case(instance)
     outcome = solve_case(instance, case, ctx)
@@ -405,7 +401,8 @@ def three_agent_2efx(instance: Instance, trace: list[BranchStep] | None = None
     if outcome.kind == "Full2EFX":
         result = outcome.allocation
     else:
-        result = extend_partial(outcome.allocation, instance, alpha=2, beta=1)
+        result = extend_partial(outcome.allocation, instance, alpha=2, beta=1,
+                                trace=trace)
     report = check_alpha_efx(result, instance, TWO)
     if not report.verdict:
         raise VerificationError(f"output not 2-EFX: {report.witnesses[:3]}")

@@ -14,19 +14,14 @@ from typing import Iterator, NamedTuple
 
 from .core import (
     Allocation,
+    Event,
     Instance,
     is_alpha_efx,
     is_tefx,
     max_removal_cost,
     resolve_criterion,
 )
-from .envy_graph import (
-    ChorePlaced,
-    TopTradingGraph,
-    TraceEvent,
-    _ttece,
-    build_top_trading_graph,
-)
+from .envy_graph import TopTradingGraph, _ttece, build_top_trading_graph
 from .errors import EnumerationLimitError, PreconditionError
 from .oracles import AdditiveOracle, env_enum_limit
 
@@ -112,7 +107,7 @@ def counterexample_instance(m1: Fraction | int, m2: Fraction | int) -> Instance:
 class RivalRun(NamedTuple):
     allocation: Allocation
     graphs: tuple[TopTradingGraph, ...]  # before any placement, then after each
-    trace: tuple[TraceEvent, ...]
+    trace: tuple[Event, ...]  # "cycle" and "place" events
     ratio: Fraction
 
 
@@ -126,11 +121,10 @@ def rival_counterexample_run(m1: Fraction | int, m2: Fraction | int) -> RivalRun
     seed = Allocation.from_bundles([{1}, {2}, {0}], instance.m)
     c3 = instance.oracles[2]
     pool_order = sorted(seed.pool, key=lambda c: (-c3.singleton(c), c))
-    trace: list[TraceEvent] = []
+    trace: list[Event] = []
     final = _ttece(seed, instance, pool_order, trace)
     graphs = [build_top_trading_graph(seed, instance)]
-    for event in trace:
-        if isinstance(event, ChorePlaced):
-            graphs.append(build_top_trading_graph(event.allocation, instance))
+    graphs += [build_top_trading_graph(event.allocation, instance)
+               for event in trace if event.kind == "place"]
     ratio = max_removal_cost(c3, final.bundles[2]) / c3.cost(final.bundles[0])
     return RivalRun(final, tuple(graphs), tuple(trace), ratio)

@@ -31,3 +31,16 @@ CASE_INSTANCES = {
 COUNTEREXAMPLE = counterexample_instance(26, 12)
 
 HALF = Fraction(1, 2)
+
+
+def unit_potential_drops(moves, n: int) -> bool:
+    """Whether the potential, the chore count of the first n - k + 1
+    bundles of each "move" snapshot, falls by exactly 1 per move within
+    each level k."""
+    by_level: dict[int, list[int]] = {}
+    for move in moves:
+        assert move.kind == "move"
+        front = move.allocation.bundles[: n - move.step + 1]
+        by_level.setdefault(move.step, []).append(sum(map(len, front)))
+    return all(a - b == 1 for phis in by_level.values()
+               for a, b in zip(phis, phis[1:]))

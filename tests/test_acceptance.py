@@ -8,10 +8,10 @@ reaches the terminal), then asserts.
 import itertools
 import random
 import time
-from fractions import Fraction
 
 from chorefair import (
     Allocation,
+    Event,
     Instance,
     check_alpha_efx,
     check_tefx,
@@ -35,10 +35,10 @@ from chorefair import (
 )
 from chorefair.oracles import AdditiveOracle, MaxOfAdditiveOracle
 from chorefair.round_robin import round_count
-from chorefair.tefx import GroupSpec, MoveStep
+from chorefair.tefx import GroupSpec
 from chorefair.three_agent import CASE_IDS
 
-from support import CASE_INSTANCES
+from support import CASE_INSTANCES, unit_potential_drops
 
 CYCLE_REMOVALS: list = []
 
@@ -152,11 +152,9 @@ def test_acceptance_4_grouped_tefx_suite(cycle_removal_guard):
         # replay the two-group core with a trace: the in-loop feasibility
         # assertions fire on every iteration, and the potential (total
         # chores on the front bundles) falls by exactly 1 per move
-        trace: list[MoveStep] = []
+        trace: list[Event] = []
         tefx_two_group(m, n, c1, c2, s2 + s3 if s3 else s2, trace=trace)
-        for level in {step.k for step in trace}:
-            phis = [s.phi for s in trace if s.k == level]
-            assert all(a - b == 1 for a, b in zip(phis, phis[1:]))
+        assert unit_potential_drops(trace, n)
         checked += 1
     elapsed = time.perf_counter() - started
     CYCLE_REMOVALS.extend(cycle_removal_guard)

@@ -111,6 +111,37 @@ def test_solve_round_robin_with_order_and_trace(tmp_path, capsys):
     assert payload["trace"][0].startswith("round 1: agent 2")
 
 
+def test_solve_trace_for_every_algorithm(tmp_path, capsys):
+    c1 = MaxOfAdditiveOracle([[3, 11, 14, 11, 3, 17, 1, 14, 20],
+                              [16, 8, 2, 4, 3, 5, 10, 14, 2]])
+    c2 = AdditiveOracle([4095, 2919, 2373, 2709, 2730, 2499, 4137, 2394, 3570])
+    c3 = AdditiveOracle([9, 5, 3, 2, 2, 1, 2, 9, 7])
+    move = ("level k=2: chore 7 from bundle 1 to bundle 3: "
+            "bundles [[4, 9], [1, 2, 3, 5], [6, 7, 8]]")
+    runs = [
+        # a case-B1 seed with pool [1, 4, 6, 7]
+        (generate_instance("additive", 3, 7, 0), ["three-agent-2efx"],
+         "chore 1 to sink agent 1: bundles [[1, 3], [5], [2]], pool [4, 6, 7]"),
+        (generate_instance("k_partial_ido", 3, 9, 17, k=2),
+         ["partial-ido-2efx"],
+         "envy cycle 2 -> 3 -> 2: bundles [[6], [2, 3, 4, 5, 7], [1]], "
+         "pool [8, 9]"),
+        (generate_instance("additive_ratio", 3, 9, 2, alpha=3),
+         ["round-robin"], "round 1: agent 1 takes chore 8"),
+        (Instance(9, 3, (c1, c2, c2)), ["tefx-two-group", "--k", "2"], move),
+        (Instance(9, 3, (c1, c2, c3)),
+         ["tefx-three-group", "--group1", "1", "--group2", "2",
+          "--group3", "3"], move),
+    ]
+    for inst, algorithm, line in runs:
+        inst_path = write_instance(tmp_path, inst)
+        argv = ["solve", "--instance", inst_path, "--algorithm", *algorithm]
+        assert main(argv) == 0
+        assert "trace" not in json.loads(capsys.readouterr().out)
+        assert main(argv + ["--trace"]) == 0
+        assert line in json.loads(capsys.readouterr().out)["trace"]
+
+
 def test_solve_rejects_non_ido_instance(tmp_path):
     inst_path = write_instance(tmp_path, counterexample_instance(26, 12))
     code = main(["solve", "--instance", inst_path,

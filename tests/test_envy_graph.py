@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,12 @@ from chorefair import (
     PreconditionError,
     build_top_trading_graph,
     check_alpha_efx,
+    check_partial_property2,
     compute_extension_witness,
     eliminate_top_trading_cycles,
     extend_partial,
     generate_instance,
 )
-from chorefair.envy_graph import ChorePlaced, CycleRemoved
 
 from support import COUNTEREXAMPLE, tri
 
@@ -103,11 +104,14 @@ def test_extend_partial_trace_and_iteration_count(cycle_removal_guard):
     seed = Allocation.from_bundles([{top[0]}, {top[1]}, set()], 9)
     trace = []
     full = extend_partial(seed, inst, 1, 1, trace=trace)
-    placements = [e for e in trace if isinstance(e, ChorePlaced)]
+    placements = [e for e in trace if e.kind == "place"]
     assert len(placements) == 7  # one outer iteration per pool chore
+    assert [e.chore for e in placements] == sorted(seed.pool)
+    assert placements[-1].allocation == full
     assert full.is_full
     for event in trace:
-        assert isinstance(event, (ChorePlaced, CycleRemoved))
+        assert event.kind in ("place", "cycle")
+        assert event.allocation is not None
 
 
 def test_extend_partial_rejects_bad_input():
@@ -118,11 +122,42 @@ def test_extend_partial_rejects_bad_input():
         extend_partial(seed, inst, alpha=1, beta=1)
 
 
-def test_pool_order_must_cover_pool():
-    seed = Allocation.from_bundles([{1}, {2}, {0}], 6)
-    with pytest.raises(ValueError):
-        extend_partial(seed, COUNTEREXAMPLE, 1, 1, check_preconditions=False,
-                       pool_order=[3, 4])
+def test_pool_property_matches_extension_witness():
+    # check_partial_property2 and compute_extension_witness at beta = 1 test
+    # one predicate, here also spelled out chore by chore; an instance whose
+    # agents all share agent i's oracle makes the witness judge agent i alone
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(300):
+        n, m = rng.randint(2, 4), rng.randint(3, 8)
+        # small integer costs, so pool chores often tie a bundle's cost
+        inst = Instance(m, n, tuple(
+            AdditiveOracle([rng.randint(1, 4) for _ in range(m)])
+            for _ in range(n)))
+        alloc = Allocation.from_bundles(
+            [{c for c in range(m) if rng.random() < 0.3 and c % n == j}
+             for j in range(n)], m)
+        props = check_partial_property2(alloc, inst)
+        for i, ok in enumerate(props):
+            oracle = inst.oracles[i]
+            assert ok == all(
+                sum(oracle.singleton(b) <= oracle.cost(x) for x in alloc.bundles)
+                >= n - 1 for b in alloc.pool)
+            alone = Instance(m, n, (oracle,) * n)
+            try:
+                compute_extension_witness(alloc, alone, 1)
+                accepted = True
+            except PreconditionError:
+                accepted = False
+            assert accepted == ok
+            seen.add(ok)
+        if all(props):
+            compute_extension_witness(alloc, inst, 1)
+        else:
+            with pytest.raises(PreconditionError,
+                               match=f"agent {props.index(False)} "):
+                compute_extension_witness(alloc, inst, 1)
+    assert seen == {True, False}
 
 
 def test_out_degree_at_most_one():

@@ -35,6 +35,14 @@ def test_generated_family_conforms():
     assert check_k_partial_ido(inst, 3)
 
 
+def test_generator_beyond_99_non_top_chores():
+    # m - k = 150 non-top chores: more distinct costs than 1..99 holds
+    inst = generate_instance("k_partial_ido", 3, 152, 4, k=2)
+    assert check_k_partial_ido(inst, 2)
+    assert len(set(inst.oracles[0].singleton_costs())) == 152
+    assert check_alpha_efx(partial_ido_2efx(inst), inst, 2).verdict
+
+
 def test_seed_partial_is_efx_and_witnessed():
     inst = generate_instance("k_partial_ido", 4, 10, 2, k=3)
     # reproduce the seed: top n-1 shared chores, one per agent

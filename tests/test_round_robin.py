@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -49,10 +48,12 @@ def test_trace_invariants():
     _, trace = round_robin_allocate(inst, [2, 0, 1])
     per_agent = {}
     for pick in trace.picks:
-        cost = inst.oracles[pick.agent].singleton(pick.chore)
-        if pick.agent in per_agent:
-            assert cost >= per_agent[pick.agent]
-        per_agent[pick.agent] = cost
+        assert pick.kind == "pick"
+        (agent,) = pick.agents
+        cost = inst.oracles[agent].singleton(pick.chore)
+        if agent in per_agent:
+            assert cost >= per_agent[agent]
+        per_agent[agent] = cost
     assert len({p.chore for p in trace.picks}) == inst.m
 
 
@@ -61,10 +62,10 @@ def test_earlier_agents_weakly_better_per_round():
     _, trace = round_robin_allocate(inst)
     by_round = {}
     for pick in trace.picks:
-        by_round.setdefault(pick.round, []).append(pick)
+        by_round.setdefault(pick.step, []).append(pick)
     for picks in by_round.values():
         for a, b in zip(picks, picks[1:]):
-            oracle = inst.oracles[a.agent]
+            oracle = inst.oracles[a.agents[0]]
             assert oracle.singleton(a.chore) <= oracle.singleton(b.chore)
 
 

@@ -20,6 +20,8 @@ from chorefair import (
 )
 from chorefair.tefx import is_efx_feasible, is_tefx_feasible
 
+from support import unit_potential_drops
+
 
 def ratio2_oracle(m, seed):
     return generate_instance("additive_ratio", 1, m, seed, alpha=2).oracles[0]
@@ -109,9 +111,7 @@ def test_two_group_properties_all_k():
                 assert is_tefx_feasible(
                     bundles[i], bundles[:i] + bundles[i + 1:], c2)
             # potential falls by exactly 1 per move within each level
-            for level in set(step.k for step in trace):
-                phis = [s.phi for s in trace if s.k == level]
-                assert all(a - b == 1 for a, b in zip(phis, phis[1:]))
+            assert unit_potential_drops(trace, n)
 
 
 def test_three_group_one_agent_per_group():

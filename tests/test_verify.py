@@ -1,12 +1,10 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from chorefair import (
     Allocation,
     EnumerationLimitError,
-    Instance,
     PreconditionError,
     check_alpha_efx,
     check_tefx,
