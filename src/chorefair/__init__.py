@@ -19,7 +19,6 @@ from .core import (
     max_removal_cost,
 )
 from .envy_graph import (
-    ExtensionWitness,
     TopTradingGraph,
     build_top_trading_graph,
     compute_extension_witness,

@@ -35,9 +35,10 @@ from .oracles import (
     MaxOfAdditiveOracle,
     TabulatedOracle,
     generate_instance,
+    validate_oracle,
 )
 from .round_robin import round_robin_allocate
-from .tefx import GroupSpec, tefx_three_group, tefx_two_group
+from .tefx import GroupSpec, tefx_three_group
 from .three_agent import three_agent_2efx
 from .verify import counterexample_instance, exhaustive_search, rival_counterexample_run
 
@@ -107,7 +108,14 @@ def oracle_from_json(data: dict, m: int) -> CostOracle:
     if kind == "table":
         values = {_parse_subset_key(k, m): parse_rational(v)
                   for k, v in data["values"].items()}
-        return TabulatedOracle(m, values)
+        oracle = TabulatedOracle(m, values)
+        bad = validate_oracle(oracle, ("monotone",))["monotone"].violations
+        if bad:
+            subset, chore = bad[0]
+            raise ValueError(
+                f"table is not monotone: adding chore {chore + 1} to "
+                f"{{{_subset_key(subset)}}} lowers its cost")
+        return oracle
     raise ValueError(f"unknown oracle type {kind!r}")
 
 
@@ -229,10 +237,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if trace is not None:
             trace.extend(picks.picks)
     elif args.algorithm == "tefx-two-group":
-        if args.k is None:
-            raise ValueError("--k is required for tefx-two-group")
-        alloc = tefx_two_group(instance.m, instance.n, instance.oracles[0],
-                               instance.oracles[-1], args.k, trace)
+        # agents 1..n-k share C1 and agents n-k+1..n share C2
+        n, k = instance.n, args.k
+        if k is None or not 1 <= k < n:
+            raise ValueError(f"tefx-two-group needs --k between 1 and n-1 = {n - 1}")
+        groups = GroupSpec(frozenset(range(n - k)), frozenset(range(n - k, n)),
+                           frozenset())
+        alloc = tefx_three_group(instance, groups, trace)
         criterion, alpha = "tefx", None
     elif args.algorithm == "tefx-three-group":
         groups = GroupSpec(
@@ -249,6 +260,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             return 1
     else:
         raise ValueError(f"unknown algorithm {args.algorithm!r}")
+    if not alloc.is_full:
+        raise VerificationError(f"{args.algorithm} left chores unallocated")
 
     report = check_criterion(alloc, instance, criterion, alpha)
     payload = {

@@ -111,12 +111,11 @@ class Witness(NamedTuple):
 class FairnessReport:
     criterion: str  # "alpha_efx" or "tefx"
     alpha: Fraction | None
-    verdict: bool
     witnesses: tuple[Witness, ...]
 
-    def __post_init__(self) -> None:
-        if self.verdict != (not self.witnesses):
-            raise ValueError("verdict must be true iff witnesses are empty")
+    @property
+    def verdict(self) -> bool:
+        return not self.witnesses
 
 
 def _check_shapes(alloc: Allocation, instance: Instance) -> None:
@@ -206,14 +205,14 @@ def check_alpha_efx(
         raise ValueError("alpha must be >= 1")
     _check_shapes(alloc, instance)
     witnesses = tuple(_all_violations(alloc, instance, "alpha_efx", alpha))
-    return FairnessReport("alpha_efx", alpha, not witnesses, witnesses)
+    return FairnessReport("alpha_efx", alpha, witnesses)
 
 
 def check_tefx(alloc: Allocation, instance: Instance) -> FairnessReport:
     """tEFX report: every removal beats the corresponding transfer."""
     _check_shapes(alloc, instance)
     witnesses = tuple(_all_violations(alloc, instance, "tefx", None))
-    return FairnessReport("tefx", None, not witnesses, witnesses)
+    return FairnessReport("tefx", None, witnesses)
 
 
 def check_criterion(
@@ -241,17 +240,15 @@ def is_tefx(alloc: Allocation, instance: Instance) -> bool:
     return next(_all_violations(alloc, instance, "tefx", None), None) is None
 
 
-def eligible_bundles(
-    oracle: CostOracle, alloc: Allocation, beta: Fraction | int = ONE
-) -> list[int]:
-    """Every j with C(b) <= beta*C(X_j) for each pool chore b (every j when
-    the pool is empty).  The set shrinks as C(b) grows, so only the costliest
+def eligible_bundles(oracle: CostOracle, alloc: Allocation) -> list[int]:
+    """Every j with C(b) <= C(X_j) for each pool chore b (every j when the
+    pool is empty).  The set shrinks as C(b) grows, so only the costliest
     pool chore needs testing."""
     if not alloc.pool:
         return list(range(alloc.n))
     worst = max(oracle.singleton(b) for b in alloc.pool)
     return [j for j, bundle in enumerate(alloc.bundles)
-            if worst <= beta * oracle.cost(bundle)]
+            if worst <= oracle.cost(bundle)]
 
 
 def check_partial_property2(alloc: Allocation, instance: Instance) -> tuple[bool, ...]:

@@ -4,17 +4,19 @@ An agent points at the cheapest other bundle (by its own cost) whenever that
 bundle is strictly cheaper than its own, so every node has out-degree at most
 one.  Eliminating cycles by rotating bundles along them preserves any alpha-EFX
 guarantee; placing each unallocated chore on a sink of the acyclic graph then
-extends a suitable partial allocation to a full max(alpha, beta+1)-EFX one.
+extends a partial allocation whose every pool chore costs each agent at most
+its cost of n-1 bundles to a full max(alpha, 2)-EFX one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     ONE,
+    TWO,
     Allocation,
     Event,
     Instance,
@@ -103,34 +105,26 @@ def eliminate_top_trading_cycles(
     raise VerificationError("cycle elimination failed to terminate in n rounds")
 
 
-class ExtensionWitness(NamedTuple):
-    """Per-agent eligible sets R_i and the ratio beta they were checked at."""
-
-    eligible: tuple[frozenset[int], ...]
-    beta: Fraction
-
-
 def compute_extension_witness(
-    alloc: Allocation, instance: Instance, beta: Fraction | int = ONE
-) -> ExtensionWitness:
-    """Eligible agents per agent i: those j with C_i(b) <= beta*C_i(X_j) for
+    alloc: Allocation, instance: Instance
+) -> tuple[frozenset[int], ...]:
+    """Eligible agents per agent i: those j with C_i(b) <= C_i(X_j) for
     every pool chore b.  Errors unless every agent has at least n-1 of them.
     """
-    beta = Fraction(beta)
     eligible = []
     for i, oracle in enumerate(instance.oracles):
-        good = eligible_bundles(oracle, alloc, beta)
+        good = eligible_bundles(oracle, alloc)
         if len(good) < instance.n - 1:
             bad_j = min(set(range(instance.n)) - set(good))
-            bound = beta * oracle.cost(alloc.bundles[bad_j])
+            bound = oracle.cost(alloc.bundles[bad_j])
             chore = next(
                 b for b in sorted(alloc.pool) if oracle.singleton(b) > bound)
             raise PreconditionError(
                 f"agent {i} has only {len(good)} eligible agents "
                 f"{good} (need >= {instance.n - 1}); pool chore "
-                f"{chore} exceeds beta*C_{i}(X_{bad_j})")
+                f"{chore} exceeds C_{i}(X_{bad_j})")
         eligible.append(frozenset(good))
-    return ExtensionWitness(tuple(eligible), beta)
+    return tuple(eligible)
 
 
 def _ttece(
@@ -167,23 +161,22 @@ def extend_partial(
     alloc: Allocation,
     instance: Instance,
     alpha: Fraction | int = ONE,
-    beta: Fraction | int = ONE,
     trace: list[Event] | None = None,
 ) -> Allocation:
-    """Extend an alpha-EFX partial allocation to a full max(alpha, beta+1)-EFX
-    one by repeated cycle elimination and sink placement, pool chores in
+    """Extend an alpha-EFX partial allocation to a full max(alpha, 2)-EFX one
+    by repeated cycle elimination and sink placement, pool chores in
     ascending order.
 
     The eligibility precondition (n-1 agents j per agent i with
-    C_i(b) <= beta*C_i(X_j) for every pool chore b) is verified at entry,
-    and the output guarantee at exit.
+    C_i(b) <= C_i(X_j) for every pool chore b) is verified at entry, and the
+    output guarantee at exit.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha = Fraction(alpha)
     if not is_alpha_efx(alloc, instance, alpha):
         raise PreconditionError(f"input partial allocation is not {alpha}-EFX")
-    compute_extension_witness(alloc, instance, beta)
+    compute_extension_witness(alloc, instance)
     result = _ttece(alloc, instance, sorted(alloc.pool), trace)
-    guarantee = max(alpha, beta + 1)
+    guarantee = max(alpha, TWO)
     report = check_alpha_efx(result, instance, guarantee)
     if not report.verdict:
         raise VerificationError(

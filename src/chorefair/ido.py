@@ -50,7 +50,7 @@ def partial_ido_2efx(instance: Instance, trace: list[Event] | None = None
     for t, chore in enumerate(shared_top):
         bundles[t] = frozenset({chore})
     seed = Allocation.from_bundles(bundles, instance.m)
-    result = extend_partial(seed, instance, alpha=1, beta=1, trace=trace)
+    result = extend_partial(seed, instance, alpha=1, trace=trace)
     report = check_alpha_efx(result, instance, 2)
     if not report.verdict:
         raise VerificationError(

@@ -217,8 +217,11 @@ class PerturbedOracle(CostOracle):
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
-    violations: tuple = ()
+    violations: tuple
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def _all_subsets(m: int):
@@ -267,7 +270,7 @@ def validate_oracle(
                     bad.append((tuple(sorted(seen[value])), tuple(sorted(sub))))
                 else:
                     seen[value] = sub
-        results[check] = CheckResult(check, not bad, tuple(bad))
+        results[check] = CheckResult(check, tuple(bad))
     return results
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import ONE, TWO, Allocation, Event, Instance, _violations, check_tefx
 from .errors import PreconditionError, VerificationError
-from .oracles import CostOracle, ratio_bound
+from .oracles import CostOracle, ratio_bound, top_chore_order
 from .verify import partitions
 
 Bundles = list[frozenset[int]]
@@ -65,9 +65,9 @@ def _min_cost_index(bundles: Sequence[frozenset[int]], oracle: CostOracle) -> in
     return costs.index(min(costs))
 
 
-def identical_cost_efx(m: int, bundle_count: int, oracle: CostOracle) -> Bundles:
-    """Partition [m] into bundle_count bundles, each EFX-feasible under the
-    single oracle.
+def identical_cost_efx(bundle_count: int, oracle: CostOracle) -> Bundles:
+    """Partition the oracle's m chores into bundle_count bundles, each
+    EFX-feasible under the single oracle.
 
     Greedy seed (costliest chore first onto the cheapest bundle), then a
     local-search repair that moves the min-marginal chore of a violating
@@ -76,12 +76,9 @@ def identical_cost_efx(m: int, bundle_count: int, oracle: CostOracle) -> Bundles
     """
     if bundle_count < 1:
         raise ValueError("need at least one bundle")
-    if oracle.m != m:
-        raise PreconditionError("oracle chore count disagrees with m")
-
-    order = sorted(range(m), key=lambda c: (-oracle.singleton(c), c))
+    m = oracle.m
     bundles: Bundles = [frozenset() for _ in range(bundle_count)]
-    for c in order:
+    for c in top_chore_order(oracle):
         grow = [oracle.cost(b | {c}) for b in bundles]
         target = grow.index(min(grow))
         bundles[target] = bundles[target] | {c}
@@ -110,7 +107,6 @@ def identical_cost_efx(m: int, bundle_count: int, oracle: CostOracle) -> Bundles
 
 
 def tefx_two_group(
-    m: int,
     n: int,
     c1: CostOracle,
     c2: CostOracle,
@@ -128,19 +124,19 @@ def tefx_two_group(
     """
     if not 1 <= k <= n:
         raise PreconditionError("need 1 <= k <= n")
-    if c1.m != m or c2.m != m:
-        raise PreconditionError("oracle chore counts disagree with m")
+    if c1.m != c2.m:
+        raise PreconditionError("C1 and C2 disagree on the chore count")
     if ratio_bound(c2) > TWO:
         raise PreconditionError("second cost function must be 2-ratio-bounded")
 
     front = n - k + 1  # count of C1-constrained positions
     if k == 1:
-        bundles = identical_cost_efx(m, n, c1)
+        bundles = identical_cost_efx(n, c1)
         cheap = _min_cost_index(bundles, c2)
         bundles[cheap], bundles[n - 1] = bundles[n - 1], bundles[cheap]
     else:
-        bundles = list(tefx_two_group(m, n, c1, c2, k - 1, trace).bundles)
-        for _ in range(m + 1):
+        bundles = list(tefx_two_group(n, c1, c2, k - 1, trace).bundles)
+        for _ in range(c1.m + 1):
             feasible = next(
                 (i for i in range(front)
                  if is_tefx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c2)),
@@ -217,10 +213,10 @@ def tefx_three_group(
     agents = sorted(groups.group1) + sorted(groups.group2)
     bundles: list[frozenset[int]] = [frozenset()] * n
     if not groups.group3:
-        shared = tefx_two_group(instance.m, n, c1, c2, ell, trace).bundles
+        shared = tefx_two_group(n, c1, c2, ell, trace).bundles
     else:
         agent3 = min(groups.group3)
-        shared = tefx_two_group(instance.m, n, c1, c2, ell + 1, trace).bundles
+        shared = tefx_two_group(n, c1, c2, ell + 1, trace).bundles
         # the third agent takes its cheapest bundle; the other agents keep
         # the remaining positions in order, whichever group it came from
         pick = _min_cost_index(shared, instance.oracles[agent3])

@@ -54,8 +54,7 @@ class CaseContext:
 
 @dataclass(frozen=True)
 class CaseOutcome:
-    kind: str  # "PartialWithProperties" or "Full2EFX"
-    allocation: Allocation
+    allocation: Allocation  # partial seeds also keep the pool property
     trace: tuple[Event, ...] = ()  # "branch" events
 
 
@@ -209,7 +208,6 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext) -> CaseOutcome:
             bundles[r].add(chore)
             taken.add(chore)
 
-    kind = "PartialWithProperties"
     if case == "A1":
         bundles = [{c(1, 3), c(2, 3), c(3, 3)}, {c(1, 2)}, {c(1, 1)}]
     elif case == "A2":
@@ -253,32 +251,26 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext) -> CaseOutcome:
     else:
         raise ValueError(f"unknown case {case!r}")
 
-    return _verified_outcome(
-        instance, kind, _alloc(instance, roles, bundles), trace)
+    return _verified_outcome(instance, _alloc(instance, roles, bundles), trace)
 
 
 def _verified_outcome(
-    instance: Instance, kind: str, alloc: Allocation,
-    trace: list[Event],
+    instance: Instance, alloc: Allocation, trace: list[Event]
 ) -> CaseOutcome:
+    """2-EFX plus the pool property, which a full allocation meets vacuously."""
     trace.append(Event("branch", allocation=alloc, note="seed"))
-    if kind == "PartialWithProperties" and alloc.is_full:
-        kind = "Full2EFX"
     report = check_alpha_efx(alloc, instance, TWO)
     if not report.verdict:
         raise VerificationError(
             f"case outcome not 2-EFX: {report.witnesses[:3]}; "
             f"trace={[e.note for e in trace]}")
-    if kind == "PartialWithProperties":
-        props = check_partial_property2(alloc, instance)
-        if not all(props):
-            raise VerificationError(
-                f"pool property fails for agents "
-                f"{[i for i, ok in enumerate(props) if not ok]}; "
-                f"trace={[e.note for e in trace]}")
-    elif not alloc.is_full:
-        raise VerificationError("Full2EFX outcome left chores unallocated")
-    return CaseOutcome(kind, alloc, tuple(trace))
+    props = check_partial_property2(alloc, instance)
+    if not all(props):
+        raise VerificationError(
+            f"pool property fails for agents "
+            f"{[i for i, ok in enumerate(props) if not ok]}; "
+            f"trace={[e.note for e in trace]}")
+    return CaseOutcome(alloc, tuple(trace))
 
 
 def _solve_deep_b(
@@ -313,9 +305,7 @@ def _solve_deep_b(
     if case == "B2222" and not o1.cost((mid1,)) > TWO * o1.cost((b1,)):
         # role 1's worst removal already fits within twice role 2's bundle
         branch("no strong envy possible; keep seed")
-        return _verified_outcome(
-            instance, "PartialWithProperties",
-            _alloc(instance, roles, seed), trace)
+        return _verified_outcome(instance, _alloc(instance, roles, seed), trace)
 
     if o1.cost(m_prime | {b1}) >= threshold:
         d = find_subset_D(o1, b1, m_prime, threshold, strict_peel)
@@ -332,7 +322,7 @@ def _solve_deep_b(
                 if min(drops, key=lambda ch: (drops[ch], ch)) == b1:
                     assert o1.cost(d) <= TWO * threshold
             alloc = _alloc(instance, roles, [x1, x2, {top3}])
-            return _verified_outcome(instance, "PartialWithProperties", alloc, trace)
+            return _verified_outcome(instance, alloc, trace)
         # crossed case: three rescue allocations depending on role 2's envy
         if envies_1:
             branch("role 2 envies role 1")
@@ -350,7 +340,7 @@ def _solve_deep_b(
             branch("role 2 content; keep seed with D")
             bundles = [x1, x2, {top3}]
         alloc = _alloc(instance, roles, bundles)
-        return _verified_outcome(instance, "PartialWithProperties", alloc, trace)
+        return _verified_outcome(instance, alloc, trace)
 
     # the whole pool is too cheap to reach the threshold: allocate it all
     branch("pool below threshold; full allocation")
@@ -363,13 +353,13 @@ def _solve_deep_b(
             branch("role 1 strongly envied role 2; regroup")
             x1, x2 = {b1, b2} | set(m_prime), {mid1}
         alloc = _alloc(instance, roles, [x1, x2, {top3}])
-        return _verified_outcome(instance, "Full2EFX", alloc, trace)
+        return _verified_outcome(instance, alloc, trace)
     bundles = [{b1} | set(m_prime), {top3, b2}, {mid1}]
     if max_removal_cost(o2, bundles[1]) > TWO * o2.cost(bundles[0]):
         branch("role 2 strongly envied role 1; regroup")
         bundles = [{top3}, {b1, b2} | set(m_prime), {mid1}]
     alloc = _alloc(instance, roles, bundles)
-    return _verified_outcome(instance, "Full2EFX", alloc, trace)
+    return _verified_outcome(instance, alloc, trace)
 
 
 def three_agent_2efx(instance: Instance, trace: list[Event] | None = None
@@ -398,11 +388,10 @@ def three_agent_2efx(instance: Instance, trace: list[Event] | None = None
     outcome = solve_case(instance, case, ctx)
     if trace is not None:
         trace.extend(outcome.trace)
-    if outcome.kind == "Full2EFX":
+    if outcome.allocation.is_full:
         result = outcome.allocation
     else:
-        result = extend_partial(outcome.allocation, instance, alpha=2, beta=1,
-                                trace=trace)
+        result = extend_partial(outcome.allocation, instance, alpha=2, trace=trace)
     report = check_alpha_efx(result, instance, TWO)
     if not report.verdict:
         raise VerificationError(f"output not 2-EFX: {report.witnesses[:3]}")

@@ -114,8 +114,8 @@ def test_acceptance_3_partial_ido_suite(cycle_removal_guard):
         seed_alloc = Allocation.from_bundles(
             [{c} for c in top] + [set()], m)
         assert check_alpha_efx(seed_alloc, inst, 1).verdict
-        witness = compute_extension_witness(seed_alloc, inst, beta=1)
-        assert all(len(r) >= n - 1 for r in witness.eligible)
+        eligible = compute_extension_witness(seed_alloc, inst)
+        assert all(len(r) >= n - 1 for r in eligible)
         out = partial_ido_2efx(inst)
         assert out.is_full
         assert check_alpha_efx(out, inst, 2).verdict
@@ -153,7 +153,7 @@ def test_acceptance_4_grouped_tefx_suite(cycle_removal_guard):
         # assertions fire on every iteration, and the potential (total
         # chores on the front bundles) falls by exactly 1 per move
         trace: list[Event] = []
-        tefx_two_group(m, n, c1, c2, s2 + s3 if s3 else s2, trace=trace)
+        tefx_two_group(n, c1, c2, s2 + s3 if s3 else s2, trace=trace)
         assert unit_potential_drops(trace, n)
         checked += 1
     elapsed = time.perf_counter() - started

@@ -5,12 +5,15 @@ import pytest
 
 from chorefair import (
     AdditiveOracle,
+    Allocation,
     CappedAdditiveOracle,
     Instance,
     MaxOfAdditiveOracle,
     TabulatedOracle,
+    check_alpha_efx,
     generate_instance,
 )
+from chorefair import cli
 from chorefair.cli import (
     allocation_from_json,
     allocation_to_json,
@@ -111,11 +114,16 @@ def test_solve_round_robin_with_order_and_trace(tmp_path, capsys):
     assert payload["trace"][0].startswith("round 1: agent 2")
 
 
-def test_solve_trace_for_every_algorithm(tmp_path, capsys):
+def two_group_oracles():
     c1 = MaxOfAdditiveOracle([[3, 11, 14, 11, 3, 17, 1, 14, 20],
                               [16, 8, 2, 4, 3, 5, 10, 14, 2]])
     c2 = AdditiveOracle([4095, 2919, 2373, 2709, 2730, 2499, 4137, 2394, 3570])
     c3 = AdditiveOracle([9, 5, 3, 2, 2, 1, 2, 9, 7])
+    return c1, c2, c3
+
+
+def test_solve_trace_for_every_algorithm(tmp_path, capsys):
+    c1, c2, c3 = two_group_oracles()
     move = ("level k=2: chore 7 from bundle 1 to bundle 3: "
             "bundles [[4, 9], [1, 2, 3, 5], [6, 7, 8]]")
     runs = [
@@ -140,6 +148,83 @@ def test_solve_trace_for_every_algorithm(tmp_path, capsys):
         assert "trace" not in json.loads(capsys.readouterr().out)
         assert main(argv + ["--trace"]) == 0
         assert line in json.loads(capsys.readouterr().out)["trace"]
+
+
+def assert_input_error(code, capsys, *words):
+    assert code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    for word in words:
+        assert word in captured.err
+
+
+def test_solve_two_group_checks_groups(tmp_path, capsys):
+    c1, c2, c3 = two_group_oracles()
+    # --k 1: agents 1 and 2 form group 1 but do not share an oracle
+    inst_path = write_instance(tmp_path, Instance(9, 3, (c1, c3, c2)))
+    code = main(["solve", "--instance", inst_path,
+                 "--algorithm", "tefx-two-group", "--k", "1"])
+    assert_input_error(code, capsys, "identical")
+
+
+@pytest.mark.parametrize("k", [None, "0", "3"])
+def test_solve_two_group_k_out_of_range(tmp_path, capsys, k):
+    _, c2, _ = two_group_oracles()
+    inst_path = write_instance(tmp_path, Instance(9, 3, (c2, c2, c2)))
+    argv = ["solve", "--instance", inst_path, "--algorithm", "tefx-two-group"]
+    code = main(argv + (["--k", k] if k else []))
+    assert_input_error(code, capsys, "--k")
+    # agents sharing one cost are one group 1 agent and n - 1 group 2 agents
+    assert main(argv + ["--k", "2"]) == 0
+
+
+def test_solve_refuses_partial_output(tmp_path, capsys, monkeypatch):
+    inst = counterexample_instance(26, 12)
+    partial = Allocation.from_bundles([{0}, {1}, {2}], inst.m)
+    assert check_alpha_efx(partial, inst, 2).verdict
+    monkeypatch.setattr(cli, "three_agent_2efx", lambda instance, trace: partial)
+    code = main(["solve", "--instance", write_instance(tmp_path, inst),
+                 "--algorithm", "three-agent-2efx"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error:") and "unallocated" in captured.err
+
+
+def table_instance(tmp_path, monotone=True):
+    values = {frozenset(s): Fraction(len(s)) for s in
+              [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]}
+    good = TabulatedOracle(3, values)
+    if not monotone:
+        values[frozenset({0, 1})] = Fraction(0)  # below C({1}) = 1
+    return write_instance(tmp_path, Instance(
+        3, 3, (good, good, TabulatedOracle(3, values))))
+
+
+def allocation_file(tmp_path):
+    path = tmp_path / "alloc.json"
+    path.write_text(json.dumps({"allocation": [[1], [2], [3]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_monotone_table_rejected(tmp_path, capsys, command):
+    argv = [command, "--instance", table_instance(tmp_path, monotone=False)]
+    if command == "solve":
+        argv += ["--algorithm", "three-agent-2efx"]
+    else:
+        argv += ["--allocation", allocation_file(tmp_path), "--criterion", "efx"]
+    assert_input_error(main(argv), capsys, "not monotone", "chore 2 to {1}")
+
+
+def test_table_beyond_enumeration_guard(tmp_path, capsys, monkeypatch):
+    argv = ["verify", "--instance", table_instance(tmp_path), "--allocation",
+            allocation_file(tmp_path), "--criterion", "efx"]
+    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "2")
+    assert_input_error(main(argv), capsys, "m <= 2")
+    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "3")
+    assert main(argv) == 0
 
 
 def test_solve_rejects_non_ido_instance(tmp_path):

@@ -70,22 +70,22 @@ def test_extension_witness_counts_eligible_agents():
     inst = tri([10, 6, 4, 1, 1, 1], [6, 10, 3, 1, 1, 1],
                [4, 3, 10, 1, 1, 1])
     seed = Allocation.from_bundles([{1}, {2}, {0}], 6)
-    witness = compute_extension_witness(seed, inst, beta=1)
-    assert all(len(r) >= 2 for r in witness.eligible)
+    eligible = compute_extension_witness(seed, inst)
+    assert all(len(r) >= 2 for r in eligible)
 
 
 def test_extension_witness_failure_names_chore():
     inst = tri([1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1])
     seed = Allocation.from_bundles([{0}, {1}, {2}], 6)  # pool chore 3 too big
     with pytest.raises(PreconditionError, match="chore 3"):
-        compute_extension_witness(seed, inst, beta=1)
+        compute_extension_witness(seed, inst)
 
 
 def test_extend_partial_identical_agents():
     o = AdditiveOracle([5, 4, 3, Fraction(9, 10), Fraction(8, 10), Fraction(7, 10)])
     inst = Instance(6, 3, (o, o, o))
     seed = Allocation.from_bundles([{2}, {1}, {0}], 6)
-    full = extend_partial(seed, inst, alpha=1, beta=1)
+    full = extend_partial(seed, inst, alpha=1)
     assert full.bundles == (frozenset({2, 3, 4}), frozenset({1, 5}),
                             frozenset({0}))
     assert check_alpha_efx(full, inst, 2).verdict
@@ -94,7 +94,7 @@ def test_extend_partial_identical_agents():
 def test_extend_partial_empty_pool_identity():
     alloc = Allocation.full([{0}, {1}, {2, 3, 4, 5}])
     inst = tri([1, 2, 3, 1, 1, 1], [2, 1, 3, 1, 1, 1], [9, 9, 1, 1, 1, 1])
-    assert extend_partial(alloc, inst, 1, 1) == alloc
+    assert extend_partial(alloc, inst, 1) == alloc
 
 
 def test_extend_partial_trace_and_iteration_count(cycle_removal_guard):
@@ -103,7 +103,7 @@ def test_extend_partial_trace_and_iteration_count(cycle_removal_guard):
     top = top_chore_order(inst.oracles[0])[:2]
     seed = Allocation.from_bundles([{top[0]}, {top[1]}, set()], 9)
     trace = []
-    full = extend_partial(seed, inst, 1, 1, trace=trace)
+    full = extend_partial(seed, inst, 1, trace=trace)
     placements = [e for e in trace if e.kind == "place"]
     assert len(placements) == 7  # one outer iteration per pool chore
     assert [e.chore for e in placements] == sorted(seed.pool)
@@ -119,11 +119,11 @@ def test_extend_partial_rejects_bad_input():
     inst = tri([1, 1, 9, 9, 1, 1], [1, 1, 9, 9, 1, 1], [1, 1, 9, 9, 1, 1])
     seed = Allocation.from_bundles([{2, 3}, {0}, {1}], 6)
     with pytest.raises(PreconditionError):
-        extend_partial(seed, inst, alpha=1, beta=1)
+        extend_partial(seed, inst, alpha=1)
 
 
 def test_pool_property_matches_extension_witness():
-    # check_partial_property2 and compute_extension_witness at beta = 1 test
+    # check_partial_property2 and compute_extension_witness test
     # one predicate, here also spelled out chore by chore; an instance whose
     # agents all share agent i's oracle makes the witness judge agent i alone
     rng = random.Random(5)
@@ -145,18 +145,18 @@ def test_pool_property_matches_extension_witness():
                 >= n - 1 for b in alloc.pool)
             alone = Instance(m, n, (oracle,) * n)
             try:
-                compute_extension_witness(alloc, alone, 1)
+                compute_extension_witness(alloc, alone)
                 accepted = True
             except PreconditionError:
                 accepted = False
             assert accepted == ok
             seen.add(ok)
         if all(props):
-            compute_extension_witness(alloc, inst, 1)
+            compute_extension_witness(alloc, inst)
         else:
             with pytest.raises(PreconditionError,
                                match=f"agent {props.index(False)} "):
-                compute_extension_witness(alloc, inst, 1)
+                compute_extension_witness(alloc, inst)
     assert seen == {True, False}
 
 

@@ -52,8 +52,8 @@ def test_seed_partial_is_efx_and_witnessed():
     top = top_chore_order(inst.oracles[0])[:3]
     seed = Allocation.from_bundles([{top[0]}, {top[1]}, {top[2]}, set()], 10)
     assert check_alpha_efx(seed, inst, 1).verdict
-    witness = compute_extension_witness(seed, inst, beta=1)
-    assert all(len(r) >= inst.n - 1 for r in witness.eligible)
+    eligible = compute_extension_witness(seed, inst)
+    assert all(len(r) >= inst.n - 1 for r in eligible)
 
 
 def test_full_output_2efx(cycle_removal_guard):
