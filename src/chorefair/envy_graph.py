@@ -29,31 +29,26 @@ from .errors import PreconditionError, VerificationError
 
 @dataclass(frozen=True)
 class TopTradingGraph:
-    """Directed edges (i, j): i strictly prefers j's bundle, which is i's min."""
+    """succ[i]: the lowest-index bundle of minimum cost to agent i when it
+    is strictly cheaper than i's own, else None."""
 
-    edges: frozenset[tuple[int, int]]
-    n: int
+    succ: tuple[int | None, ...]
 
-    def __post_init__(self) -> None:
-        sources = [i for i, _ in self.edges]
-        if len(sources) != len(set(sources)):
-            raise ValueError("out-degree must be at most 1")
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, j in enumerate(self.succ) if j is not None)
 
     def sinks(self) -> tuple[int, ...]:
-        pointing = {i for i, _ in self.edges}
-        return tuple(i for i in range(self.n) if i not in pointing)
+        return tuple(i for i, j in enumerate(self.succ) if j is None)
 
     def find_cycle(self) -> tuple[int, ...] | None:
         """Some directed cycle as an agent tuple, or None if acyclic.
 
-        Out-degree <= 1, so following edges from each unvisited node either
-        dies at a sink or closes a cycle.
+        Out-degree <= 1, so following successors from each unvisited node
+        either dies at a sink or closes a cycle.
         """
-        succ = dict(self.edges)
         seen: set[int] = set()
-        for start in range(self.n):
-            if start in seen:
-                continue
+        for start in range(len(self.succ)):
             path: list[int] = []
             on_path: dict[int, int] = {}
             node: int | None = start
@@ -62,29 +57,28 @@ class TopTradingGraph:
                     return tuple(path[on_path[node]:])
                 on_path[node] = len(path)
                 path.append(node)
-                node = succ.get(node)
+                node = self.succ[node]
             seen.update(path)
         return None
 
 
 def build_top_trading_graph(alloc: Allocation, instance: Instance) -> TopTradingGraph:
     """Edge i -> j iff C_i(X_i) > C_i(X_j) = min_k C_i(X_k); ties to lowest j."""
-    edges = set()
-    for i in range(instance.n):
-        oracle = instance.oracles[i]
+    succ = []
+    for i, oracle in enumerate(instance.oracles):
         costs = [oracle.cost(b) for b in alloc.bundles]
         best = min(costs)
-        if costs[i] > best:
-            edges.add((i, costs.index(best)))
-    return TopTradingGraph(frozenset(edges), instance.n)
+        succ.append(costs.index(best) if costs[i] > best else None)
+    return TopTradingGraph(tuple(succ))
 
 
 def eliminate_top_trading_cycles(
     alloc: Allocation,
     instance: Instance,
     on_cycle_removed: Callable[[tuple[int, ...], Allocation], None] | None = None,
-) -> Allocation:
-    """Rotate bundles along top trading cycles until the graph is acyclic.
+) -> tuple[Allocation, TopTradingGraph]:
+    """Rotate bundles along top trading cycles until the graph is acyclic;
+    returns the final allocation and its acyclic graph.
 
     Agent i_k on a cycle i_1 -> ... -> i_t -> i_1 receives X_{i_{k+1}}, its
     strict favourite, so each rotation strictly lowers the rotating agents'
@@ -92,9 +86,10 @@ def eliminate_top_trading_cycles(
     """
     current = alloc
     for _ in range(instance.n + 1):
-        cycle = build_top_trading_graph(current, instance).find_cycle()
+        graph = build_top_trading_graph(current, instance)
+        cycle = graph.find_cycle()
         if cycle is None:
-            return current
+            return current, graph
         bundles = list(current.bundles)
         old = [bundles[i] for i in cycle]
         for k, agent in enumerate(cycle):
@@ -143,8 +138,9 @@ def _ttece(
 
     current = alloc
     for chore in pool_order:
-        current = eliminate_top_trading_cycles(current, instance, record_cycle)
-        sink = build_top_trading_graph(current, instance).sinks()[0]
+        current, graph = eliminate_top_trading_cycles(
+            current, instance, record_cycle)
+        sink = graph.sinks()[0]
         current = Allocation(
             tuple(
                 b | {chore} if i == sink else b

@@ -68,6 +68,19 @@ class CostOracle:
     def _raw_cost(self, chores: frozenset[int]) -> Fraction:
         raise NotImplementedError
 
+    def _key(self) -> tuple:
+        """The values that fix the oracle; equality, hash and repr use them."""
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._key()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
 
 class AdditiveOracle(CostOracle):
     def __init__(self, costs: Iterable) -> None:
@@ -80,14 +93,8 @@ class AdditiveOracle(CostOracle):
     def _raw_cost(self, chores: frozenset[int]) -> Fraction:
         return sum((self.costs[c] for c in chores), ZERO)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AdditiveOracle) and self.costs == other.costs
-
-    def __hash__(self) -> int:
-        return hash(("additive", self.costs))
-
-    def __repr__(self) -> str:
-        return f"AdditiveOracle({list(self.costs)})"
+    def _key(self) -> tuple:
+        return (self.costs,)
 
 
 class CappedAdditiveOracle(CostOracle):
@@ -105,18 +112,8 @@ class CappedAdditiveOracle(CostOracle):
         total = sum((self.costs[c] for c in chores), ZERO)
         return min(total, self.cap)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CappedAdditiveOracle)
-            and self.costs == other.costs
-            and self.cap == other.cap
-        )
-
-    def __hash__(self) -> int:
-        return hash(("capped", self.costs, self.cap))
-
-    def __repr__(self) -> str:
-        return f"CappedAdditiveOracle({list(self.costs)}, cap={self.cap})"
+    def _key(self) -> tuple:
+        return (self.costs, self.cap)
 
 
 class MaxOfAdditiveOracle(CostOracle):
@@ -136,14 +133,8 @@ class MaxOfAdditiveOracle(CostOracle):
     def _raw_cost(self, chores: frozenset[int]) -> Fraction:
         return max(sum((row[c] for c in chores), ZERO) for row in self.rows)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MaxOfAdditiveOracle) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(("maxadd", self.rows))
-
-    def __repr__(self) -> str:
-        return f"MaxOfAdditiveOracle({[list(r) for r in self.rows]})"
+    def _key(self) -> tuple:
+        return (self.rows,)
 
 
 class TabulatedOracle(CostOracle):
@@ -153,29 +144,20 @@ class TabulatedOracle(CostOracle):
         super().__init__()
         self.m = m
         self.values = {frozenset(k): Fraction(v) for k, v in values.items()}
-        if len(self.values) != 2**m:
+        chores = frozenset(range(m))
+        # 2^m distinct subsets of the m chores are exactly all of them
+        if len(self.values) != 2**m or not all(k <= chores for k in self.values):
             raise ValueError(
-                f"table must cover all {2 ** m} subsets, got {len(self.values)}"
-            )
+                f"table keys must be exactly the {2 ** m} subsets of chores "
+                f"0..{m - 1}")
         if any(v < 0 for v in self.values.values()):
             raise ValueError("table values must be non-negative")
 
     def _raw_cost(self, chores: frozenset[int]) -> Fraction:
-        try:
-            return self.values[chores]
-        except KeyError:
-            raise KeyError(f"missing table entry for {sorted(chores)}") from None
+        return self.values[chores]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TabulatedOracle)
-            and self.m == other.m
-            and self.values == other.values
-        )
-
-    def __hash__(self) -> int:
-        return hash(("table", self.m, tuple(sorted(
-            (tuple(sorted(k)), v) for k, v in self.values.items()))))
+    def _key(self) -> tuple:
+        return (self.m, frozenset(self.values.items()))
 
     def __repr__(self) -> str:
         return f"TabulatedOracle(m={self.m})"
@@ -196,18 +178,8 @@ class PerturbedOracle(CostOracle):
         bump = sum(2 ** (c + 1) for c in chores)
         return self.base.cost(chores) + self.epsilon * bump
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PerturbedOracle)
-            and self.base == other.base
-            and self.epsilon == other.epsilon
-        )
-
-    def __hash__(self) -> int:
-        return hash(("perturbed", self.base, self.epsilon))
-
-    def __repr__(self) -> str:
-        return f"PerturbedOracle({self.base!r}, epsilon={self.epsilon})"
+    def _key(self) -> tuple:
+        return (self.base, self.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +285,12 @@ def compute_delta(oracles: Iterable[CostOracle]) -> Fraction:
     """Joint delta over all agents: min gap among differing subset costs."""
     gaps = []
     for oracle in oracles:
-        limit = (
+        limit = env_enum_limit(
             DELTA_LIMIT_ADDITIVE
             if isinstance(oracle, AdditiveOracle)
             else DELTA_LIMIT_GENERAL
         )
-        if oracle.m > env_enum_limit(limit):
+        if oracle.m > limit:
             raise EnumerationLimitError(
                 f"delta computation needs m <= {limit} for {type(oracle).__name__}, "
                 f"got m={oracle.m}; supply delta explicitly")

@@ -119,7 +119,8 @@ def tefx_two_group(
     Recursive on k: the base case partitions under C1 alone and parks the
     cheapest C2 bundle last; each later level moves the front bundles'
     worst removal chore onto the cheapest bundle until some front bundle
-    becomes tEFX-feasible under C2.  Each move is a "move" event; the
+    becomes tEFX-feasible under C2.  Each move is a "move" event from the
+    source bundle, relabelled to position 0 first, to position n-1; the
     chores on the first n-k+1 bundles of its snapshot fall by one per move.
     """
     if not 1 <= k <= n:
@@ -164,7 +165,7 @@ def tefx_two_group(
             bundles[0] = bundles[0] - {chore}
             bundles[n - 1] = bundles[n - 1] | {chore}
             if trace is not None:
-                trace.append(Event("move", (src, n - 1), chore, k,
+                trace.append(Event("move", (0, n - 1), chore, k,
                                    Allocation.full(bundles)))
             # both invariants must survive every move
             _check_two_group(bundles, c1, c2, front, front)

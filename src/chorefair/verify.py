@@ -23,7 +23,7 @@ from .core import (
 )
 from .envy_graph import TopTradingGraph, _ttece, build_top_trading_graph
 from .errors import EnumerationLimitError, PreconditionError
-from .oracles import AdditiveOracle, env_enum_limit
+from .oracles import AdditiveOracle
 
 SEARCH_LIMIT = 10**7
 
@@ -31,7 +31,7 @@ SEARCH_LIMIT = 10**7
 def partitions(m: int, count: int) -> Iterator[tuple[frozenset[int], ...]]:
     """Every split of chores 0..m-1 into `count` bundles, lexicographic over
     the chore -> bundle assignment vectors; refuses past the search limit."""
-    if count**m > env_enum_limit(SEARCH_LIMIT):
+    if count**m > SEARCH_LIMIT:
         raise EnumerationLimitError(
             f"{count}^{m} assignments exceed the search limit")
     for assignment in itertools.product(range(count), repeat=m):

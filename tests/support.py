@@ -1,8 +1,14 @@
 """Shared fixtures-in-plain-code for the test suite."""
 
+import random
 from fractions import Fraction
 
-from chorefair import AdditiveOracle, Instance
+from chorefair import (
+    AdditiveOracle,
+    Instance,
+    MaxOfAdditiveOracle,
+    generate_instance,
+)
 from chorefair.verify import counterexample_instance
 
 
@@ -44,3 +50,31 @@ def unit_potential_drops(moves, n: int) -> bool:
         by_level.setdefault(move.step, []).append(sum(map(len, front)))
     return all(a - b == 1 for phis in by_level.values()
                for a, b in zip(phis, phis[1:]))
+
+
+def ratio2_oracle(m, seed):
+    return generate_instance("additive_ratio", 1, m, seed, alpha=2).oracles[0]
+
+
+# seeds of the wide shape in two_group_cases whose runs move two or three
+# chores within one level (about 1 run in 300 does)
+MOVING_SEEDS = (479, 861, 1904, 2390, 2699, 2737, 2856)
+
+
+def two_group_cases():
+    """(n, C1, C2, whether some level makes several moves): 15 small
+    random instances, then the wide shape at MOVING_SEEDS."""
+    for seed in range(15):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        m = rng.randint(n, 10)
+        c1 = MaxOfAdditiveOracle(
+            [[rng.randint(1, 20) for _ in range(m)] for _ in range(2)])
+        yield n, c1, ratio2_oracle(m, seed), False
+    for seed in MOVING_SEEDS:
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        m = rng.randint(n, 14)
+        c1 = MaxOfAdditiveOracle([[rng.randint(1, 40) for _ in range(m)]
+                                  for _ in range(rng.randint(1, 2))])
+        yield n, c1, ratio2_oracle(m, seed), True

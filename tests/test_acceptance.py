@@ -8,6 +8,7 @@ reaches the terminal), then asserts.
 import itertools
 import random
 import time
+from collections import Counter
 
 from chorefair import (
     Allocation,
@@ -38,7 +39,7 @@ from chorefair.round_robin import round_count
 from chorefair.tefx import GroupSpec
 from chorefair.three_agent import CASE_IDS
 
-from support import CASE_INSTANCES, unit_potential_drops
+from support import CASE_INSTANCES, two_group_cases, unit_potential_drops
 
 CYCLE_REMOVALS: list = []
 
@@ -156,11 +157,21 @@ def test_acceptance_4_grouped_tefx_suite(cycle_removal_guard):
         tefx_two_group(n, c1, c2, s2 + s3 if s3 else s2, trace=trace)
         assert unit_potential_drops(trace, n)
         checked += 1
+    # the random shape above rarely moves two chores in one level, so also
+    # replay the cases chosen to, counting the pairs of moves compared
+    pairs = 0
+    for n, c1, c2, _ in two_group_cases():
+        trace = []
+        tefx_two_group(n, c1, c2, n, trace=trace)
+        assert unit_potential_drops(trace, n)
+        pairs += sum(count - 1 for count in
+                     Counter(move.step for move in trace).values())
     elapsed = time.perf_counter() - started
     CYCLE_REMOVALS.extend(cycle_removal_guard)
-    ok = checked == 300 and elapsed < 180
+    ok = checked == 300 and pairs >= 1 and elapsed < 180
     _report(4, ok, f"{checked} grouped instances tEFX with per-iteration "
-                   f"invariants and unit potential drops, {elapsed:.1f}s")
+                   f"invariants and unit potential drops ({pairs} pairs of "
+                   f"moves compared), {elapsed:.1f}s")
 
 
 def test_acceptance_5_round_robin_suite():

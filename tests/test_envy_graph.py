@@ -44,26 +44,29 @@ def test_two_agent_swap_cycle():
     inst = Instance(2, 2, (AdditiveOracle([1, 10]), AdditiveOracle([10, 1])))
     alloc = Allocation.full([{1}, {0}])
     removed = []
-    result = eliminate_top_trading_cycles(
+    result, graph = eliminate_top_trading_cycles(
         alloc, inst, lambda cycle, snap: removed.append(cycle))
+    assert graph.find_cycle() is None
     assert result.bundles == (frozenset({0}), frozenset({1}))
     assert len(removed) == 1 and set(removed[0]) == {0, 1}
 
 
 def test_acyclic_input_unchanged():
     seed = Allocation.from_bundles([{1}, {2}, {0}], 6)
-    assert eliminate_top_trading_cycles(seed, COUNTEREXAMPLE) == seed
+    assert eliminate_top_trading_cycles(seed, COUNTEREXAMPLE) == (
+        seed, build_top_trading_graph(seed, COUNTEREXAMPLE))
 
 
 def test_cycle_elimination_permutes_bundles():
     inst = tri([1, 2, 30, 20, 10, 3], [30, 1, 2, 10, 20, 3], [2, 30, 1, 20, 3, 10])
     alloc = Allocation.from_bundles([{2, 3}, {0, 4}, {1, 5}], 6)
-    result = eliminate_top_trading_cycles(alloc, inst)
+    result, graph = eliminate_top_trading_cycles(alloc, inst)
     assert set(result.bundles) == set(alloc.bundles)
     for agent in range(3):
         assert inst.cost(agent, result.bundles[agent]) <= inst.cost(
             agent, alloc.bundles[agent])
-    assert build_top_trading_graph(result, inst).find_cycle() is None
+    assert graph == build_top_trading_graph(result, inst)
+    assert graph.find_cycle() is None
 
 
 def test_extension_witness_counts_eligible_agents():

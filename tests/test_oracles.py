@@ -67,6 +67,36 @@ def test_tabulated_requires_full_table():
     assert oracle.cost({0, 1}) == 3
 
 
+def test_tabulated_keys_are_the_subsets():
+    # the right number of keys, but one names a chore outside 0..m-1
+    with pytest.raises(ValueError, match="subsets of chores 0..0"):
+        TabulatedOracle(1, {(): 0, (7,): 1})
+    with pytest.raises(ValueError, match="subsets of chores 0..1"):
+        TabulatedOracle(2, {(): 0, (0,): 1, (1,): 1, (0, 2): 2})
+
+
+def test_oracle_identity():
+    costs = [Fraction(1, 2), 3]
+    table = {s: len(s) for s in all_subsets(2)}
+    for make in (lambda: AdditiveOracle(costs),
+                 lambda: CappedAdditiveOracle(costs, 3),
+                 lambda: MaxOfAdditiveOracle([costs, [3, 1]]),
+                 lambda: TabulatedOracle(2, table),
+                 lambda: PerturbedOracle(AdditiveOracle(costs), Fraction(1, 8))):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    # same values, different class or different values: unequal
+    assert AdditiveOracle(costs) != CappedAdditiveOracle(costs, 10)
+    assert AdditiveOracle(costs) != AdditiveOracle([1, 3])
+    assert CappedAdditiveOracle(costs, 3) != CappedAdditiveOracle(costs, 4)
+    assert TabulatedOracle(2, table) != TabulatedOracle(
+        2, {**table, frozenset({0, 1}): 3})
+    assert len({AdditiveOracle(costs), AdditiveOracle(costs),
+                MaxOfAdditiveOracle([costs])}) == 2
+    assert repr(AdditiveOracle([1])) == "AdditiveOracle((Fraction(1, 1),))"
+    assert repr(TabulatedOracle(2, table)) == "TabulatedOracle(m=2)"
+
+
 def test_out_of_range_chore_rejected():
     with pytest.raises(IndexError):
         AdditiveOracle([1, 2]).cost({5})
@@ -98,6 +128,13 @@ def test_env_override(monkeypatch):
     assert env_enum_limit(5) == 99
     monkeypatch.delenv("CHOREFAIR_MAX_ENUM")
     assert env_enum_limit(5) == 5
+
+
+def test_delta_guard_names_applied_limit(monkeypatch):
+    oracle = MaxOfAdditiveOracle([[1] * 6])
+    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "5")
+    with pytest.raises(EnumerationLimitError, match="m <= 5 for"):
+        compute_delta([oracle])
 
 
 def test_ratio_bound():

@@ -21,11 +21,7 @@ from chorefair import (
 )
 from chorefair.tefx import is_efx_feasible, is_tefx_feasible
 
-from support import unit_potential_drops
-
-
-def ratio2_oracle(m, seed):
-    return generate_instance("additive_ratio", 1, m, seed, alpha=2).oracles[0]
+from support import ratio2_oracle, two_group_cases, unit_potential_drops
 
 
 def test_feasibility_predicates():
@@ -92,30 +88,6 @@ def test_two_group_invalid_k():
         tefx_two_group(2, c1, c1, 0)
 
 
-# seeds of the wide shape in two_group_cases whose runs move two or three
-# chores within one level (about 1 run in 300 does)
-MOVING_SEEDS = (479, 861, 1904, 2390, 2699, 2737, 2856)
-
-
-def two_group_cases():
-    """(n, C1, C2, whether some level makes several moves): 15 small
-    random instances, then the wide shape at MOVING_SEEDS."""
-    for seed in range(15):
-        rng = random.Random(seed)
-        n = rng.randint(2, 4)
-        m = rng.randint(n, 10)
-        c1 = MaxOfAdditiveOracle(
-            [[rng.randint(1, 20) for _ in range(m)] for _ in range(2)])
-        yield n, c1, ratio2_oracle(m, seed), False
-    for seed in MOVING_SEEDS:
-        rng = random.Random(seed)
-        n = rng.randint(2, 6)
-        m = rng.randint(n, 14)
-        c1 = MaxOfAdditiveOracle([[rng.randint(1, 40) for _ in range(m)]
-                                  for _ in range(rng.randint(1, 2))])
-        yield n, c1, ratio2_oracle(m, seed), True
-
-
 def test_two_group_properties_all_k():
     for n, c1, c2, moving in two_group_cases():
         most_moves = 0
@@ -136,6 +108,25 @@ def test_two_group_properties_all_k():
             most_moves = max([most_moves, *levels.values()])
         # so unit_potential_drops compares at least one pair of moves
         assert most_moves >= 2 or not moving
+
+
+def test_move_events_name_source_and_target():
+    # with its chore put back, the bundle at each position a move names is
+    # a bundle of the state before the move: the previous move's snapshot,
+    # or the output of the level below for a level's first move
+    for n, c1, c2, _ in two_group_cases():
+        trace = []
+        tefx_two_group(n, c1, c2, n, trace=trace)
+        level = None
+        for move in trace:
+            if move.step != level:
+                level = move.step
+                before = tefx_two_group(n, c1, c2, level - 1).bundles
+            source, target = (move.allocation.bundles[a] for a in move.agents)
+            assert move.chore not in source and move.chore in target
+            assert source | {move.chore} in before
+            assert target - {move.chore} in before
+            before = move.allocation.bundles
 
 
 def test_three_group_one_agent_per_group():

@@ -16,6 +16,7 @@ from chorefair import (
     rival_counterexample_run,
     three_agent_2efx,
 )
+from chorefair import verify
 
 from support import COUNTEREXAMPLE
 
@@ -42,10 +43,21 @@ def test_counterexample_has_an_efx_allocation():
 
 
 def test_search_guard(monkeypatch):
-    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "100")
-    inst = generate_instance("additive", 3, 8, 0)
+    # 3^15 > 10^7 assignments: refused before any allocation is checked
+    def checked(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(verify, "is_alpha_efx", checked)
+    inst = generate_instance("additive", 3, 15, 0)
     with pytest.raises(EnumerationLimitError):
         exhaustive_search(inst, "efx")
+
+
+def test_enum_override_leaves_search_limit(monkeypatch):
+    # the variable counts chores; the search limit counts assignments
+    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "16")
+    inst = generate_instance("additive", 3, 5, 0)
+    assert check_alpha_efx(three_agent_2efx(inst), inst, 1).verdict
 
 
 def test_unknown_criterion_rejected():
