@@ -163,27 +163,39 @@ def _violations(
     if not mine:
         return
     chores = sorted(mine)
+    units, den = oracle.units, oracle.den
+    # each removal cost is looked up once per agent, as an int over den
     if criterion == "tefx":
+        # filled on first use, so a caller that stops at the first witness
+        # evaluates no more subsets than it needs
+        removals: dict[int, int] = {}
         for j, other in enumerate(bundles):
             if j != agent:
                 for c in chores:
-                    lhs, rhs = oracle.cost(mine - {c}), oracle.cost(other | {c})
+                    lhs = removals.get(c)
+                    if lhs is None:
+                        lhs = removals[c] = units(mine - {c})
+                    rhs = units(other | {c})
                     if lhs > rhs:
-                        yield Witness(agent, j, c, lhs, rhs)
+                        yield Witness(agent, j, c, Fraction(lhs, den),
+                                      Fraction(rhs, den))
         return
-    # alpha-EFX: each removal cost once per agent; a j is walked chore by
-    # chore only when the worst removal exceeds alpha * C(X_j).  EFX
-    # (alpha = 1) skips the Fraction product, the dearest step per j.
-    removals = [oracle.cost(mine - {c}) for c in chores]
-    worst = max(removals)
+    # alpha-EFX, alpha = p/q: C(X_i - c) > alpha * C(X_j) iff
+    # q * units(X_i - c) > p * units(X_j).  A j is walked chore by chore
+    # only when the worst removal exceeds it.
+    removals = [units(mine - {c}) for c in chores]
+    p, q = alpha.numerator, alpha.denominator
+    worst = q * max(removals)
     for j, other in enumerate(bundles):
         if j == agent:
             continue
-        rhs = oracle.cost(other) if alpha == 1 else alpha * oracle.cost(other)
-        if worst > rhs:
+        theirs = units(other)
+        bound = p * theirs
+        if worst > bound:
+            rhs = alpha * Fraction(theirs, den)
             for c, lhs in zip(chores, removals):
-                if lhs > rhs:
-                    yield Witness(agent, j, c, lhs, rhs)
+                if q * lhs > bound:
+                    yield Witness(agent, j, c, Fraction(lhs, den), rhs)
 
 
 def _all_violations(
@@ -246,9 +258,9 @@ def eligible_bundles(oracle: CostOracle, alloc: Allocation) -> list[int]:
     pool chore needs testing."""
     if not alloc.pool:
         return list(range(alloc.n))
-    worst = max(oracle.singleton(b) for b in alloc.pool)
+    worst = max(oracle.units((b,)) for b in alloc.pool)
     return [j for j, bundle in enumerate(alloc.bundles)
-            if worst <= oracle.cost(bundle)]
+            if worst <= oracle.units(bundle)]
 
 
 def check_partial_property2(alloc: Allocation, instance: Instance) -> tuple[bool, ...]:

@@ -66,7 +66,7 @@ def build_top_trading_graph(alloc: Allocation, instance: Instance) -> TopTrading
     """Edge i -> j iff C_i(X_i) > C_i(X_j) = min_k C_i(X_k); ties to lowest j."""
     succ = []
     for i, oracle in enumerate(instance.oracles):
-        costs = [oracle.cost(b) for b in alloc.bundles]
+        costs = list(map(oracle.units, alloc.bundles))
         best = min(costs)
         succ.append(costs.index(best) if costs[i] > best else None)
     return TopTradingGraph(tuple(succ))

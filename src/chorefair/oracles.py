@@ -1,13 +1,16 @@
 """Cost oracles, structural validators, seeded generators and the
 non-degeneracy perturbation.
 
-Chores are 0-based ints internally; all values are exact ``Fraction``s.
-The cost of the empty set is normalized to 0 for every oracle variant.
+Chores are 0-based ints internally; all values are exact: an oracle keeps
+each cost as an int over its one denominator and shows it as a
+``Fraction``.  The cost of the empty set is normalized to 0 for every oracle
+variant.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -38,18 +41,31 @@ def _as_fractions(costs: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in costs)
 
 
+def _scaled(values: Iterable[Fraction], den: int) -> tuple[int, ...]:
+    """Each value times den, exactly, as an int; den must be a common
+    multiple of the values' denominators."""
+    return tuple(v.numerator * (den // v.denominator) for v in values)
+
+
 class CostOracle:
-    """Value oracle over chore subsets: monotone, non-negative, C(empty)=0."""
+    """Value oracle over chore subsets: monotone, non-negative, C(empty)=0.
+
+    ``units(S)`` is the exact integer C(S) * den, where ``den`` is a common
+    multiple of every value's denominator, fixed in the constructor.  One
+    agent's costs compare as these ints; ``cost(S)`` is the Fraction view.
+    A subclass sets ``m`` and ``den`` and returns units from ``_raw_cost``.
+    """
 
     m: int
+    den: int
 
     def __init__(self) -> None:
-        self._cache: dict[frozenset[int], Fraction] = {}
+        self._cache: dict[frozenset[int], int] = {}
 
-    def cost(self, chores: Iterable[int]) -> Fraction:
+    def units(self, chores: Iterable[int]) -> int:
         key = frozenset(chores)
         if not key:
-            return ZERO
+            return 0
         cached = self._cache.get(key)
         if cached is None:
             for c in key:
@@ -59,13 +75,16 @@ class CostOracle:
             self._cache[key] = cached
         return cached
 
+    def cost(self, chores: Iterable[int]) -> Fraction:
+        return Fraction(self.units(chores), self.den)
+
     def singleton(self, chore: int) -> Fraction:
         return self.cost((chore,))
 
     def singleton_costs(self) -> tuple[Fraction, ...]:
         return tuple(self.singleton(c) for c in range(self.m))
 
-    def _raw_cost(self, chores: frozenset[int]) -> Fraction:
+    def _raw_cost(self, chores: frozenset[int]) -> int:
         raise NotImplementedError
 
     def _key(self) -> tuple:
@@ -89,9 +108,11 @@ class AdditiveOracle(CostOracle):
         if any(c < 0 for c in self.costs):
             raise ValueError("additive costs must be non-negative")
         self.m = len(self.costs)
+        self.den = math.lcm(*(c.denominator for c in self.costs))
+        self._row = _scaled(self.costs, self.den)
 
-    def _raw_cost(self, chores: frozenset[int]) -> Fraction:
-        return sum((self.costs[c] for c in chores), ZERO)
+    def _raw_cost(self, chores: frozenset[int]) -> int:
+        return sum(map(self._row.__getitem__, chores))
 
     def _key(self) -> tuple:
         return (self.costs,)
@@ -107,10 +128,13 @@ class CappedAdditiveOracle(CostOracle):
         if any(c < 0 for c in self.costs) or self.cap < 0:
             raise ValueError("costs and cap must be non-negative")
         self.m = len(self.costs)
+        self.den = math.lcm(self.cap.denominator,
+                            *(c.denominator for c in self.costs))
+        self._row = _scaled(self.costs, self.den)
+        (self._cap,) = _scaled((self.cap,), self.den)
 
-    def _raw_cost(self, chores: frozenset[int]) -> Fraction:
-        total = sum((self.costs[c] for c in chores), ZERO)
-        return min(total, self.cap)
+    def _raw_cost(self, chores: frozenset[int]) -> int:
+        return min(sum(map(self._row.__getitem__, chores)), self._cap)
 
     def _key(self) -> tuple:
         return (self.costs, self.cap)
@@ -129,9 +153,11 @@ class MaxOfAdditiveOracle(CostOracle):
         if any(c < 0 for row in self.rows for c in row):
             raise ValueError("row costs must be non-negative")
         self.m = len(self.rows[0])
+        self.den = math.lcm(*(c.denominator for row in self.rows for c in row))
+        self._rows = tuple(_scaled(row, self.den) for row in self.rows)
 
-    def _raw_cost(self, chores: frozenset[int]) -> Fraction:
-        return max(sum((row[c] for c in chores), ZERO) for row in self.rows)
+    def _raw_cost(self, chores: frozenset[int]) -> int:
+        return max(sum(map(row.__getitem__, chores)) for row in self._rows)
 
     def _key(self) -> tuple:
         return (self.rows,)
@@ -152,9 +178,12 @@ class TabulatedOracle(CostOracle):
                 f"0..{m - 1}")
         if any(v < 0 for v in self.values.values()):
             raise ValueError("table values must be non-negative")
+        self.den = math.lcm(*(v.denominator for v in self.values.values()))
+        self._units = dict(zip(self.values,
+                               _scaled(self.values.values(), self.den)))
 
-    def _raw_cost(self, chores: frozenset[int]) -> Fraction:
-        return self.values[chores]
+    def _raw_cost(self, chores: frozenset[int]) -> int:
+        return self._units[chores]
 
     def _key(self) -> tuple:
         return (self.m, frozenset(self.values.items()))
@@ -173,10 +202,13 @@ class PerturbedOracle(CostOracle):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         self.m = base.m
+        self.den = math.lcm(base.den, self.epsilon.denominator)
+        self._base_scale = self.den // base.den
+        (self._eps,) = _scaled((self.epsilon,), self.den)
 
-    def _raw_cost(self, chores: frozenset[int]) -> Fraction:
+    def _raw_cost(self, chores: frozenset[int]) -> int:
         bump = sum(2 ** (c + 1) for c in chores)
-        return self.base.cost(chores) + self.epsilon * bump
+        return self.base.units(chores) * self._base_scale + self._eps * bump
 
     def _key(self) -> tuple:
         return (self.base, self.epsilon)
@@ -258,9 +290,10 @@ def ratio_bound(oracle: CostOracle) -> Fraction:
 
 
 def top_chore_order(oracle: CostOracle) -> tuple[int, ...]:
-    """Chores by strictly descending singleton cost, ties by ascending index."""
-    singles = oracle.singleton_costs()
-    return tuple(sorted(range(oracle.m), key=lambda c: (-singles[c], c)))
+    """Chores by strictly descending singleton cost, ties by ascending index
+    (the sort is stable, reverse included)."""
+    units = oracle.units
+    return tuple(sorted(range(oracle.m), key=lambda c: units((c,)), reverse=True))
 
 
 # ---------------------------------------------------------------------------

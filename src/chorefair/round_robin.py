@@ -50,6 +50,10 @@ def round_robin_allocate(
         agent_order = tuple(agent_order)
         if sorted(agent_order) != list(range(instance.n)):
             raise PreconditionError("agent_order must be a permutation of the agents")
+    # each agent's chores by (cost, index): its pick is the first one still
+    # remaining, and a chore once taken stays taken, so one pass suffices
+    prefs = [iter(sorted(range(instance.m), key=lambda c: (oracle.units((c,)), c)))
+             for oracle in instance.oracles]
     remaining = set(range(instance.m))
     bundles: list[set[int]] = [set() for _ in range(instance.n)]
     picks: list[Event] = []
@@ -59,16 +63,15 @@ def round_robin_allocate(
         for agent in agent_order:
             if not remaining:
                 break
-            oracle = instance.oracles[agent]
-            chore = min(remaining, key=lambda c: (oracle.singleton(c), c))
+            chore = next(c for c in prefs[agent] if c in remaining)
             remaining.remove(chore)
             bundles[agent].add(chore)
             picks.append(Event("pick", (agent,), chore, t))
     trace = RoundRobinTrace(tuple(picks))
-    last: dict[int, Fraction] = {}
+    last: dict[int, int] = {}
     for pick in trace.picks:
         (agent,) = pick.agents
-        cost = instance.oracles[agent].singleton(pick.chore)
+        cost = instance.oracles[agent].units((pick.chore,))
         if agent in last and cost < last[agent]:
             raise VerificationError("pick costs decreased across rounds")
         last[agent] = cost

@@ -163,10 +163,43 @@ def test_pool_property_matches_extension_witness():
     assert seen == {True, False}
 
 
-def test_out_degree_at_most_one():
-    for seed_idx in range(10):
-        inst = generate_instance("additive", 3, 7, seed_idx)
-        alloc = Allocation.from_bundles([{0, 1}, {2, 3}, {4, 5}], 7)
-        graph = build_top_trading_graph(alloc, inst)
-        sources = [i for i, _ in graph.edges]
-        assert len(sources) == len(set(sources))
+def _bundle_costs(row, bundles):
+    return [sum((row[c] for c in b), Fraction(0)) for b in bundles]
+
+
+def _reference_succ(cost_rows, bundles):
+    """Agent i's edge, from Fraction costs: the lowest-index bundle among
+    those strictly cheaper than i's own that no other bundle undercuts."""
+    succ = []
+    for i, row in enumerate(cost_rows):
+        costs = _bundle_costs(row, bundles)
+        best = None
+        for j, cost in enumerate(costs):
+            if cost < costs[i] and (best is None or cost < costs[best]):
+                best = j
+        succ.append(best)
+    return tuple(succ)
+
+
+def test_top_trading_graph_matches_reference():
+    # small costs (zeros and halves included) make equal bundle costs
+    # common, so strict envy and the lowest-index tie-break both decide
+    rng = random.Random(11)
+    tied_edges = no_edge = 0
+    for _ in range(400):
+        n, m = rng.randint(2, 5), rng.randint(1, 9)
+        rows = [[Fraction(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(m)]
+                for _ in range(n)]
+        inst = Instance(m, n, tuple(AdditiveOracle(row) for row in rows))
+        owner = [rng.randrange(n + 1) for _ in range(m)]  # n: the pool
+        alloc = Allocation.from_bundles(
+            [{c for c in range(m) if owner[c] == j} for j in range(n)], m)
+        expected = _reference_succ(rows, alloc.bundles)
+        assert build_top_trading_graph(alloc, inst).succ == expected
+        for i, j in enumerate(expected):
+            if j is None:
+                no_edge += 1
+                continue
+            costs = _bundle_costs(rows[i], alloc.bundles)
+            tied_edges += costs.count(costs[j]) > 1
+    assert tied_edges > 100 and no_edge > 100

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from chorefair import (
     AdditiveOracle,
+    Allocation,
     CappedAdditiveOracle,
     EnumerationLimitError,
     Instance,
@@ -13,7 +15,9 @@ from chorefair import (
     PerturbedOracle,
     PreconditionError,
     TabulatedOracle,
+    check_alpha_efx,
     check_k_partial_ido,
+    check_tefx,
     compute_delta,
     generate_instance,
     perturb_nondegenerate,
@@ -224,3 +228,144 @@ def test_capped_additive_monotone_property(costs, cap):
         for s in subsets:
             for c in range(m):
                 assert oracle.cost(s | {c}) >= oracle.cost(s)
+
+
+# -- integer kernel against a naive Fraction reference ------------------------
+#
+# An oracle is described by a spec tuple; `_build` makes the library oracle
+# and `_reference` evaluates C(S) from the same spec with Fraction
+# arithmetic written out here, sharing no code with the library.
+
+DENOMINATORS = (1, 2, 3, 7, 12, 25, 97)
+
+
+def _reference(spec, chores):
+    chores = frozenset(chores)
+    if not chores:
+        return Fraction(0)
+    kind = spec[0]
+    if kind == "additive":
+        return sum((Fraction(spec[1][c]) for c in chores), Fraction(0))
+    if kind == "capped":
+        return min(_reference(("additive", spec[1]), chores), Fraction(spec[2]))
+    if kind == "max":
+        return max(_reference(("additive", row), chores) for row in spec[1])
+    if kind == "table":
+        return Fraction(spec[2][chores])
+    assert kind == "perturbed"
+    bump = sum(2 ** (c + 1) for c in chores)
+    return _reference(spec[1], chores) + Fraction(spec[2]) * bump
+
+
+def _build(spec):
+    kind = spec[0]
+    if kind == "additive":
+        return AdditiveOracle(spec[1])
+    if kind == "capped":
+        return CappedAdditiveOracle(spec[1], spec[2])
+    if kind == "max":
+        return MaxOfAdditiveOracle(spec[1])
+    if kind == "table":
+        return TabulatedOracle(spec[1], spec[2])
+    return PerturbedOracle(_build(spec[1]), spec[2])
+
+
+def _mixed_fractions(rng, count):
+    return [Fraction(rng.randint(0, 400), rng.choice(DENOMINATORS))
+            for _ in range(count)]
+
+
+def _specs(rng, m, with_table):
+    """Every oracle class over fractional values with mixed denominators,
+    and a PerturbedOracle over each of them."""
+    mixed = _mixed_fractions(rng, m)
+    ratio = list(generate_instance("additive_ratio", 1, m, rng.randrange(10**6),
+                                   alpha=Fraction(7, 3)).oracles[0].costs)
+    cap = sum(mixed) * Fraction(rng.randint(1, 99), 100)
+    specs = [
+        ("additive", mixed),
+        ("additive", ratio),
+        ("capped", mixed, cap),
+        ("capped", ratio, sum(ratio) * Fraction(2, 3)),
+        ("max", [mixed, ratio, _mixed_fractions(rng, m)]),
+    ]
+    if with_table:
+        values = dict(zip(all_subsets(m), _mixed_fractions(rng, 2 ** m)))
+        values[frozenset()] = 0
+        specs.append(("table", m, values))
+    epsilons = (Fraction(1, 3), Fraction(1, 2 ** (m + 2)), Fraction(5, 1001))
+    specs += [("perturbed", spec, epsilons[k % 3]) for k, spec in enumerate(specs)]
+    return specs
+
+
+def _assert_kernel_matches(spec, subsets):
+    oracle = _build(spec)
+    assert type(oracle.den) is int and oracle.den >= 1
+    for s in subsets:
+        value = oracle.cost(s)
+        units = oracle.units(s)
+        assert type(value) is Fraction and type(units) is int
+        assert value == _reference(spec, s), (spec[0], sorted(s))
+        assert units == value * oracle.den
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_kernel_matches_reference_every_subset(m):
+    rng = random.Random(f"kernel:{m}")
+    for spec in _specs(rng, m, with_table=True):
+        _assert_kernel_matches(spec, all_subsets(m))
+
+
+def test_kernel_matches_reference_large_m():
+    m = 200
+    rng = random.Random("kernel:200")
+    subsets = [frozenset(rng.sample(range(m), rng.randint(1, m)))
+               for _ in range(150)]
+    subsets += [frozenset({c}) for c in range(m)] + [frozenset(range(m))]
+    for spec in _specs(rng, m, with_table=False):
+        _assert_kernel_matches(spec, subsets)
+
+
+def _reference_witnesses(specs, bundles, criterion, alpha):
+    """Every violating (i, j, c) by i, j, c ascending, with both sides
+    rebuilt from the reference."""
+    found = []
+    for i, spec in enumerate(specs):
+        mine = bundles[i]
+        for j, other in enumerate(bundles):
+            if j == i:
+                continue
+            for c in sorted(mine):
+                lhs = _reference(spec, mine - {c})
+                rhs = (_reference(spec, other | {c}) if criterion == "tefx"
+                       else alpha * _reference(spec, other))
+                if lhs > rhs:
+                    found.append((i, j, c, lhs, rhs))
+    return found
+
+
+def test_checker_witnesses_match_reference():
+    rng = random.Random("witnesses")
+    seen = 0
+    for trial in range(40):
+        m = 3 + trial % 6
+        pool = _specs(rng, m, with_table=True)
+        specs = [pool[rng.randrange(len(pool))] for _ in range(3)]
+        inst = Instance(m, 3, tuple(_build(spec) for spec in specs))
+        for _ in range(10):
+            bundles = [set() for _ in range(3)]
+            for chore in range(m):
+                bundles[rng.randrange(3)].add(chore)
+            alloc = Allocation.full(bundles)
+            frozen = alloc.bundles
+            reports = [(check_tefx(alloc, inst), "tefx", None)]
+            for alpha in (1, Fraction(3, 2), 2, Fraction(7, 3)):
+                reports.append((check_alpha_efx(alloc, inst, alpha),
+                                "alpha_efx", Fraction(alpha)))
+            for report, criterion, alpha in reports:
+                for w in report.witnesses:
+                    assert type(w.lhs) is Fraction and type(w.rhs) is Fraction
+                assert [tuple(w) for w in report.witnesses] == _reference_witnesses(
+                    specs, frozen, criterion, alpha)
+                seen += len(report.witnesses)
+    assert seen > 1000

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -92,3 +93,50 @@ def test_ratio_bound_guarantee(alpha):
 def test_guarantee_requires_three_rounds():
     with pytest.raises(PreconditionError):
         guarantee_ratio(2, 2)
+
+
+def _reference_round_robin(instance, agent_order):
+    """The pick loop as first written: each agent takes
+    min(remaining, key=(singleton cost, index)); returns picks as
+    (agent, chore, round) and the bundles."""
+    remaining = set(range(instance.m))
+    bundles = [set() for _ in range(instance.n)]
+    picks = []
+    t = 0
+    while remaining:
+        t += 1
+        for agent in agent_order:
+            if not remaining:
+                break
+            oracle = instance.oracles[agent]
+            chore = min(remaining, key=lambda c: (oracle.singleton(c), c))
+            remaining.remove(chore)
+            bundles[agent].add(chore)
+            picks.append((agent, chore, t))
+    return picks, tuple(frozenset(b) for b in bundles)
+
+
+def test_presorted_picks_match_reference():
+    rng = random.Random(3)
+    for trial in range(300):
+        if trial % 5 == 0:  # fewer chores than agents
+            n = rng.randint(2, 6)
+            m = rng.randint(1, n - 1)
+        else:
+            n, m = rng.randint(1, 6), rng.randint(1, 25)
+        if trial % 2:
+            # tie-heavy small integers, some agents sharing one oracle
+            oracles = [AdditiveOracle([rng.randint(0, 3) for _ in range(m)])
+                       for _ in range(n)]
+            oracles = [rng.choice(oracles[:agent + 1]) for agent in range(n)]
+            inst = Instance(m, n, tuple(oracles))
+        else:
+            inst = generate_instance("additive_ratio", n, m, trial,
+                                     alpha=Fraction(rng.randint(4, 12), 4))
+        order = list(range(n))
+        rng.shuffle(order)
+        for agent_order in (None, order):
+            alloc, trace = round_robin_allocate(inst, agent_order)
+            picks, bundles = _reference_round_robin(inst, agent_order or range(n))
+            assert [(p.agents[0], p.chore, p.step) for p in trace.picks] == picks
+            assert alloc.bundles == bundles
