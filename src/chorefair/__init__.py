@@ -40,6 +40,7 @@ from .oracles import (
     CostOracle,
     MaxOfAdditiveOracle,
     PerturbedOracle,
+    RowOracle,
     TabulatedOracle,
     compute_delta,
     generate_instance,

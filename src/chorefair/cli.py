@@ -29,10 +29,8 @@ from .core import (
 from .errors import ChorefairError, VerificationError
 from .ido import partial_ido_2efx
 from .oracles import (
-    AdditiveOracle,
-    CappedAdditiveOracle,
     CostOracle,
-    MaxOfAdditiveOracle,
+    RowOracle,
     TabulatedOracle,
     generate_instance,
     validate_oracle,
@@ -76,16 +74,14 @@ def _parse_subset_key(key: str, m: int) -> frozenset[int]:
 
 
 def oracle_to_json(oracle: CostOracle) -> dict:
-    if isinstance(oracle, CappedAdditiveOracle):
-        return {"type": "capped_additive",
-                "costs": [format_rational(c) for c in oracle.costs],
-                "cap": format_rational(oracle.cap)}
-    if isinstance(oracle, AdditiveOracle):
-        return {"type": "additive",
-                "costs": [format_rational(c) for c in oracle.costs]}
-    if isinstance(oracle, MaxOfAdditiveOracle):
-        return {"type": "max_of_additive",
-                "rows": [[format_rational(c) for c in row] for row in oracle.rows]}
+    if isinstance(oracle, RowOracle):
+        rows = [[format_rational(c) for c in row] for row in oracle.rows]
+        if oracle.kind == "max_of_additive":
+            return {"type": oracle.kind, "rows": rows}
+        data = {"type": oracle.kind, "costs": rows[0]}
+        if oracle.cap is not None:
+            data["cap"] = format_rational(oracle.cap)
+        return data
     if isinstance(oracle, TabulatedOracle):
         return {"type": "table",
                 "values": {_subset_key(k): format_rational(v)
@@ -96,15 +92,10 @@ def oracle_to_json(oracle: CostOracle) -> dict:
 
 def oracle_from_json(data: dict, m: int) -> CostOracle:
     kind = data.get("type")
-    if kind == "additive":
-        return AdditiveOracle([parse_rational(c) for c in data["costs"]])
-    if kind == "capped_additive":
-        return CappedAdditiveOracle(
-            [parse_rational(c) for c in data["costs"]],
-            parse_rational(data["cap"]))
-    if kind == "max_of_additive":
-        return MaxOfAdditiveOracle(
-            [[parse_rational(c) for c in row] for row in data["rows"]])
+    if kind in ("additive", "capped_additive", "max_of_additive"):
+        rows = data["rows"] if kind == "max_of_additive" else [data["costs"]]
+        cap = parse_rational(data["cap"]) if kind == "capped_additive" else None
+        return RowOracle([[parse_rational(c) for c in row] for row in rows], cap)
     if kind == "table":
         values = {_parse_subset_key(k, m): parse_rational(v)
                   for k, v in data["values"].items()}

@@ -101,66 +101,61 @@ class CostOracle:
         return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
 
 
-class AdditiveOracle(CostOracle):
-    def __init__(self, costs: Iterable) -> None:
-        super().__init__()
-        self.costs = _as_fractions(costs)
-        if any(c < 0 for c in self.costs):
-            raise ValueError("additive costs must be non-negative")
-        self.m = len(self.costs)
-        self.den = math.lcm(*(c.denominator for c in self.costs))
-        self._row = _scaled(self.costs, self.den)
+class RowOracle(CostOracle):
+    """C(S) = max over rows of the row sum over S, then min(., cap) when a
+    cap is given; a cap needs exactly one row.  Additive, budget-additive
+    and max-of-additive costs: monotone and subadditive by construction."""
 
-    def _raw_cost(self, chores: frozenset[int]) -> int:
-        return sum(map(self._row.__getitem__, chores))
-
-    def _key(self) -> tuple:
-        return (self.costs,)
-
-
-class CappedAdditiveOracle(CostOracle):
-    """min(sum of costs, cap): monotone and subadditive by construction."""
-
-    def __init__(self, costs: Iterable, cap) -> None:
-        super().__init__()
-        self.costs = _as_fractions(costs)
-        self.cap = Fraction(cap)
-        if any(c < 0 for c in self.costs) or self.cap < 0:
-            raise ValueError("costs and cap must be non-negative")
-        self.m = len(self.costs)
-        self.den = math.lcm(self.cap.denominator,
-                            *(c.denominator for c in self.costs))
-        self._row = _scaled(self.costs, self.den)
-        (self._cap,) = _scaled((self.cap,), self.den)
-
-    def _raw_cost(self, chores: frozenset[int]) -> int:
-        return min(sum(map(self._row.__getitem__, chores)), self._cap)
-
-    def _key(self) -> tuple:
-        return (self.costs, self.cap)
-
-
-class MaxOfAdditiveOracle(CostOracle):
-    """max over additive rows: monotone and subadditive by construction."""
-
-    def __init__(self, rows: Iterable[Iterable]) -> None:
+    def __init__(self, rows: Iterable[Iterable], cap=None) -> None:
         super().__init__()
         self.rows = tuple(_as_fractions(row) for row in rows)
+        self.cap = None if cap is None else Fraction(cap)
         if not self.rows:
             raise ValueError("at least one row required")
         if len({len(row) for row in self.rows}) != 1:
             raise ValueError("rows must have equal length")
-        if any(c < 0 for row in self.rows for c in row):
-            raise ValueError("row costs must be non-negative")
+        values = [c for row in self.rows for c in row]
+        # the JSON kind this shape is written as; _raw_cost branches on it
+        if self.cap is not None:
+            if len(self.rows) != 1:
+                raise ValueError("a cap needs exactly one row")
+            values.append(self.cap)
+            self.kind = "capped_additive"
+        elif len(self.rows) == 1:
+            self.kind = "additive"
+        else:
+            self.kind = "max_of_additive"
+        if any(v < 0 for v in values):
+            raise ValueError("costs and cap must be non-negative")
         self.m = len(self.rows[0])
-        self.den = math.lcm(*(c.denominator for row in self.rows for c in row))
+        self.den = math.lcm(*(v.denominator for v in values))
         self._rows = tuple(_scaled(row, self.den) for row in self.rows)
+        self._cap = None if self.cap is None else _scaled((self.cap,), self.den)[0]
 
     def _raw_cost(self, chores: frozenset[int]) -> int:
+        if self.kind == "additive":
+            return sum(map(self._rows[0].__getitem__, chores))
+        if self.kind == "capped_additive":
+            return min(sum(map(self._rows[0].__getitem__, chores)), self._cap)
         return max(sum(map(row.__getitem__, chores)) for row in self._rows)
 
     def _key(self) -> tuple:
-        return (self.rows,)
+        return (self.rows, self.cap)
+
+
+def AdditiveOracle(costs: Iterable) -> RowOracle:
+    """C(S) = the sum of the chores' costs."""
+    return RowOracle((costs,))
+
+
+def CappedAdditiveOracle(costs: Iterable, cap) -> RowOracle:
+    """min(sum of costs, cap)."""
+    return RowOracle((costs,), cap)
+
+
+def MaxOfAdditiveOracle(rows: Iterable[Iterable]) -> RowOracle:
+    """max over additive rows."""
+    return RowOracle(rows)
 
 
 class TabulatedOracle(CostOracle):
@@ -318,11 +313,9 @@ def compute_delta(oracles: Iterable[CostOracle]) -> Fraction:
     """Joint delta over all agents: min gap among differing subset costs."""
     gaps = []
     for oracle in oracles:
+        additive = isinstance(oracle, RowOracle) and oracle.kind == "additive"
         limit = env_enum_limit(
-            DELTA_LIMIT_ADDITIVE
-            if isinstance(oracle, AdditiveOracle)
-            else DELTA_LIMIT_GENERAL
-        )
+            DELTA_LIMIT_ADDITIVE if additive else DELTA_LIMIT_GENERAL)
         if oracle.m > limit:
             raise EnumerationLimitError(
                 f"delta computation needs m <= {limit} for {type(oracle).__name__}, "
@@ -337,10 +330,7 @@ def compute_delta(oracles: Iterable[CostOracle]) -> Fraction:
 
 
 def perturb_oracle(oracle: CostOracle, epsilon: Fraction) -> CostOracle:
-    if isinstance(oracle, AdditiveOracle):
-        eps = Fraction(epsilon)
-        return AdditiveOracle(
-            tuple(c + eps * 2 ** (j + 1) for j, c in enumerate(oracle.costs)))
+    """C(S) + epsilon * sum of 2^j over 1-based chore indices j."""
     return PerturbedOracle(oracle, epsilon)
 
 

@@ -138,9 +138,9 @@ def find_subset_D(
 ) -> frozenset[int]:
     """Greedy peel of the pool down to a minimal above-threshold subset.
 
-    Starting from D = pool, repeatedly drop (in ascending chore index) any d'
-    whose removal keeps C(anchor ∪ (D \\ d')) above the threshold — strictly
-    above when strict_peel, else weakly above.  The result D is non-empty,
+    Starting from D = pool, drop in one ascending pass each d' whose removal
+    keeps C(anchor ∪ (D \\ d')) above the threshold — strictly above when
+    strict_peel, else weakly above.  The result D is non-empty,
     C(anchor ∪ D) >= threshold, and no single removal stays above threshold.
     """
     d = set(pool)
@@ -159,14 +159,11 @@ def find_subset_D(
         left = oracle.cost((d - {item}) | {anchor})
         return left > threshold if strict_peel else left >= threshold
 
-    changed = True
-    while changed:
-        changed = False
-        for item in sorted(d):
-            if removable(item):
-                d.remove(item)
-                changed = True
-                break
+    # one ascending pass: removing a chore only lowers the cost of every
+    # other removal (monotone costs), so a kept chore stays unremovable
+    for item in sorted(d):
+        if removable(item):
+            d.remove(item)
     if not d:
         raise VerificationError("peeling emptied the subset; bad preconditions")
     return frozenset(d)

@@ -43,14 +43,16 @@ def test_oracle_roundtrips():
     subsets = [frozenset(s) for s in
                [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]]
     oracles = [
-        AdditiveOracle([1, Fraction(3, 2), 2]),
-        CappedAdditiveOracle([1, 2, 3], Fraction(7, 2)),
-        MaxOfAdditiveOracle([[1, 2, 3], [3, 1, 2]]),
-        TabulatedOracle(m, {s: Fraction(len(s) * 2, 3) for s in subsets}),
+        ("additive", AdditiveOracle([1, Fraction(3, 2), 2])),
+        ("additive", MaxOfAdditiveOracle([[1, Fraction(3, 2), 2]])),
+        ("capped_additive", CappedAdditiveOracle([1, 2, 3], Fraction(7, 2))),
+        ("max_of_additive", MaxOfAdditiveOracle([[1, 2, 3], [3, 1, 2]])),
+        ("table", TabulatedOracle(m, {s: Fraction(len(s) * 2, 3) for s in subsets})),
     ]
-    for oracle in oracles:
+    for kind, oracle in oracles:
+        assert oracle_to_json(oracle)["type"] == kind
         back = roundtrip(oracle, m)
-        assert type(back) is type(oracle)
+        assert back == oracle and type(back) is type(oracle)
         for s in subsets:
             assert back.cost(s) == oracle.cost(s)
 
@@ -206,6 +208,16 @@ def allocation_file(tmp_path):
     path = tmp_path / "alloc.json"
     path.write_text(json.dumps({"allocation": [[1], [2], [3]]}))
     return str(path)
+
+
+def test_negative_cap_rejected(tmp_path, capsys):
+    data = instance_to_json(generate_instance("capped_additive", 3, 3, 1))
+    data["agents"][2]["cap"] = "-1"
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(data))
+    assert_input_error(main(["verify", "--instance", str(inst_path),
+                             "--allocation", allocation_file(tmp_path),
+                             "--criterion", "efx"]), capsys, "non-negative")
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

@@ -14,6 +14,7 @@ from chorefair import (
     MaxOfAdditiveOracle,
     PerturbedOracle,
     PreconditionError,
+    RowOracle,
     TabulatedOracle,
     check_alpha_efx,
     check_k_partial_ido,
@@ -89,16 +90,34 @@ def test_oracle_identity():
                  lambda: PerturbedOracle(AdditiveOracle(costs), Fraction(1, 8))):
         a, b = make(), make()
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    # same values, different class or different values: unequal
+    # equality follows the cost function's shape, not the constructor
+    one_row = MaxOfAdditiveOracle([costs])
+    assert AdditiveOracle(costs) == one_row == RowOracle([costs])
+    assert hash(AdditiveOracle(costs)) == hash(one_row)
+    assert CappedAdditiveOracle(costs, 3) == RowOracle([costs], 3)
+    # different values or a cap: unequal
     assert AdditiveOracle(costs) != CappedAdditiveOracle(costs, 10)
     assert AdditiveOracle(costs) != AdditiveOracle([1, 3])
     assert CappedAdditiveOracle(costs, 3) != CappedAdditiveOracle(costs, 4)
     assert TabulatedOracle(2, table) != TabulatedOracle(
         2, {**table, frozenset({0, 1}): 3})
     assert len({AdditiveOracle(costs), AdditiveOracle(costs),
-                MaxOfAdditiveOracle([costs])}) == 2
-    assert repr(AdditiveOracle([1])) == "AdditiveOracle((Fraction(1, 1),))"
+                MaxOfAdditiveOracle([costs]),
+                CappedAdditiveOracle(costs, 10)}) == 2
+    assert repr(AdditiveOracle([1])) == "RowOracle(((Fraction(1, 1),),), None)"
     assert repr(TabulatedOracle(2, table)) == "TabulatedOracle(m=2)"
+
+
+@pytest.mark.parametrize("rows, cap, message", [
+    ([[1, -1]], None, "non-negative"),
+    ([[1, 2]], -1, "non-negative"),
+    ([[1, 2], [3]], None, "equal length"),
+    ([], None, "at least one row"),
+    ([[1, 2], [2, 1]], 3, "exactly one row"),
+])
+def test_row_oracle_rejects_bad_shapes(rows, cap, message):
+    with pytest.raises(ValueError, match=message):
+        RowOracle(rows, cap)
 
 
 def test_out_of_range_chore_rejected():
@@ -172,11 +191,25 @@ def test_perturb_requires_some_gap():
 
 
 def test_perturbed_oracle_general_variant():
-    base = MaxOfAdditiveOracle([[2, 1], [1, 2]])
+    base = CappedAdditiveOracle([2, 1], 2)
     oracle = perturb_oracle(base, Fraction(1, 16))
     assert isinstance(oracle, PerturbedOracle)
     assert oracle.cost({0}) == 2 + Fraction(2, 16)
+    assert oracle.cost({0, 1}) == 2 + Fraction(6, 16)  # min(2 + 1, 2) = 2
+
+
+def test_perturbed_max_of_additive_bumps_every_row():
+    # max_k(r_k(S) + b(S)) = max_k r_k(S) + b(S), so bumping each row agrees
+    rows = [[2, 1, 5], [1, 2, Fraction(1, 3)]]
+    eps = Fraction(1, 16)
+    oracle = perturb_oracle(MaxOfAdditiveOracle(rows), eps)
+    bumped = MaxOfAdditiveOracle(
+        [[c + eps * 2 ** (j + 1) for j, c in enumerate(row)] for row in rows])
+    for s in all_subsets(3):
+        assert oracle.cost(s) == bumped.cost(s)
     assert oracle.cost({0, 1}) == 3 + Fraction(6, 16)  # max(2+1, 1+2) = 3
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        perturb_oracle(AdditiveOracle([2, 1, 5]), 0)
 
 
 def test_generate_instance_reproducible():
@@ -276,11 +309,11 @@ def _mixed_fractions(rng, count):
 
 
 def _specs(rng, m, with_table):
-    """Every oracle class over fractional values with mixed denominators,
+    """Every oracle shape over fractional values with mixed denominators,
     and a PerturbedOracle over each of them."""
     mixed = _mixed_fractions(rng, m)
     ratio = list(generate_instance("additive_ratio", 1, m, rng.randrange(10**6),
-                                   alpha=Fraction(7, 3)).oracles[0].costs)
+                                   alpha=Fraction(7, 3)).oracles[0].rows[0])
     cap = sum(mixed) * Fraction(rng.randint(1, 99), 100)
     specs = [
         ("additive", mixed),

@@ -150,6 +150,18 @@ def test_three_group_no_third_agent():
     assert check_tefx(out, inst).verdict
 
 
+def test_three_group_shares_a_cost_function_across_constructors():
+    # one row built two ways is one cost function, so one group
+    m = 8
+    costs = [3, 1, 4, 1, 5, 9, 2, 6]
+    c2 = ratio2_oracle(m, 3)
+    inst = Instance(m, 4, (AdditiveOracle(costs), MaxOfAdditiveOracle([costs]),
+                           c2, c2))
+    groups = GroupSpec(frozenset({0, 1}), frozenset({2, 3}), frozenset())
+    out = tefx_three_group(inst, groups)
+    assert check_tefx(out, inst).verdict
+
+
 def test_three_group_bigger_groups():
     for seed in range(10):
         rng = random.Random(seed)

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from chorefair import (
     AdditiveOracle,
+    CappedAdditiveOracle,
     Instance,
+    MaxOfAdditiveOracle,
     NoSuchSubsetError,
     PreconditionError,
+    VerificationError,
     check_alpha_efx,
     check_partial_property2,
     classify_case,
@@ -90,6 +94,51 @@ def test_find_subset_d_rejects_cheap_pool():
     oracle = AdditiveOracle([1, 1, 1, 9])
     with pytest.raises(NoSuchSubsetError):
         find_subset_D(oracle, 0, {1, 2}, Fraction(9))
+
+
+def _restart_peel(oracle, anchor, pool, threshold, strict_peel):
+    """The peel as a restart loop: drop the lowest removable chore, then
+    scan again from the lowest, until nothing is removable."""
+    d = set(pool)
+
+    def removable(item):
+        left = oracle.cost((d - {item}) | {anchor})
+        return left > threshold if strict_peel else left >= threshold
+
+    changed = True
+    while changed:
+        changed = False
+        for item in sorted(d):
+            if removable(item):
+                d.remove(item)
+                changed = True
+                break
+    return frozenset(d)
+
+
+def test_find_subset_d_one_pass_matches_restart_loop():
+    rng = random.Random("peel")
+    valid = 0
+    for trial in range(600):
+        m = rng.randint(3, 9)
+        row, second = ([rng.randint(0, 12) for _ in range(m)] for _ in range(2))
+        cap = rng.randint(1, sum(row) + 1)
+        oracle = (AdditiveOracle(row), CappedAdditiveOracle(row, cap),
+                  MaxOfAdditiveOracle([row, second]))[trial % 3]
+        anchor = rng.randrange(m)
+        pool = set(rng.sample([c for c in range(m) if c != anchor],
+                              rng.randint(1, m - 1)))
+        low, high = oracle.cost((anchor,)), oracle.cost(pool | {anchor})
+        threshold = low + (high - low) * Fraction(rng.randint(0, 8), 8)
+        for strict_peel in (True, False):
+            try:
+                got = find_subset_D(oracle, anchor, pool, threshold, strict_peel)
+            except (PreconditionError, NoSuchSubsetError, VerificationError):
+                continue
+            assert got == _restart_peel(oracle, anchor, pool, threshold,
+                                        strict_peel)
+            valid += 1
+    assert valid > 1000
 
 
 def test_three_agent_counterexample_exact_output():
