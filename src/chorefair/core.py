@@ -132,7 +132,7 @@ def max_removal_cost(oracle: CostOracle, chores: Iterable[int]) -> Fraction:
     bundle = frozenset(chores)
     if not bundle:
         return Fraction(0)
-    return max(oracle.cost(bundle - {c}) for c in bundle)
+    return Fraction(max(oracle.removal_units(bundle, bundle)), oracle.den)
 
 
 CRITERIA = ("efx", "alpha_efx", "tefx")
@@ -183,7 +183,7 @@ def _violations(
     # alpha-EFX, alpha = p/q: C(X_i - c) > alpha * C(X_j) iff
     # q * units(X_i - c) > p * units(X_j).  A j is walked chore by chore
     # only when the worst removal exceeds it.
-    removals = [units(mine - {c}) for c in chores]
+    removals = oracle.removal_units(mine, chores)
     p, q = alpha.numerator, alpha.denominator
     worst = q * max(removals)
     for j, other in enumerate(bundles):
@@ -258,7 +258,9 @@ def eligible_bundles(oracle: CostOracle, alloc: Allocation) -> list[int]:
     pool chore needs testing."""
     if not alloc.pool:
         return list(range(alloc.n))
-    worst = max(oracle.units((b,)) for b in alloc.pool)
+    if min(alloc.pool) < 0:  # the table index would wrap around
+        raise IndexError(f"chore {min(alloc.pool)} out of range for m={oracle.m}")
+    worst = max(map(oracle.singleton_units().__getitem__, alloc.pool))
     return [j for j, bundle in enumerate(alloc.bundles)
             if worst <= oracle.units(bundle)]
 

@@ -34,6 +34,16 @@ class TopTradingGraph:
 
     succ: tuple[int | None, ...]
 
+    @classmethod
+    def from_costs(cls, costs: Sequence[Sequence[int]]) -> "TopTradingGraph":
+        """The graph of costs[i][j] = C_i(X_j) in agent i's units, by the
+        rule of ``build_top_trading_graph``."""
+        succ = []
+        for i, row in enumerate(costs):
+            best = min(row)
+            succ.append(row.index(best) if row[i] > best else None)
+        return cls(tuple(succ))
+
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, j in enumerate(self.succ) if j is not None)
@@ -64,12 +74,8 @@ class TopTradingGraph:
 
 def build_top_trading_graph(alloc: Allocation, instance: Instance) -> TopTradingGraph:
     """Edge i -> j iff C_i(X_i) > C_i(X_j) = min_k C_i(X_k); ties to lowest j."""
-    succ = []
-    for i, oracle in enumerate(instance.oracles):
-        costs = list(map(oracle.units, alloc.bundles))
-        best = min(costs)
-        succ.append(costs.index(best) if costs[i] > best else None)
-    return TopTradingGraph(tuple(succ))
+    return TopTradingGraph.from_costs(
+        [list(map(oracle.units, alloc.bundles)) for oracle in instance.oracles])
 
 
 def eliminate_top_trading_cycles(
@@ -130,27 +136,50 @@ def _ttece(
 ) -> Allocation:
     """Top trading envy cycle elimination: per pool chore, eliminate cycles,
     then hand the chore to the lowest-index sink.  No guarantee checks here.
+
+    Agent i's oracle state and units for bundle j, ``states[i][j]`` and
+    ``costs[i][j]``, form a per-solve matrix: a placement updates a column,
+    and the cycles that ``eliminate_top_trading_cycles`` reports, called
+    only when the matrix's graph has one, permute the columns.
     """
-    record_cycle = None
-    if trace is not None:
-        def record_cycle(cycle: tuple[int, ...], snapshot: Allocation) -> None:
+    oracles = instance.oracles
+    bundles = [list(b) for b in alloc.bundles]  # frozen only when needed
+    pool = set(alloc.pool)
+
+    def frozen() -> Allocation:
+        return Allocation(tuple(map(frozenset, bundles)), frozenset(pool))
+
+    matrix = [[oracle.bundle_state(b) for b in alloc.bundles] for oracle in oracles]
+    states = [[state for state, _ in row] for row in matrix]
+    costs = [[units for _, units in row] for row in matrix]
+    cycles: list[tuple[int, ...]] = []
+
+    def on_cycle(cycle: tuple[int, ...], snapshot: Allocation) -> None:
+        cycles.append(cycle)
+        if trace is not None:
             trace.append(Event("cycle", cycle, allocation=snapshot))
 
-    current = alloc
     for chore in pool_order:
-        current, graph = eliminate_top_trading_cycles(
-            current, instance, record_cycle)
+        graph = TopTradingGraph.from_costs(costs)
+        if graph.find_cycle() is not None:
+            cycles.clear()
+            _, graph = eliminate_top_trading_cycles(frozen(), instance, on_cycle)
+            # agent cycle[k] took bundle cycle[k + 1]; the columns follow by
+            # position, since equal bundles (every empty one) are one object
+            for cycle in cycles:
+                source = cycle[1:] + cycle[:1]
+                for row in (bundles, *states, *costs):
+                    for j, value in zip(cycle, [row[k] for k in source]):
+                        row[j] = value
         sink = graph.sinks()[0]
-        current = Allocation(
-            tuple(
-                b | {chore} if i == sink else b
-                for i, b in enumerate(current.bundles)
-            ),
-            current.pool - {chore},
-        )
+        added = (chore,)
+        for oracle, row, units in zip(oracles, states, costs):
+            row[sink], units[sink] = oracle.add(row[sink], added)
+        bundles[sink].append(chore)
+        pool.discard(chore)
         if trace is not None:
-            trace.append(Event("place", (sink,), chore, allocation=current))
-    return current
+            trace.append(Event("place", (sink,), chore, allocation=frozen()))
+    return frozen()
 
 
 def extend_partial(

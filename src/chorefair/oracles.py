@@ -61,6 +61,7 @@ class CostOracle:
 
     def __init__(self) -> None:
         self._cache: dict[frozenset[int], int] = {}
+        self._singles: tuple[int, ...] | None = None
 
     def units(self, chores: Iterable[int]) -> int:
         key = frozenset(chores)
@@ -81,8 +82,33 @@ class CostOracle:
     def singleton(self, chore: int) -> Fraction:
         return self.cost((chore,))
 
+    def singleton_units(self) -> tuple[int, ...]:
+        """units({c}) for every chore c, built once per oracle."""
+        if self._singles is None:
+            self._singles = self._singleton_table()
+        return self._singles
+
+    def _singleton_table(self) -> tuple[int, ...]:
+        return tuple(self.units((c,)) for c in range(self.m))
+
     def singleton_costs(self) -> tuple[Fraction, ...]:
-        return tuple(self.singleton(c) for c in range(self.m))
+        return tuple(Fraction(u, self.den) for u in self.singleton_units())
+
+    def bundle_state(self, chores: frozenset[int]) -> tuple[object, int]:
+        """(state, units) of a bundle, which ``add`` grows; the generic
+        state is the bundle itself."""
+        return chores, self.units(chores)
+
+    def add(self, state, chores: Iterable[int]) -> tuple[object, int]:
+        """(state, units) of the bundle in ``state`` plus ``chores``, which
+        are not in it."""
+        state = state.union(chores)
+        return state, self.units(state)
+
+    def removal_units(self, bundle: frozenset[int], chores: Iterable[int]
+                      ) -> list[int]:
+        """units(bundle - {c}) for each c in chores, a subset of bundle."""
+        return [self.units(bundle - {c}) for c in chores]
 
     def _raw_cost(self, chores: frozenset[int]) -> int:
         raise NotImplementedError
@@ -108,7 +134,9 @@ class RowOracle(CostOracle):
 
     def __init__(self, rows: Iterable[Iterable], cap=None) -> None:
         super().__init__()
-        self.rows = tuple(_as_fractions(row) for row in rows)
+        # sorted and de-duplicated: equal cost functions get equal keys
+        self.rows = tuple(row for row, _ in itertools.groupby(
+            sorted(_as_fractions(row) for row in rows)))
         self.cap = None if cap is None else Fraction(cap)
         if not self.rows:
             raise ValueError("at least one row required")
@@ -131,6 +159,7 @@ class RowOracle(CostOracle):
         self.den = math.lcm(*(v.denominator for v in values))
         self._rows = tuple(_scaled(row, self.den) for row in self.rows)
         self._cap = None if self.cap is None else _scaled((self.cap,), self.den)[0]
+        self._removals: dict[frozenset[int], dict[int, int]] = {}
 
     def _raw_cost(self, chores: frozenset[int]) -> int:
         if self.kind == "additive":
@@ -138,6 +167,38 @@ class RowOracle(CostOracle):
         if self.kind == "capped_additive":
             return min(sum(map(self._rows[0].__getitem__, chores)), self._cap)
         return max(sum(map(row.__getitem__, chores)) for row in self._rows)
+
+    def _singleton_table(self) -> tuple[int, ...]:
+        return tuple(map(self._total, zip(*self._rows)))
+
+    def _total(self, sums: Iterable[int]) -> int:
+        total = max(sums)
+        return total if self._cap is None or total < self._cap else self._cap
+
+    def bundle_state(self, chores: frozenset[int]) -> tuple[list[int], int]:
+        # the state is the row sums, uncapped so that a chore can be taken out
+        for c in chores:
+            if not (0 <= c < self.m):
+                raise IndexError(f"chore {c} out of range for m={self.m}")
+        return self.add([0] * len(self._rows), chores)
+
+    def add(self, sums: list[int], chores: Iterable[int]) -> tuple[list[int], int]:
+        sums = [s + sum(map(row.__getitem__, chores))
+                for s, row in zip(sums, self._rows)]
+        return sums, self._total(sums)
+
+    def removal_units(self, bundle: frozenset[int], chores: Iterable[int]
+                      ) -> list[int]:
+        # from the bundle's state, and cached per bundle like units
+        removals = self._removals.get(bundle)
+        if removals is None:
+            sums, total = self.bundle_state(bundle)
+            lows = [[s - row[c] for c in bundle] for s, row in zip(sums, self._rows)]
+            units = map(max, *lows) if len(lows) > 1 else lows[0]
+            if max(sums) > total:  # the cap binds, so it caps every removal
+                units = [min(u, total) for u in units]
+            removals = self._removals[bundle] = dict(zip(bundle, units))
+        return [removals[c] for c in chores]
 
     def _key(self) -> tuple:
         return (self.rows, self.cap)
@@ -287,8 +348,8 @@ def ratio_bound(oracle: CostOracle) -> Fraction:
 def top_chore_order(oracle: CostOracle) -> tuple[int, ...]:
     """Chores by strictly descending singleton cost, ties by ascending index
     (the sort is stable, reverse included)."""
-    units = oracle.units
-    return tuple(sorted(range(oracle.m), key=lambda c: units((c,)), reverse=True))
+    return tuple(sorted(range(oracle.m), key=oracle.singleton_units().__getitem__,
+                        reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ def round_robin_allocate(
             raise PreconditionError("agent_order must be a permutation of the agents")
     # each agent's chores by (cost, index): its pick is the first one still
     # remaining, and a chore once taken stays taken, so one pass suffices
-    prefs = [iter(sorted(range(instance.m), key=lambda c: (oracle.units((c,)), c)))
-             for oracle in instance.oracles]
+    singles = [oracle.singleton_units() for oracle in instance.oracles]
+    prefs = [iter(sorted(range(instance.m), key=table.__getitem__))
+             for table in singles]
     remaining = set(range(instance.m))
     bundles: list[set[int]] = [set() for _ in range(instance.n)]
     picks: list[Event] = []
@@ -71,7 +72,7 @@ def round_robin_allocate(
     last: dict[int, int] = {}
     for pick in trace.picks:
         (agent,) = pick.agents
-        cost = instance.oracles[agent].units((pick.chore,))
+        cost = singles[agent][pick.chore]
         if agent in last and cost < last[agent]:
             raise VerificationError("pick costs decreased across rounds")
         last[agent] = cost

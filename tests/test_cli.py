@@ -45,6 +45,8 @@ def test_oracle_roundtrips():
     oracles = [
         ("additive", AdditiveOracle([1, Fraction(3, 2), 2])),
         ("additive", MaxOfAdditiveOracle([[1, Fraction(3, 2), 2]])),
+        # duplicate rows are one row
+        ("additive", MaxOfAdditiveOracle([[1, 2, 3], [1, 2, 3]])),
         ("capped_additive", CappedAdditiveOracle([1, 2, 3], Fraction(7, 2))),
         ("max_of_additive", MaxOfAdditiveOracle([[1, 2, 3], [3, 1, 2]])),
         ("table", TabulatedOracle(m, {s: Fraction(len(s) * 2, 3) for s in subsets})),

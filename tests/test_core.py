@@ -20,6 +20,8 @@ from chorefair import (
     is_tefx,
     max_removal_cost,
 )
+from chorefair.core import eligible_bundles
+from chorefair.oracles import TabulatedOracle
 
 from support import COUNTEREXAMPLE, tri
 
@@ -50,6 +52,16 @@ def test_max_removal_cost_additive():
     oracle = AdditiveOracle([5, 3, 2])
     assert max_removal_cost(oracle, {0, 1, 2}) == 8  # drop the cheapest
     assert max_removal_cost(oracle, set()) == 0
+
+
+def test_eligible_bundles_rejects_out_of_range_pool_chores():
+    # the singleton table must not read chore -1 as the last chore
+    table = TabulatedOracle(2, {(): 0, (0,): 1, (1,): 2, (0, 1): 3})
+    for oracle in (AdditiveOracle([1, 2]), table):
+        for chore in (-1, 2):
+            alloc = Allocation((frozenset({0}), frozenset({1})), frozenset({chore}))
+            with pytest.raises(IndexError):
+                eligible_bundles(oracle, alloc)
 
 
 def test_singletons_are_always_efx():

@@ -1,13 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from chorefair import (
     AdditiveOracle,
     Allocation,
+    CappedAdditiveOracle,
+    Event,
     Instance,
+    MaxOfAdditiveOracle,
+    PerturbedOracle,
     PreconditionError,
+    TabulatedOracle,
     build_top_trading_graph,
     check_alpha_efx,
     check_partial_property2,
@@ -16,6 +22,7 @@ from chorefair import (
     extend_partial,
     generate_instance,
 )
+from chorefair.envy_graph import _ttece
 
 from support import COUNTEREXAMPLE, tri
 
@@ -203,3 +210,94 @@ def test_top_trading_graph_matches_reference():
             costs = _bundle_costs(rows[i], alloc.bundles)
             tied_edges += costs.count(costs[j]) > 1
     assert tied_edges > 100 and no_edge > 100
+
+
+def _reference_ttece(alloc, instance, pool_order, trace):
+    """The extension loop without a cost matrix: eliminate cycles on the
+    whole allocation before every placement, then grow the sink's bundle."""
+    record_cycle = None
+    if trace is not None:
+        def record_cycle(cycle, snapshot):
+            trace.append(Event("cycle", cycle, allocation=snapshot))
+
+    current = alloc
+    for chore in pool_order:
+        current, graph = eliminate_top_trading_cycles(
+            current, instance, record_cycle)
+        sink = graph.sinks()[0]
+        current = Allocation(
+            tuple(b | {chore} if i == sink else b
+                  for i, b in enumerate(current.bundles)),
+            current.pool - {chore})
+        if trace is not None:
+            trace.append(Event("place", (sink,), chore, allocation=current))
+    return current
+
+
+def _random_oracle(rng, shape, m):
+    def row():  # small values, zeros and halves: many equal bundle costs
+        return [Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(m)]
+
+    if shape == "additive":
+        return AdditiveOracle(row())
+    if shape == "capped":
+        costs = row()
+        return CappedAdditiveOracle(costs, sum(costs) * Fraction(rng.randint(1, 9), 10))
+    if shape == "max":
+        return MaxOfAdditiveOracle([row() for _ in range(rng.randint(2, 3))])
+    if shape == "table":
+        return TabulatedOracle(m, {s: rng.randint(0, 4 * len(s))
+                                   for r in range(m + 1)
+                                   for s in combinations(range(m), r)})
+    return PerturbedOracle(_random_oracle(rng, rng.choice(("additive", "max")), m),
+                           Fraction(1, 2 ** (m + 3)))
+
+
+def _two_swaps():
+    """Agents 0, 1 and agents 2, 3 each hold the other's favourite bundle:
+    one elimination rotates two disjoint cycles.  Every shape but the table."""
+    def costs(own, favourite):
+        row = [5] * 6
+        row[own], row[favourite] = 10, 1
+        return row
+
+    inst = Instance(6, 4, (
+        AdditiveOracle(costs(0, 1)),
+        CappedAdditiveOracle(costs(1, 0), 14),
+        PerturbedOracle(MaxOfAdditiveOracle([costs(2, 3), [1] * 6]), Fraction(1, 256)),
+        MaxOfAdditiveOracle([costs(3, 2), [2] * 6]),
+    ))
+    return inst, Allocation.from_bundles([{0}, {1}, {2}, {3}], 6)
+
+
+def test_ttece_matches_reference_loop():
+    # every oracle shape, mixed within an instance; each agent starts with
+    # a chore, and pool chores are placed in a random order, with and
+    # without a trace
+    rng = random.Random(8)
+    shapes = ("additive", "capped", "max", "table", "perturbed")
+    cases = [_two_swaps() + ([5, 4],)]
+    for trial in range(300):
+        n = rng.randint(2, 5)
+        m = rng.randint(n + 1, 8)
+        inst = Instance(m, n, tuple(_random_oracle(rng, shapes[(trial + i) % 5], m)
+                                    for i in range(n)))
+        chores = rng.sample(range(m), m)
+        owner = {c: j for j, c in enumerate(chores[:n])}
+        owner.update((c, rng.randrange(n) if rng.random() < 0.3 else n)
+                     for c in chores[n:])  # n: the pool
+        alloc = Allocation.from_bundles(
+            [{c for c in range(m) if owner[c] == j} for j in range(n)], m)
+        cases.append((inst, alloc, rng.sample(sorted(alloc.pool), len(alloc.pool))))
+    cycles = multi = 0
+    for inst, alloc, pool_order in cases:
+        expected: list = []
+        result = _reference_ttece(alloc, inst, pool_order, expected)
+        trace: list = []
+        assert _ttece(alloc, inst, pool_order, trace) == result
+        assert trace == expected
+        assert _ttece(alloc, inst, pool_order) == result
+        kinds = [event.kind for event in trace]
+        cycles += kinds.count("cycle")
+        multi += sum(a == b == "cycle" for a, b in zip(kinds, kinds[1:]))
+    assert cycles > 100 and multi >= 1

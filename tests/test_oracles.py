@@ -94,6 +94,10 @@ def test_oracle_identity():
     one_row = MaxOfAdditiveOracle([costs])
     assert AdditiveOracle(costs) == one_row == RowOracle([costs])
     assert hash(AdditiveOracle(costs)) == hash(one_row)
+    # rows are sorted and de-duplicated
+    assert MaxOfAdditiveOracle([costs, [3, 1]]) == MaxOfAdditiveOracle([[3, 1], costs])
+    assert MaxOfAdditiveOracle([costs, costs]) == one_row
+    assert MaxOfAdditiveOracle([costs, costs]).kind == "additive"
     assert CappedAdditiveOracle(costs, 3) == RowOracle([costs], 3)
     # different values or a cap: unequal
     assert AdditiveOracle(costs) != CappedAdditiveOracle(costs, 10)
@@ -347,6 +351,34 @@ def test_kernel_matches_reference_every_subset(m):
     rng = random.Random(f"kernel:{m}")
     for spec in _specs(rng, m, with_table=True):
         _assert_kernel_matches(spec, all_subsets(m))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_removal_units_match_reference_every_subset(m):
+    # a fresh oracle's first pass builds each bundle's state, the second
+    # reads it back; chores come in either order
+    rng = random.Random(f"removals:{m}")
+    for spec in _specs(rng, m, with_table=True):
+        oracle = _build(spec)
+        for _ in range(2):
+            for s in all_subsets(m):
+                chores = sorted(s)
+                expected = [_reference(spec, s - {c}) * oracle.den for c in chores]
+                assert oracle.removal_units(s, chores) == expected, (spec[0], chores)
+                assert oracle.removal_units(s, chores[::-1]) == expected[::-1]
+                assert expected == [oracle.units(s - {c}) for c in chores]
+
+
+def test_singleton_units_match_units():
+    rng = random.Random("singletons")
+    for m in (1, 5, 8):
+        for spec in _specs(rng, m, with_table=True):
+            oracle = _build(spec)
+            table = oracle.singleton_units()
+            assert table == tuple(_reference(spec, {c}) * oracle.den
+                                  for c in range(m))
+            assert table == tuple(oracle.units((c,)) for c in range(m))
+            assert oracle.singleton_units() is table
 
 
 def test_kernel_matches_reference_large_m():

@@ -151,15 +151,19 @@ def test_three_group_no_third_agent():
 
 
 def test_three_group_shares_a_cost_function_across_constructors():
-    # one row built two ways is one cost function, so one group
+    # one row built two ways is one cost function, so one group; so are
+    # the same rows given in another order
     m = 8
     costs = [3, 1, 4, 1, 5, 9, 2, 6]
+    other = [2, 7, 1, 8, 2, 8, 1, 8]
     c2 = ratio2_oracle(m, 3)
-    inst = Instance(m, 4, (AdditiveOracle(costs), MaxOfAdditiveOracle([costs]),
-                           c2, c2))
     groups = GroupSpec(frozenset({0, 1}), frozenset({2, 3}), frozenset())
-    out = tefx_three_group(inst, groups)
-    assert check_tefx(out, inst).verdict
+    for first, second in (
+            (AdditiveOracle(costs), MaxOfAdditiveOracle([costs])),
+            (MaxOfAdditiveOracle([costs, other]), MaxOfAdditiveOracle([other, costs]))):
+        inst = Instance(m, 4, (first, second, c2, c2))
+        out = tefx_three_group(inst, groups)
+        assert check_tefx(out, inst).verdict
 
 
 def test_three_group_bigger_groups():
