@@ -1,13 +1,20 @@
 """Scaling ladder of `three_agent_2efx` (standard library only).
 
-Runs `three_agent_2efx` on `generate_instance(family, 3, m, seed)` for each
-cost family and each m, once per checkout, and writes one JSON file.  Each
-point holds the best wall time of a few runs, each on a freshly generated
-instance (empty oracle caches, generation not timed), and `miss_chores`:
-the chores summed over all cost-oracle cache misses (`_raw_cost` calls) of
-one more run, counted by wrapping `_raw_cost` from outside the library.
-The count repeats exactly, so it compares two checkouts where noisy wall
-times cannot.
+Runs `three_agent_2efx` on `generate_instance(family, 3, m, 1)` for each
+cost family and each m in SIZES, once per checkout, and writes one JSON
+file.  Each point holds the best of three wall times, each on a freshly
+generated instance (empty oracle caches, generation not timed), and
+`chores_summed` of one more run: the chore terms the `RowOracle` cost
+kernels summed, counted by wrapping them from outside the library.
+
+- `_raw_cost`, one cost-cache miss: |S| terms;
+- `add`, which also builds each `bundle_state`: |chores| terms;
+- `removal_units` on a bundle it has not cached: |S| terms;
+- `singleton_units` when it builds the table: m terms.
+
+A checkout without these methods counts `_raw_cost` only.  The
+count repeats exactly, so it compares two checkouts where noisy wall times
+cannot.
 
     python3 scripts/ladder.py --side parent=../parent --side change=. \\
         --out BENCH_8.json
@@ -24,56 +31,61 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 FAMILIES = ("additive", "capped_additive", "max_of_additive")
 SIZES = (250, 500, 1000, 2000, 4000)
+RUNS = 3
+SEED = 1
+
+# chore terms each wrapped RowOracle method sums, from its arguments
+TERMS = {
+    "_raw_cost": lambda oracle, chores: len(chores),
+    "add": lambda oracle, state, chores: len(chores),
+    "removal_units": lambda oracle, bundle, chores:
+        0 if bundle in oracle._removals else len(bundle),
+    "singleton_units": lambda oracle: oracle.m if oracle._singles is None else 0,
+}
 
 
-def measure(src: str, sizes: list[int], runs: int, seed: int) -> list[dict]:
+def measure(src: str) -> list[dict]:
     """The ladder for the library under `src`, in this process."""
-    from time import perf_counter
-
     sys.path.insert(0, src)
     from chorefair import generate_instance, three_agent_2efx
-    from chorefair.oracles import CostOracle
+    from chorefair.oracles import RowOracle
 
-    misses = [0]
+    summed = [0]
 
-    def counted(raw):
-        def raw_cost(oracle, chores):
-            misses[0] += len(chores)
-            return raw(oracle, chores)
-        return raw_cost
+    def counted(method, terms):
+        def wrapper(oracle, *args):
+            summed[0] += terms(oracle, *args)
+            return method(oracle, *args)
+        return wrapper
 
-    def subclasses(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from subclasses(sub)
-
+    originals = {name: RowOracle.__dict__[name] for name in TERMS
+                 if name in RowOracle.__dict__}
     points = []
-    for m in sizes:
+    for m in SIZES:
         for family in FAMILIES:
             best = float("inf")
-            for _ in range(runs):
-                instance = generate_instance(family, 3, m, seed)
+            for _ in range(RUNS):
+                instance = generate_instance(family, 3, m, SEED)
                 start = perf_counter()
                 three_agent_2efx(instance)
                 best = min(best, perf_counter() - start)
-            originals = {cls: cls.__dict__["_raw_cost"]
-                         for cls in subclasses(CostOracle)
-                         if "_raw_cost" in cls.__dict__}
-            for cls, raw in originals.items():
-                cls._raw_cost = counted(raw)
-            misses[0] = 0
+            instance = generate_instance(family, 3, m, SEED)
+            for name, method in originals.items():
+                setattr(RowOracle, name, counted(method, TERMS[name]))
+            summed[0] = 0
             try:
-                three_agent_2efx(generate_instance(family, 3, m, seed))
+                three_agent_2efx(instance)
             finally:
-                for cls, raw in originals.items():
-                    cls._raw_cost = raw
+                for name, method in originals.items():
+                    setattr(RowOracle, name, method)
             points.append({"family": family, "m": m, "best_s": round(best, 6),
-                           "miss_chores": misses[0]})
+                           "chores_summed": summed[0]})
             print(f"{family:16} m={m:5}  best {best:9.4f} s  "
-                  f"miss_chores {misses[0]}", file=sys.stderr)
+                  f"chores_summed {summed[0]}", file=sys.stderr)
     return points
 
 
@@ -81,16 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", required=True,
                         metavar="NAME=CHECKOUT", help="a checkout to measure")
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
-    parser.add_argument("--runs", type=int, default=3,
-                        help="timed runs per point; the best is kept")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--measure", help=argparse.SUPPRESS)  # child mode: src
     args = parser.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure(args.measure, args.sizes, args.runs, args.seed)))
-        return 0
     sides = {}
     for side in args.side:
         name, _, checkout = side.partition("=")
@@ -98,24 +102,25 @@ def main(argv: list[str] | None = None) -> int:
         if not (src / "chorefair" / "__init__.py").is_file():
             sys.exit(f"error: {src / 'chorefair'} not found")
         print(f"{name}: {src}", file=sys.stderr)
-        proc = subprocess.run(
-            [sys.executable, __file__, "--side", side, "--out", str(args.out),
-             "--runs", str(args.runs), "--seed", str(args.seed),
-             "--sizes", *map(str, args.sizes), "--measure", str(src)],
-            stdout=subprocess.PIPE, text=True, check=True)
+        proc = subprocess.run([sys.executable, __file__, "--measure", str(src)],
+                              stdout=subprocess.PIPE, text=True, check=True)
         sides[name] = json.loads(proc.stdout)
     args.out.write_text(json.dumps({
         "about": "three_agent_2efx on generate_instance(family, 3, m, seed): "
-                 f"best of {args.runs} wall times (s) on fresh instances, and "
-                 "miss_chores (chores summed over oracle cache misses) of one "
+                 f"best of {RUNS} wall times (s) on fresh instances, and "
+                 "chores_summed (chore terms summed by RowOracle's _raw_cost, "
+                 "add, uncached removal_units and singleton table) of one "
                  "more run",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "seed": args.seed,
+        "seed": SEED,
         "sides": sides,
     }, indent=1) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if sys.argv[1:2] == ["--measure"]:  # child mode: one checkout's src/
+        print(json.dumps(measure(sys.argv[2])))
+    else:
+        sys.exit(main())

@@ -130,9 +130,7 @@ def _check_shapes(alloc: Allocation, instance: Instance) -> None:
 def max_removal_cost(oracle: CostOracle, chores: Iterable[int]) -> Fraction:
     """max over c in S of C(S \\ c); 0 for the empty set."""
     bundle = frozenset(chores)
-    if not bundle:
-        return Fraction(0)
-    return Fraction(max(oracle.removal_units(bundle, bundle)), oracle.den)
+    return Fraction(max(oracle.removal_units(bundle, bundle), default=0), oracle.den)
 
 
 CRITERIA = ("efx", "alpha_efx", "tefx")

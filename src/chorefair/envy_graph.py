@@ -36,8 +36,7 @@ class TopTradingGraph:
 
     @classmethod
     def from_costs(cls, costs: Sequence[Sequence[int]]) -> "TopTradingGraph":
-        """The graph of costs[i][j] = C_i(X_j) in agent i's units, by the
-        rule of ``build_top_trading_graph``."""
+        """The graph of costs[i][j] = C_i(X_j) by build_top_trading_graph's rule."""
         succ = []
         for i, row in enumerate(costs):
             best = min(row)
@@ -137,21 +136,17 @@ def _ttece(
     """Top trading envy cycle elimination: per pool chore, eliminate cycles,
     then hand the chore to the lowest-index sink.  No guarantee checks here.
 
-    Agent i's oracle state and units for bundle j, ``states[i][j]`` and
-    ``costs[i][j]``, form a per-solve matrix: a placement updates a column,
-    and the cycles that ``eliminate_top_trading_cycles`` reports, called
-    only when the matrix's graph has one, permute the columns.
+    ``states[i][j]``, ``costs[i][j]``: agent i's oracle state and units of
+    bundle j; the cycles ``eliminate_top_trading_cycles`` reports permute them.
     """
-    oracles = instance.oracles
     bundles = [list(b) for b in alloc.bundles]  # frozen only when needed
-    pool = set(alloc.pool)
 
-    def frozen() -> Allocation:
-        return Allocation(tuple(map(frozenset, bundles)), frozenset(pool))
+    def frozen() -> Allocation:  # the pool is every chore no bundle holds yet
+        return Allocation(tuple(map(frozenset, bundles)),
+                          alloc.pool.difference(*bundles))
 
-    matrix = [[oracle.bundle_state(b) for b in alloc.bundles] for oracle in oracles]
-    states = [[state for state, _ in row] for row in matrix]
-    costs = [[units for _, units in row] for row in matrix]
+    states = [[o.bundle_state(b) for b in alloc.bundles] for o in instance.oracles]
+    costs = [list(map(o.units, alloc.bundles)) for o in instance.oracles]
     cycles: list[tuple[int, ...]] = []
 
     def on_cycle(cycle: tuple[int, ...], snapshot: Allocation) -> None:
@@ -172,11 +167,9 @@ def _ttece(
                     for j, value in zip(cycle, [row[k] for k in source]):
                         row[j] = value
         sink = graph.sinks()[0]
-        added = (chore,)
-        for oracle, row, units in zip(oracles, states, costs):
-            row[sink], units[sink] = oracle.add(row[sink], added)
+        for oracle, row, units in zip(instance.oracles, states, costs):
+            row[sink], units[sink] = oracle.add(row[sink], (chore,))
         bundles[sink].append(chore)
-        pool.discard(chore)
         if trace is not None:
             trace.append(Event("place", (sink,), chore, allocation=frozen()))
     return frozen()

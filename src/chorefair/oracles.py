@@ -15,7 +15,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import EnumerationLimitError, PreconditionError
 
@@ -69,12 +69,14 @@ class CostOracle:
             return 0
         cached = self._cache.get(key)
         if cached is None:
-            for c in key:
-                if not (0 <= c < self.m):
-                    raise IndexError(f"chore {c} out of range for m={self.m}")
-            cached = self._raw_cost(key)
-            self._cache[key] = cached
+            cached = self._cache[key] = self._raw_cost(self._checked(key))
         return cached
+
+    def _checked(self, chores: frozenset[int]) -> frozenset[int]:
+        for c in chores:
+            if not (0 <= c < self.m):
+                raise IndexError(f"chore {c} out of range for m={self.m}")
+        return chores
 
     def cost(self, chores: Iterable[int]) -> Fraction:
         return Fraction(self.units(chores), self.den)
@@ -85,27 +87,22 @@ class CostOracle:
     def singleton_units(self) -> tuple[int, ...]:
         """units({c}) for every chore c, built once per oracle."""
         if self._singles is None:
-            self._singles = self._singleton_table()
+            self._singles = tuple(self.units((c,)) for c in range(self.m))
         return self._singles
-
-    def _singleton_table(self) -> tuple[int, ...]:
-        return tuple(self.units((c,)) for c in range(self.m))
 
     def singleton_costs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(u, self.den) for u in self.singleton_units())
 
-    def bundle_state(self, chores: frozenset[int]) -> tuple[object, int]:
-        """(state, units) of a bundle, which ``add`` grows; the generic
-        state is the bundle itself."""
-        return chores, self.units(chores)
+    def bundle_state(self, chores: frozenset[int]) -> object:
+        """A bundle's state, which ``add`` grows; here the bundle itself."""
+        return chores
 
-    def add(self, state, chores: Iterable[int]) -> tuple[object, int]:
-        """(state, units) of the bundle in ``state`` plus ``chores``, which
-        are not in it."""
+    def add(self, state, chores: Collection[int]) -> tuple[object, int]:
+        """(state, units) of the bundle in ``state`` plus new ``chores``."""
         state = state.union(chores)
         return state, self.units(state)
 
-    def removal_units(self, bundle: frozenset[int], chores: Iterable[int]
+    def removal_units(self, bundle: frozenset[int], chores: Collection[int]
                       ) -> list[int]:
         """units(bundle - {c}) for each c in chores, a subset of bundle."""
         return [self.units(bundle - {c}) for c in chores]
@@ -164,40 +161,34 @@ class RowOracle(CostOracle):
     def _raw_cost(self, chores: frozenset[int]) -> int:
         if self.kind == "additive":
             return sum(map(self._rows[0].__getitem__, chores))
-        if self.kind == "capped_additive":
-            return min(sum(map(self._rows[0].__getitem__, chores)), self._cap)
-        return max(sum(map(row.__getitem__, chores)) for row in self._rows)
+        return self._total([sum(map(row.__getitem__, chores)) for row in self._rows])
 
-    def _singleton_table(self) -> tuple[int, ...]:
-        return tuple(map(self._total, zip(*self._rows)))
+    def singleton_units(self) -> tuple[int, ...]:
+        if self._singles is None:  # from the rows, not through the cache
+            self._singles = tuple(map(self._total, zip(*self._rows)))
+        return self._singles
 
     def _total(self, sums: Iterable[int]) -> int:
         total = max(sums)
         return total if self._cap is None or total < self._cap else self._cap
 
-    def bundle_state(self, chores: frozenset[int]) -> tuple[list[int], int]:
-        # the state is the row sums, uncapped so that a chore can be taken out
-        for c in chores:
-            if not (0 <= c < self.m):
-                raise IndexError(f"chore {c} out of range for m={self.m}")
-        return self.add([0] * len(self._rows), chores)
+    def bundle_state(self, chores: frozenset[int]) -> list[int]:
+        # the row sums, uncapped so that a chore can be taken out
+        return self.add([0] * len(self._rows), self._checked(chores))[0]
 
-    def add(self, sums: list[int], chores: Iterable[int]) -> tuple[list[int], int]:
+    def add(self, sums: list[int], chores: Collection[int]) -> tuple[list[int], int]:
         sums = [s + sum(map(row.__getitem__, chores))
                 for s, row in zip(sums, self._rows)]
         return sums, self._total(sums)
 
-    def removal_units(self, bundle: frozenset[int], chores: Iterable[int]
+    def removal_units(self, bundle: frozenset[int], chores: Collection[int]
                       ) -> list[int]:
-        # from the bundle's state, and cached per bundle like units
+        # from the bundle's row sums, and cached per bundle like units
         removals = self._removals.get(bundle)
         if removals is None:
-            sums, total = self.bundle_state(bundle)
-            lows = [[s - row[c] for c in bundle] for s, row in zip(sums, self._rows)]
-            units = map(max, *lows) if len(lows) > 1 else lows[0]
-            if max(sums) > total:  # the cap binds, so it caps every removal
-                units = [min(u, total) for u in units]
-            removals = self._removals[bundle] = dict(zip(bundle, units))
+            sums = self.bundle_state(bundle)
+            lows = zip(*([s - row[c] for c in bundle] for s, row in zip(sums, self._rows)))
+            removals = self._removals[bundle] = dict(zip(bundle, map(self._total, lows)))
         return [removals[c] for c in chores]
 
     def _key(self) -> tuple:

@@ -53,8 +53,7 @@ def round_robin_allocate(
     # each agent's chores by (cost, index): its pick is the first one still
     # remaining, and a chore once taken stays taken, so one pass suffices
     singles = [oracle.singleton_units() for oracle in instance.oracles]
-    prefs = [iter(sorted(range(instance.m), key=table.__getitem__))
-             for table in singles]
+    prefs = [iter(sorted(range(instance.m), key=s.__getitem__)) for s in singles]
     remaining = set(range(instance.m))
     bundles: list[set[int]] = [set() for _ in range(instance.n)]
     picks: list[Event] = []
