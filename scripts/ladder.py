@@ -1,15 +1,25 @@
-"""Scaling ladder of `three_agent_2efx` (standard library only).
+"""Scaling ladders of `three_agent_2efx` and `check_tefx` (standard
+library only).
 
-Runs `three_agent_2efx` on `generate_instance(family, 3, m, 1)` for each
-cost family and each m in SIZES, once per checkout, and writes one JSON
-file.  Each point holds the best of three wall times, each on a freshly
-generated instance (empty oracle caches, generation not timed), and
-`chores_summed` of one more run: the chore terms the `RowOracle` cost
-kernels summed, counted by wrapping them from outside the library.
+Two rungs, each run once per checkout for each cost family, written to
+one JSON file:
+
+- `three_agent_2efx` on `generate_instance(family, 3, m, 1)` for each m in
+  SIZES;
+- `check_tefx` on the `round_robin_allocate` output for
+  `generate_instance(family, 50, m, 1)` for each m in TEFX_SIZES.
+
+Each point holds the best of three wall times, each on a freshly
+generated instance (empty oracle caches; generation and, for
+`check_tefx`, the allocation not timed), and `chores_summed` of one more
+run: the chore terms the `RowOracle` cost kernels summed, counted by
+wrapping them from outside the library.
 
 - `_raw_cost`, one cost-cache miss: |S| terms;
 - `add`, which also builds each `bundle_state`: |chores| terms;
-- `removal_units` on a bundle it has not cached: |S| terms;
+- `removal_units` on a bundle it has not cached: |S| terms (an additive
+  oracle caches none and takes |chores| = |S| differences each call);
+- `addition_units`: |chores| terms;
 - `singleton_units` when it builds the table: m terms.
 
 A checkout without these methods counts `_raw_cost` only.  The
@@ -17,7 +27,7 @@ count repeats exactly, so it compares two checkouts where noisy wall times
 cannot.
 
     python3 scripts/ladder.py --side parent=../parent --side change=. \\
-        --out BENCH_8.json
+        --out BENCH_9.json
 
 Each checkout is measured in its own process, importing `chorefair` from
 that checkout's `src/`.
@@ -35,6 +45,8 @@ from time import perf_counter
 
 FAMILIES = ("additive", "capped_additive", "max_of_additive")
 SIZES = (250, 500, 1000, 2000, 4000)
+TEFX_SIZES = (250, 500, 1000)
+TEFX_AGENTS = 50
 RUNS = 3
 SEED = 1
 
@@ -44,6 +56,7 @@ TERMS = {
     "add": lambda oracle, state, chores: len(chores),
     "removal_units": lambda oracle, bundle, chores:
         0 if bundle in oracle._removals else len(bundle),
+    "addition_units": lambda oracle, bundle, chores: len(chores),
     "singleton_units": lambda oracle: oracle.m if oracle._singles is None else 0,
 }
 
@@ -51,7 +64,8 @@ TERMS = {
 def measure(src: str) -> list[dict]:
     """The ladder for the library under `src`, in this process."""
     sys.path.insert(0, src)
-    from chorefair import generate_instance, three_agent_2efx
+    from chorefair import (check_tefx, generate_instance, round_robin_allocate,
+                           three_agent_2efx)
     from chorefair.oracles import RowOracle
 
     summed = [0]
@@ -64,28 +78,41 @@ def measure(src: str) -> list[dict]:
 
     originals = {name: RowOracle.__dict__[name] for name in TERMS
                  if name in RowOracle.__dict__}
+
+    def three_agent(family, m):
+        instance = generate_instance(family, 3, m, SEED)
+        return lambda: three_agent_2efx(instance)
+
+    def tefx(family, m):
+        instance = generate_instance(family, TEFX_AGENTS, m, SEED)
+        alloc = round_robin_allocate(instance)[0]
+        return lambda: check_tefx(alloc, instance)
+
     points = []
-    for m in SIZES:
-        for family in FAMILIES:
-            best = float("inf")
-            for _ in range(RUNS):
-                instance = generate_instance(family, 3, m, SEED)
-                start = perf_counter()
-                three_agent_2efx(instance)
-                best = min(best, perf_counter() - start)
-            instance = generate_instance(family, 3, m, SEED)
-            for name, method in originals.items():
-                setattr(RowOracle, name, counted(method, TERMS[name]))
-            summed[0] = 0
-            try:
-                three_agent_2efx(instance)
-            finally:
+    for rung, make, sizes in (("three_agent_2efx", three_agent, SIZES),
+                              ("check_tefx", tefx, TEFX_SIZES)):
+        for m in sizes:
+            for family in FAMILIES:
+                best = float("inf")
+                for _ in range(RUNS):
+                    run = make(family, m)
+                    start = perf_counter()
+                    run()
+                    best = min(best, perf_counter() - start)
+                run = make(family, m)
                 for name, method in originals.items():
-                    setattr(RowOracle, name, method)
-            points.append({"family": family, "m": m, "best_s": round(best, 6),
-                           "chores_summed": summed[0]})
-            print(f"{family:16} m={m:5}  best {best:9.4f} s  "
-                  f"chores_summed {summed[0]}", file=sys.stderr)
+                    setattr(RowOracle, name, counted(method, TERMS[name]))
+                summed[0] = 0
+                try:
+                    run()
+                finally:
+                    for name, method in originals.items():
+                        setattr(RowOracle, name, method)
+                points.append({"rung": rung, "family": family, "m": m,
+                               "best_s": round(best, 6),
+                               "chores_summed": summed[0]})
+                print(f"{rung:16} {family:16} m={m:5}  best {best:9.4f} s  "
+                      f"chores_summed {summed[0]}", file=sys.stderr)
     return points
 
 
@@ -106,11 +133,14 @@ def main(argv: list[str] | None = None) -> int:
                               stdout=subprocess.PIPE, text=True, check=True)
         sides[name] = json.loads(proc.stdout)
     args.out.write_text(json.dumps({
-        "about": "three_agent_2efx on generate_instance(family, 3, m, seed): "
-                 f"best of {RUNS} wall times (s) on fresh instances, and "
+        "about": "rung three_agent_2efx: three_agent_2efx on "
+                 "generate_instance(family, 3, m, seed); rung check_tefx: "
+                 "check_tefx on the round_robin_allocate output for "
+                 f"generate_instance(family, {TEFX_AGENTS}, m, seed). "
+                 f"Best of {RUNS} wall times (s) on fresh instances, and "
                  "chores_summed (chore terms summed by RowOracle's _raw_cost, "
-                 "add, uncached removal_units and singleton table) of one "
-                 "more run",
+                 "add, uncached removal_units, addition_units and singleton "
+                 "table) of one more run",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "seed": SEED,

@@ -2,7 +2,8 @@
 instance generation, and the counterexample walkthrough.
 
 Rationals travel through files as "p/q" / integer strings, never floats.
-Exit codes: 0 verified, 1 guarantee-or-verdict failure, 2 invalid input.
+Exit codes: 0 verified (or no guarantee claimed), 1 guarantee-or-verdict
+failure, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .oracles import (
     generate_instance,
     validate_oracle,
 )
-from .round_robin import round_robin_allocate
+from .round_robin import claimed_guarantee, round_robin_allocate
 from .tefx import GroupSpec, tefx_three_group
 from .three_agent import three_agent_2efx
 from .verify import counterexample_instance, exhaustive_search, rival_counterexample_run
@@ -224,7 +225,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.order:
             order = [int(part) - 1 for part in args.order.split(",")]
         alloc, picks = round_robin_allocate(instance, order)
-        criterion, alpha = "tefx", None
+        criterion, alpha = claimed_guarantee(instance) or (None, None)
         if trace is not None:
             trace.extend(picks.picks)
     elif args.algorithm == "tefx-two-group":
@@ -254,12 +255,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not alloc.is_full:
         raise VerificationError(f"{args.algorithm} left chores unallocated")
 
-    report = check_criterion(alloc, instance, criterion, alpha)
+    # out of every guarantee's scope, nothing is claimed and nothing checked
+    report = (None if criterion is None
+              else check_criterion(alloc, instance, criterion, alpha))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": args.algorithm,
         **allocation_to_json(alloc),
-        **report_to_json(report),
+        **(report_to_json(report) if report is not None else
+           {"criterion": None, "alpha": None, "verdict": None, "witnesses": []}),
         "timings": {"seconds": round(time.perf_counter() - started, 6)},
     }
     if trace is not None:
@@ -269,7 +273,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         print()
-    return 0 if report.verdict else 1
+    return 0 if report is None or report.verdict else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

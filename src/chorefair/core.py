@@ -162,28 +162,27 @@ def _violations(
         return
     chores = sorted(mine)
     units, den = oracle.units, oracle.den
-    # each removal cost is looked up once per agent, as an int over den
+    # both criteria compare the removal costs C(X_i - c), as ints over den
+    removals = oracle.removal_units(mine, chores)
+    worst = max(removals)
     if criterion == "tefx":
-        # filled on first use, so a caller that stops at the first witness
-        # evaluates no more subsets than it needs
-        removals: dict[int, int] = {}
+        # C(X_i - c) > C(X_j + c) needs C(X_i - c) > C(X_j) when adding a
+        # chore cannot lower a cost, so such an oracle skips every j whose
+        # cost covers the worst removal
         for j, other in enumerate(bundles):
-            if j != agent:
-                for c in chores:
-                    lhs = removals.get(c)
-                    if lhs is None:
-                        lhs = removals[c] = units(mine - {c})
-                    rhs = units(other | {c})
-                    if lhs > rhs:
-                        yield Witness(agent, j, c, Fraction(lhs, den),
-                                      Fraction(rhs, den))
+            if j == agent or oracle.monotone and worst <= units(other):
+                continue
+            additions = oracle.addition_units(other, chores)
+            for c, lhs, rhs in zip(chores, removals, additions):
+                if lhs > rhs:
+                    yield Witness(agent, j, c, Fraction(lhs, den),
+                                  Fraction(rhs, den))
         return
     # alpha-EFX, alpha = p/q: C(X_i - c) > alpha * C(X_j) iff
     # q * units(X_i - c) > p * units(X_j).  A j is walked chore by chore
     # only when the worst removal exceeds it.
-    removals = oracle.removal_units(mine, chores)
     p, q = alpha.numerator, alpha.denominator
-    worst = q * max(removals)
+    worst *= q
     for j, other in enumerate(bundles):
         if j == agent:
             continue

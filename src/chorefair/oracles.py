@@ -58,6 +58,8 @@ class CostOracle:
 
     m: int
     den: int
+    # C(S | {c}) >= C(S) by construction; a table is validated only on demand
+    monotone = False
 
     def __init__(self) -> None:
         self._cache: dict[frozenset[int], int] = {}
@@ -107,6 +109,11 @@ class CostOracle:
         """units(bundle - {c}) for each c in chores, a subset of bundle."""
         return [self.units(bundle - {c}) for c in chores]
 
+    def addition_units(self, bundle: frozenset[int], chores: Collection[int]
+                       ) -> list[int]:
+        """units(bundle | {c}) for each c in chores, none of them in bundle."""
+        return [self.units(bundle | {c}) for c in chores]
+
     def _raw_cost(self, chores: frozenset[int]) -> int:
         raise NotImplementedError
 
@@ -128,6 +135,8 @@ class RowOracle(CostOracle):
     """C(S) = max over rows of the row sum over S, then min(., cap) when a
     cap is given; a cap needs exactly one row.  Additive, budget-additive
     and max-of-additive costs: monotone and subadditive by construction."""
+
+    monotone = True
 
     def __init__(self, rows: Iterable[Iterable], cap=None) -> None:
         super().__init__()
@@ -183,6 +192,9 @@ class RowOracle(CostOracle):
 
     def removal_units(self, bundle: frozenset[int], chores: Collection[int]
                       ) -> list[int]:
+        if self.kind == "additive":
+            total, row = self.units(bundle), self._rows[0]
+            return [total - row[c] for c in chores]
         # from the bundle's row sums, and cached per bundle like units
         removals = self._removals.get(bundle)
         if removals is None:
@@ -190,6 +202,17 @@ class RowOracle(CostOracle):
             lows = zip(*([s - row[c] for c in bundle] for s, row in zip(sums, self._rows)))
             removals = self._removals[bundle] = dict(zip(bundle, map(self._total, lows)))
         return [removals[c] for c in chores]
+
+    def addition_units(self, bundle: frozenset[int], chores: Collection[int]
+                       ) -> list[int]:
+        if chores and min(chores) < 0:  # a row index would wrap around
+            raise IndexError(f"chore {min(chores)} out of range for m={self.m}")
+        if self.kind == "additive":
+            total, row = self.units(bundle), self._rows[0]
+            return [total + row[c] for c in chores]
+        sums = self.bundle_state(bundle)
+        return [self._total([s + row[c] for s, row in zip(sums, self._rows)])
+                for c in chores]
 
     def _key(self) -> tuple:
         return (self.rows, self.cap)
@@ -249,6 +272,7 @@ class PerturbedOracle(CostOracle):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         self.m = base.m
+        self.monotone = base.monotone  # the bump only grows with S
         self.den = math.lcm(base.den, self.epsilon.denominator)
         self._base_scale = self.den // base.den
         (self._eps,) = _scaled((self.epsilon,), self.den)

@@ -14,6 +14,7 @@ from typing import NamedTuple, Sequence
 
 from .core import Allocation, Event, Instance
 from .errors import PreconditionError, VerificationError
+from .oracles import RowOracle, ratio_bound
 
 
 class RoundRobinTrace(NamedTuple):
@@ -34,6 +35,23 @@ def guarantee_ratio(alpha: Fraction, rounds: int) -> Fraction:
 def in_guarantee_scope(instance: Instance) -> bool:
     """Whether the approximation guarantees apply (>= 3 rounds)."""
     return round_count(instance) >= 3
+
+
+def claimed_guarantee(instance: Instance) -> tuple[str, Fraction | None] | None:
+    """The (criterion, alpha) proved for round-robin on this instance, or
+    None when no guarantee applies: tEFX when every cost is additive with
+    ratio at most 2, else alpha-EFX at guarantee_ratio(largest ratio,
+    rounds) when every cost is additive with positive singletons and there
+    are at least three rounds."""
+    if not all(isinstance(o, RowOracle) and o.kind == "additive"
+               and min(o.singleton_units()) > 0 for o in instance.oracles):
+        return None
+    ratio = max(map(ratio_bound, instance.oracles))
+    if ratio <= 2:
+        return "tefx", None
+    if not in_guarantee_scope(instance):
+        return None
+    return "alpha_efx", guarantee_ratio(ratio, round_count(instance))
 
 
 def round_robin_allocate(

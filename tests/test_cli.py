@@ -118,6 +118,20 @@ def test_solve_round_robin_with_order_and_trace(tmp_path, capsys):
     assert payload["trace"][0].startswith("round 1: agent 2")
 
 
+def test_solve_round_robin_checks_only_the_claimed_guarantee(tmp_path, capsys):
+    # ratios 2.9, 12.1 and 10.3 over three rounds: no tEFX claim (this
+    # allocation has a tEFX witness), alpha-EFX at 1 + (12.1 - 1)/2 instead
+    seed12 = write_instance(tmp_path, generate_instance("additive", 3, 9, 12))
+    assert main(["solve", "--instance", seed12, "--algorithm", "round-robin"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["criterion"], payload["alpha"], payload["verdict"]) == (
+        "alpha_efx", "203/31", True)
+    capped = write_instance(tmp_path, generate_instance("capped_additive", 3, 9, 12))
+    assert main(["solve", "--instance", capped, "--algorithm", "round-robin"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["criterion"], payload["verdict"]) == (None, None)
+
+
 def two_group_oracles():
     c1 = MaxOfAdditiveOracle([[3, 11, 14, 11, 3, 17, 1, 14, 20],
                               [16, 8, 2, 4, 3, 5, 10, 14, 2]])

@@ -19,6 +19,7 @@ from chorefair import (
     is_alpha_efx,
     is_tefx,
     max_removal_cost,
+    round_robin_allocate,
 )
 from chorefair.core import eligible_bundles
 from chorefair.oracles import TabulatedOracle
@@ -84,6 +85,48 @@ def test_tefx_weaker_than_efx():
     alloc = Allocation.full([{0, 1}, {2, 4}, {3, 5}])
     if check_alpha_efx(alloc, inst).verdict:
         assert check_tefx(alloc, inst).verdict
+
+
+def test_tefx_witness_under_non_monotone_table():
+    # C0(X_0 - c) = 5 <= C0(X_1) = 5, yet adding either chore to X_1 drops
+    # agent 0's cost to 1: only a monotone cost may skip X_1 on the first
+    table = {frozenset(): 0, frozenset({0}): 5, frozenset({1}): 5,
+             frozenset({2}): 5, frozenset({0, 1}): 6, frozenset({0, 2}): 1,
+             frozenset({1, 2}): 1, frozenset({0, 1, 2}): 6}
+    inst = Instance(3, 2, (TabulatedOracle(3, table), AdditiveOracle([1, 1, 1])))
+    alloc = Allocation.full([{0, 1}, {2}])
+    assert [tuple(w) for w in check_tefx(alloc, inst).witnesses] == [
+        (0, 1, 0, 5, 1), (0, 1, 1, 5, 1)]
+    assert not is_tefx(alloc, inst)
+    assert not independent_tefx(alloc, inst)
+
+
+def _tefx_by_enumeration(alloc, inst):
+    """Every tEFX witness, through each oracle's cost of the two sets."""
+    return [(i, j, c, inst.cost(i, mine - {c}), inst.cost(i, other | {c}))
+            for i, mine in enumerate(alloc.bundles)
+            for j, other in enumerate(alloc.bundles) if j != i
+            for c in sorted(mine)
+            if inst.cost(i, mine - {c}) > inst.cost(i, other | {c})]
+
+
+def test_tefx_matches_independent_at_scale():
+    # round-robin outputs at n = 40, m = 200 (all tEFX here), then random
+    # allocations of the same instances, each with witnesses
+    rng = random.Random("tefx-scale")
+    for seed, family in enumerate(("additive_ratio", "additive",
+                                   "capped_additive", "max_of_additive")):
+        inst = generate_instance(family, 40, 200, seed)
+        bundles = [set() for _ in range(40)]
+        for chore in range(200):
+            bundles[rng.randrange(40)].add(chore)
+        reports = []
+        for alloc in (round_robin_allocate(inst)[0], Allocation.full(bundles)):
+            report = check_tefx(alloc, inst)
+            assert report.verdict == is_tefx(alloc, inst) == independent_tefx(alloc, inst)
+            assert list(report.witnesses) == _tefx_by_enumeration(alloc, inst)
+            reports.append(report.verdict)
+        assert reports == [True, False]
 
 
 def _sweep_allocations(rng, m):

@@ -369,6 +369,26 @@ def test_removal_units_match_reference_every_subset(m):
                 assert expected == [oracle.units(s - {c}) for c in chores]
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_addition_units_match_reference_every_subset(m):
+    # a fresh oracle's first pass values each bundle cold, the second from
+    # the cache; the added chores are every chore outside the bundle
+    rng = random.Random(f"additions:{m}")
+    for spec in _specs(rng, m, with_table=True):
+        oracle = _build(spec)
+        for _ in range(2):
+            for s in all_subsets(m):
+                chores = [c for c in range(m) if c not in s]
+                expected = [_reference(spec, s | {c}) * oracle.den for c in chores]
+                assert oracle.addition_units(s, chores) == expected, (spec[0], chores)
+                assert oracle.addition_units(s, chores[::-1]) == expected[::-1]
+                assert expected == [oracle.units(s | {c}) for c in chores]
+        for s in (frozenset(), frozenset(range(m - 1))):
+            for bad in (-1, -m, m, m + 1):
+                with pytest.raises(IndexError):
+                    oracle.addition_units(s, [bad])
+
+
 def test_singleton_units_match_units():
     rng = random.Random("singletons")
     for m in (1, 5, 8):

@@ -13,7 +13,7 @@ from chorefair import (
     guarantee_ratio,
     round_robin_allocate,
 )
-from chorefair.round_robin import in_guarantee_scope, round_count
+from chorefair.round_robin import claimed_guarantee, in_guarantee_scope, round_count
 
 
 def test_identical_two_agent_example():
@@ -140,3 +140,16 @@ def test_presorted_picks_match_reference():
             picks, bundles = _reference_round_robin(inst, agent_order or range(n))
             assert [(p.agents[0], p.chore, p.step) for p in trace.picks] == picks
             assert alloc.bundles == bundles
+
+
+def test_claimed_guarantee_follows_the_paper_scope():
+    # tEFX needs every additive ratio <= 2; past it, alpha-EFX at the
+    # largest ratio needs three rounds; other costs claim nothing
+    o = AdditiveOracle([2, 3, 3, 4])
+    assert claimed_guarantee(Instance(4, 2, (o, o))) == ("tefx", None)
+    seed12 = generate_instance("additive", 3, 9, 12)
+    assert claimed_guarantee(seed12) == ("alpha_efx", Fraction(203, 31))
+    assert claimed_guarantee(generate_instance("additive", 3, 6, 12)) is None
+    assert claimed_guarantee(Instance(3, 1, (AdditiveOracle([0, 1, 1]),))) is None
+    for family in ("capped_additive", "max_of_additive"):
+        assert claimed_guarantee(generate_instance(family, 3, 9, 12)) is None
