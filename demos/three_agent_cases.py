@@ -38,8 +38,7 @@ def main():
     print(f"  agent roles (who plays agent 1/2/3 in the case): "
           f"{tuple(r + 1 for r in context.roles)}")
 
-    outcome = solve_case(instance, case, context)
-    seeded = outcome.allocation
+    seeded = solve_case(instance, case, context)
     print(f"  seeded bundles: "
           f"{[sorted(c + 1 for c in b) for b in seeded.bundles]}")
     print(f"  unallocated pool: {sorted(c + 1 for c in seeded.pool)}")

@@ -21,7 +21,6 @@ from .core import (
 from .envy_graph import (
     TopTradingGraph,
     build_top_trading_graph,
-    compute_extension_witness,
     eliminate_top_trading_cycles,
     extend_partial,
 )

@@ -48,8 +48,15 @@ SCHEMA_VERSION = 1
 # (de)serialization
 # ---------------------------------------------------------------------------
 
+def _json_int(value: Any) -> int:
+    """A JSON integer; bool is a subclass of int in Python, so refuse it."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_rational(value: Any) -> Fraction:
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -121,7 +128,7 @@ def instance_to_json(instance: Instance) -> dict:
 def instance_from_json(data: dict) -> Instance:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported or missing schema_version")
-    m, n = int(data["m"]), int(data["n"])
+    m, n = _json_int(data["m"]), _json_int(data["n"])
     oracles = tuple(oracle_from_json(a, m) for a in data["agents"])
     return Instance(m, n, oracles)
 
@@ -132,8 +139,9 @@ def allocation_to_json(alloc: Allocation) -> dict:
 
 
 def allocation_from_json(data: dict, m: int) -> Allocation:
-    bundles = [frozenset(int(c) - 1 for c in b) for b in data["allocation"]]
-    pool = frozenset(int(c) - 1 for c in data.get("pool", ()))
+    bundles = [frozenset(_json_int(c) - 1 for c in b)
+               for b in data["allocation"]]
+    pool = frozenset(_json_int(c) - 1 for c in data.get("pool", ()))
     alloc = Allocation(tuple(bundles), pool)
     if alloc.chores() != frozenset(range(m)):
         raise ValueError(f"bundles and pool must hold exactly the chores 1..{m}")

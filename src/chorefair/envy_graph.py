@@ -21,6 +21,7 @@ from .core import (
     Event,
     Instance,
     check_alpha_efx,
+    check_partial_property2,
     eligible_bundles,
     is_alpha_efx,
 )
@@ -105,28 +106,6 @@ def eliminate_top_trading_cycles(
     raise VerificationError("cycle elimination failed to terminate in n rounds")
 
 
-def compute_extension_witness(
-    alloc: Allocation, instance: Instance
-) -> tuple[frozenset[int], ...]:
-    """Eligible agents per agent i: those j with C_i(b) <= C_i(X_j) for
-    every pool chore b.  Errors unless every agent has at least n-1 of them.
-    """
-    eligible = []
-    for i, oracle in enumerate(instance.oracles):
-        good = eligible_bundles(oracle, alloc)
-        if len(good) < instance.n - 1:
-            bad_j = min(set(range(instance.n)) - set(good))
-            bound = oracle.cost(alloc.bundles[bad_j])
-            chore = next(
-                b for b in sorted(alloc.pool) if oracle.singleton(b) > bound)
-            raise PreconditionError(
-                f"agent {i} has only {len(good)} eligible agents "
-                f"{good} (need >= {instance.n - 1}); pool chore "
-                f"{chore} exceeds C_{i}(X_{bad_j})")
-        eligible.append(frozenset(good))
-    return tuple(eligible)
-
-
 def _ttece(
     alloc: Allocation,
     instance: Instance,
@@ -185,14 +164,24 @@ def extend_partial(
     by repeated cycle elimination and sink placement, pool chores in
     ascending order.
 
-    The eligibility precondition (n-1 agents j per agent i with
-    C_i(b) <= C_i(X_j) for every pool chore b) is verified at entry, and the
-    output guarantee at exit.
+    The pool property (check_partial_property2: n-1 agents j per agent i
+    with C_i(b) <= C_i(X_j) for every pool chore b) and alpha-EFX are
+    verified at entry, and the output guarantee at exit.
     """
     alpha = Fraction(alpha)
+    props = check_partial_property2(alloc, instance)
+    if not all(props):
+        i = props.index(False)
+        oracle = instance.oracles[i]
+        good = eligible_bundles(oracle, alloc)
+        bad_j = min(set(range(instance.n)) - set(good))
+        bound = oracle.cost(alloc.bundles[bad_j])
+        chore = next(b for b in sorted(alloc.pool) if oracle.singleton(b) > bound)
+        raise PreconditionError(
+            f"agent {i} has only {len(good)} eligible agents {good} (need >= "
+            f"{instance.n - 1}); pool chore {chore} exceeds C_{i}(X_{bad_j})")
     if not is_alpha_efx(alloc, instance, alpha):
         raise PreconditionError(f"input partial allocation is not {alpha}-EFX")
-    compute_extension_witness(alloc, instance)
     result = _ttece(alloc, instance, sorted(alloc.pool), trace)
     guarantee = max(alpha, TWO)
     report = check_alpha_efx(result, instance, guarantee)

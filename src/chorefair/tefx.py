@@ -10,7 +10,6 @@ handled by letting it pick its cheapest bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import ONE, TWO, Allocation, Event, Instance, _violations, check_tefx
@@ -61,7 +60,7 @@ def _efx_violator(bundles: Sequence[frozenset[int]], oracle: CostOracle) -> int 
 
 
 def _min_cost_index(bundles: Sequence[frozenset[int]], oracle: CostOracle) -> int:
-    costs = [oracle.cost(b) for b in bundles]
+    costs = [oracle.units(b) for b in bundles]
     return costs.index(min(costs))
 
 
@@ -89,8 +88,9 @@ def identical_cost_efx(bundle_count: int, oracle: CostOracle) -> Bundles:
             return bundles
         src = bundles[violator]
         # min-marginal chore: its removal keeps the most cost behind
-        drops = {c: oracle.cost(src - {c}) for c in src}
-        chore = max(sorted(src), key=lambda c: drops[c])
+        chores = sorted(src)
+        drops = oracle.removal_units(src, chores)
+        chore = chores[drops.index(max(drops))]
         dest = _min_cost_index(bundles, oracle)
         if dest == violator:
             break
@@ -151,11 +151,12 @@ def tefx_two_group(
                 break
             cheap = _min_cost_index(bundles, c2)
             bundles[cheap], bundles[n - 1] = bundles[n - 1], bundles[cheap]
-            # worst single-removal over the front bundles, ties to lowest chore
-            best: tuple[Fraction, int, int] | None = None
+            # worst single-removal over the front bundles, ties to lowest
+            # position, then lowest chore
+            best: tuple[int, int, int] | None = None
             for i in range(front):
-                for c in sorted(bundles[i]):
-                    left = c1.cost(bundles[i] - {c})
+                chores = sorted(bundles[i])
+                for c, left in zip(chores, c1.removal_units(bundles[i], chores)):
                     if best is None or left > best[0]:
                         best = (left, i, c)
             if best is None:

@@ -52,12 +52,6 @@ class CaseContext:
         return self.orders[role - 1][rank - 1]
 
 
-@dataclass(frozen=True)
-class CaseOutcome:
-    allocation: Allocation  # partial seeds also keep the pool property
-    trace: tuple[Event, ...] = ()  # "branch" events
-
-
 def _pair_sharing(values: list) -> tuple[int, int] | None:
     """First lexicographic index pair with equal values, or None."""
     for i in range(3):
@@ -186,17 +180,20 @@ def _give_top_remaining(order: tuple[int, ...], taken: set[int]) -> int:
     raise VerificationError("no unallocated chore left to pick")
 
 
-def solve_case(instance: Instance, case: str, ctx: CaseContext) -> CaseOutcome:
-    """Build and verify the per-case seed allocation.
+def solve_case(instance: Instance, case: str, ctx: CaseContext,
+               trace: list[Event] | None = None) -> Allocation:
+    """Build and verify the per-case seed allocation, appending its "branch"
+    events to ``trace``.
 
     Role space throughout; the returned allocation is mapped back to actual
     agent indices and re-checked (2-EFX, and the two-cheaper-bundles pool
     property when partial) before returning.
     """
     roles = ctx.roles
-    oracles = [instance.oracles[a] for a in roles]
     c = ctx.top  # c(role 1-based, rank) in role space
-    trace = [Event("branch", roles, note=f"case {case}")]
+    if trace is None:
+        trace = []  # the error messages list its notes
+    trace.append(Event("branch", roles, note=f"case {case}"))
 
     def pick_rest(bundles: list[set[int]], pickers: tuple[int, ...]) -> None:
         taken = set().union(*bundles)
@@ -253,7 +250,7 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext) -> CaseOutcome:
 
 def _verified_outcome(
     instance: Instance, alloc: Allocation, trace: list[Event]
-) -> CaseOutcome:
+) -> Allocation:
     """2-EFX plus the pool property, which a full allocation meets vacuously."""
     trace.append(Event("branch", allocation=alloc, note="seed"))
     report = check_alpha_efx(alloc, instance, TWO)
@@ -267,12 +264,12 @@ def _verified_outcome(
             f"pool property fails for agents "
             f"{[i for i, ok in enumerate(props) if not ok]}; "
             f"trace={[e.note for e in trace]}")
-    return CaseOutcome(alloc, tuple(trace))
+    return alloc
 
 
 def _solve_deep_b(
     instance: Instance, case: str, ctx: CaseContext, trace: list[Event]
-) -> CaseOutcome:
+) -> Allocation:
     """Cases where roles 1 and 2 share both top chores and role 3's top two
     are fresh: anchor placement, the peeled subset D, and envy-driven swaps.
     """
@@ -315,8 +312,9 @@ def _solve_deep_b(
                 branch("role 2 envied role 1; bundles swapped")
                 # when b1 has the min marginal in the swapped bundle, the
                 # peeled set stays within twice the threshold
-                drops = {ch: o1.cost((frozenset(x1)) - {ch}) for ch in x1}
-                if min(drops, key=lambda ch: (drops[ch], ch)) == b1:
+                chores = sorted(x1)
+                drops = o1.removal_units(frozenset(x1), chores)
+                if chores[drops.index(min(drops))] == b1:
                     assert o1.cost(d) <= TWO * threshold
             alloc = _alloc(instance, roles, [x1, x2, {top3}])
             return _verified_outcome(instance, alloc, trace)
@@ -365,7 +363,7 @@ def three_agent_2efx(instance: Instance, trace: list[Event] | None = None
 
     m <= 5 is solved by exhaustive EFX search; otherwise the case seed is
     built and, when partial, completed by cycle elimination.  The output is
-    always verified 2-EFX.
+    always verified 2-EFX (the search finds an EFX one).
     """
     if instance.n != 3:
         raise PreconditionError("requires exactly 3 agents")
@@ -382,14 +380,7 @@ def three_agent_2efx(instance: Instance, trace: list[Event] | None = None
                                note="m <= 5: first EFX allocation found"))
         return alloc
     case, ctx = classify_case(instance)
-    outcome = solve_case(instance, case, ctx)
-    if trace is not None:
-        trace.extend(outcome.trace)
-    if outcome.allocation.is_full:
-        result = outcome.allocation
-    else:
-        result = extend_partial(outcome.allocation, instance, alpha=2, trace=trace)
-    report = check_alpha_efx(result, instance, TWO)
-    if not report.verdict:
-        raise VerificationError(f"output not 2-EFX: {report.witnesses[:3]}")
-    return result
+    seed = solve_case(instance, case, ctx, trace)
+    # a full seed was verified 2-EFX by solve_case, an extension by
+    # extend_partial at max(2, 2)
+    return seed if seed.is_full else extend_partial(seed, instance, 2, trace)

@@ -36,6 +36,8 @@ def test_parse_rational_rejects_floats():
     assert parse_rational(5) == Fraction(5)
     with pytest.raises(ValueError):
         parse_rational(0.5)
+    with pytest.raises(ValueError):
+        parse_rational(True)  # a bool is an int in Python, not in JSON
 
 
 def test_oracle_roundtrips():
@@ -303,6 +305,40 @@ def test_verify_rejects_allocation_not_covering_chores(tmp_path, capsys, bundles
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("data", [
+    {"allocation": [[1.5, 2], [3, 4], [5, 6]]},  # 1.5 once read as chore 1
+    {"allocation": [[True, 2], [3, 4], [5, 6]]},
+    {"allocation": [[1, 2], [3, 4], [5]], "pool": [6.0]},
+    {"allocation": [[1, 2], [3, 4], [5]], "pool": ["6"]},
+])
+def test_verify_rejects_non_integer_chores(tmp_path, capsys, data):
+    inst_path = write_instance(tmp_path, counterexample_instance(20, 8))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps(data))
+    assert main(["verify", "--instance", inst_path, "--allocation", str(alloc),
+                 "--criterion", "efx"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    with pytest.raises(ValueError, match="integer"):
+        allocation_from_json(data, 6)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", 6.9), ("m", 6.0), ("m", True), ("m", "6"), ("n", 3.0), ("n", True)])
+def test_instance_counts_must_be_integers(tmp_path, capsys, field, value):
+    data = instance_to_json(counterexample_instance(20, 8))
+    data[field] = value
+    with pytest.raises(ValueError, match="integer"):
+        instance_from_json(data)
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(data))
+    assert main(["solve", "--instance", str(inst_path), "--algorithm",
+                 "round-robin"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.startswith("error:")
 
 
 def test_gen_reproducible_byte_identical(tmp_path):

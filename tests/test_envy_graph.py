@@ -8,23 +8,27 @@ from chorefair import (
     AdditiveOracle,
     Allocation,
     CappedAdditiveOracle,
+    DimensionError,
     Event,
     Instance,
     MaxOfAdditiveOracle,
     PerturbedOracle,
     PreconditionError,
     TabulatedOracle,
+    VerificationError,
     build_top_trading_graph,
     check_alpha_efx,
     check_partial_property2,
-    compute_extension_witness,
     eliminate_top_trading_cycles,
     extend_partial,
     generate_instance,
+    partial_ido_2efx,
+    three_agent_2efx,
 )
+from chorefair import envy_graph
 from chorefair.envy_graph import _ttece
 
-from support import COUNTEREXAMPLE, tri
+from support import CASE_INSTANCES, COUNTEREXAMPLE, tri
 
 
 def test_counterexample_seed_graph():
@@ -80,15 +84,28 @@ def test_extension_witness_counts_eligible_agents():
     inst = tri([10, 6, 4, 1, 1, 1], [6, 10, 3, 1, 1, 1],
                [4, 3, 10, 1, 1, 1])
     seed = Allocation.from_bundles([{1}, {2}, {0}], 6)
-    eligible = compute_extension_witness(seed, inst)
-    assert all(len(r) >= 2 for r in eligible)
+    assert check_partial_property2(seed, inst) == (True, True, True)
+    assert extend_partial(seed, inst).is_full
 
 
 def test_extension_witness_failure_names_chore():
     inst = tri([1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1])
     seed = Allocation.from_bundles([{0}, {1}, {2}], 6)  # pool chore 3 too big
     with pytest.raises(PreconditionError, match="chore 3"):
-        compute_extension_witness(seed, inst)
+        extend_partial(seed, inst)
+
+
+def test_extend_partial_rejects_wrong_shapes():
+    # the pool property check runs the shape check first, so these raise a
+    # typed error rather than an IndexError from an oracle
+    inst = tri([1, 1, 1, 9, 1, 1], [1, 1, 1, 9, 1, 1], [1, 1, 1, 9, 1, 1])
+    with pytest.raises(DimensionError, match="2 bundles"):
+        extend_partial(Allocation.from_bundles([{0}, {1}], 6), inst)
+    singletons = (frozenset({0}), frozenset({1}), frozenset({2}))
+    for bundles, pool in [(singletons[:2] + (frozenset({6}),), {2, 3, 4, 5}),
+                          (singletons, {3, 4, 5, 6})]:  # chore m = 6
+        with pytest.raises(DimensionError, match="outside the instance"):
+            extend_partial(Allocation(bundles, frozenset(pool)), inst)
 
 
 def test_extend_partial_identical_agents():
@@ -132,10 +149,37 @@ def test_extend_partial_rejects_bad_input():
         extend_partial(seed, inst, alpha=1)
 
 
+def test_solvers_enforce_extension_guarantee(monkeypatch):
+    # an extension that hands every chore to agent 0 is not 2-EFX; the
+    # solvers that finish partial seeds must refuse it
+    calls = []
+
+    def everything_to_agent_0(alloc, instance, pool_order, trace=None):
+        calls.append(alloc)
+        return Allocation.full([range(instance.m)] + [()] * (instance.n - 1))
+
+    monkeypatch.setattr(envy_graph, "_ttece", everything_to_agent_0)
+    with pytest.raises(VerificationError):
+        three_agent_2efx(CASE_INSTANCES["B1"])  # a partial case seed
+    with pytest.raises(VerificationError):
+        partial_ido_2efx(generate_instance("k_partial_ido", 4, 10, 2, k=3))
+    assert len(calls) == 2 and not any(a.is_full for a in calls)
+
+
+def _pool_rejection(alloc, inst):
+    """The pool-property message extend_partial raises, or None when it
+    accepts the pool (it may still reject the input as not alpha-EFX)."""
+    try:
+        extend_partial(alloc, inst)
+    except PreconditionError as err:
+        return None if "-EFX" in str(err) else str(err)
+    return None
+
+
 def test_pool_property_matches_extension_witness():
-    # check_partial_property2 and compute_extension_witness test
-    # one predicate, here also spelled out chore by chore; an instance whose
-    # agents all share agent i's oracle makes the witness judge agent i alone
+    # check_partial_property2, also spelled out chore by chore here, is the
+    # predicate extend_partial enforces at entry; an instance whose agents
+    # all share agent i's oracle makes extend_partial judge agent i alone
     rng = random.Random(5)
     seen = set()
     for _ in range(300):
@@ -154,19 +198,13 @@ def test_pool_property_matches_extension_witness():
                 sum(oracle.singleton(b) <= oracle.cost(x) for x in alloc.bundles)
                 >= n - 1 for b in alloc.pool)
             alone = Instance(m, n, (oracle,) * n)
-            try:
-                compute_extension_witness(alloc, alone)
-                accepted = True
-            except PreconditionError:
-                accepted = False
-            assert accepted == ok
+            assert (_pool_rejection(alloc, alone) is None) == ok
             seen.add(ok)
+        rejection = _pool_rejection(alloc, inst)
         if all(props):
-            compute_extension_witness(alloc, inst)
+            assert rejection is None
         else:
-            with pytest.raises(PreconditionError,
-                               match=f"agent {props.index(False)} "):
-                compute_extension_witness(alloc, inst)
+            assert rejection.startswith(f"agent {props.index(False)} ")
     assert seen == {True, False}
 
 

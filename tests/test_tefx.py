@@ -196,3 +196,32 @@ def test_group_spec_validation():
     with pytest.raises(PreconditionError):
         tefx_three_group(inst, GroupSpec(frozenset({0, 1, 2}), frozenset(),
                                          frozenset()))
+
+
+def test_moves_take_the_worst_front_removal():
+    # costs 1..3 tie often; with its chore put back into bundle 0, each move
+    # took a chore of largest C1(X - c) over the front bundles, and the
+    # lowest such chore of its bundle
+    moves = ties = 0
+    for seed in range(300):  # about one run in six moves
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        m = rng.randint(n, 14)
+        c1 = MaxOfAdditiveOracle([[rng.randint(1, 3) for _ in range(m)]
+                                  for _ in range(rng.randint(1, 2))])
+        c2 = AdditiveOracle([rng.randint(1, 2) for _ in range(m)])
+        trace = []
+        tefx_two_group(n, c1, c2, n, trace=trace)
+        for move in trace:
+            front = list(move.allocation.bundles[: n - move.step + 1])
+            front[0] = front[0] | {move.chore}
+            removals = [(c1.cost(x - {c}), i, c)
+                        for i, x in enumerate(front) for c in x]
+            worst = max(r[0] for r in removals)
+            taken = c1.cost(front[0] - {move.chore})
+            assert taken == worst
+            assert all(c >= move.chore for r, i, c in removals
+                       if i == 0 and r == worst)
+            moves += 1
+            ties += sum(r[0] == worst for r in removals) > 1
+    assert moves >= 40 and ties

@@ -47,10 +47,17 @@ def test_hand_instances_hit_every_case(case):
 def test_solve_case_outcomes_verified(case):
     inst = CASE_INSTANCES[case]
     got, ctx = classify_case(inst)
-    outcome = solve_case(inst, got, ctx)
-    assert check_alpha_efx(outcome.allocation, inst, 2).verdict
-    # the pool property holds, vacuously when the outcome is full
-    assert all(check_partial_property2(outcome.allocation, inst))
+    trace = []
+    seed = solve_case(inst, got, ctx, trace)
+    assert check_alpha_efx(seed, inst, 2).verdict
+    # the pool property holds, vacuously when the seed is full
+    assert all(check_partial_property2(seed, inst))
+    # the case's "branch" events land in the caller's list, the case first
+    # and the verified seed last
+    assert {e.kind for e in trace} == {"branch"}
+    assert (trace[0].agents, trace[0].note) == (ctx.roles, f"case {got}")
+    assert (trace[-1].note, trace[-1].allocation) == ("seed", seed)
+    assert solve_case(inst, got, ctx) == seed
 
 
 def test_case_totality_on_fuzzed_instances():
@@ -181,8 +188,7 @@ def test_costly_chores_split_implies_pool_property():
 
     for case, inst in CASE_INSTANCES.items():
         got, ctx = classify_case(inst)
-        outcome = solve_case(inst, got, ctx)
-        alloc = outcome.allocation
+        alloc = solve_case(inst, got, ctx)
         props = check_partial_property2(alloc, inst)
         for agent in range(3):
             order = top_chore_order(inst.oracles[agent])
