@@ -1,13 +1,15 @@
-"""Scaling ladders of `three_agent_2efx` and `check_tefx` (standard
-library only).
+"""Scaling ladders of `three_agent_2efx`, `check_tefx` and
+`partial_ido_2efx` (standard library only).
 
-Two rungs, each run once per checkout for each cost family, written to
-one JSON file:
+Three rungs, each run once per checkout, written to one JSON file:
 
 - `three_agent_2efx` on `generate_instance(family, 3, m, 1)` for each m in
-  SIZES;
+  SIZES and each row-cost family;
 - `check_tefx` on the `round_robin_allocate` output for
-  `generate_instance(family, 50, m, 1)` for each m in TEFX_SIZES.
+  `generate_instance(family, 50, m, 1)` for each m in TEFX_SIZES and each
+  row-cost family;
+- `partial_ido_2efx` on `generate_instance("k_partial_ido", n, 4n, 1,
+  k=n-1)` for each n in IDO_AGENTS: the extension's scaling in n.
 
 Each point holds the best of three wall times, each on a freshly
 generated instance (empty oracle caches; generation and, for
@@ -27,7 +29,7 @@ count repeats exactly, so it compares two checkouts where noisy wall times
 cannot.
 
     python3 scripts/ladder.py --side parent=../parent --side change=. \\
-        --out BENCH_9.json
+        --out BENCH_11.json
 
 Each checkout is measured in its own process, importing `chorefair` from
 that checkout's `src/`.
@@ -36,6 +38,7 @@ that checkout's `src/`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import subprocess
@@ -47,6 +50,7 @@ FAMILIES = ("additive", "capped_additive", "max_of_additive")
 SIZES = (250, 500, 1000, 2000, 4000)
 TEFX_SIZES = (250, 500, 1000)
 TEFX_AGENTS = 50
+IDO_AGENTS = (50, 100, 200)
 RUNS = 3
 SEED = 1
 
@@ -64,8 +68,8 @@ TERMS = {
 def measure(src: str) -> list[dict]:
     """The ladder for the library under `src`, in this process."""
     sys.path.insert(0, src)
-    from chorefair import (check_tefx, generate_instance, round_robin_allocate,
-                           three_agent_2efx)
+    from chorefair import (check_tefx, generate_instance, partial_ido_2efx,
+                           round_robin_allocate, three_agent_2efx)
     from chorefair.oracles import RowOracle
 
     summed = [0]
@@ -88,31 +92,39 @@ def measure(src: str) -> list[dict]:
         alloc = round_robin_allocate(instance)[0]
         return lambda: check_tefx(alloc, instance)
 
+    def ido(n):
+        instance = generate_instance("k_partial_ido", n, 4 * n, SEED, k=n - 1)
+        return lambda: partial_ido_2efx(instance)
+
+    # (rung, family, n, m, a maker of the timed call on a fresh instance)
+    cases = [(rung, family, n, m, functools.partial(make, family, m))
+             for rung, make, n, sizes in (
+                 ("three_agent_2efx", three_agent, 3, SIZES),
+                 ("check_tefx", tefx, TEFX_AGENTS, TEFX_SIZES))
+             for m in sizes for family in FAMILIES]
+    cases += [("partial_ido_2efx", "k_partial_ido", n, 4 * n,
+               functools.partial(ido, n)) for n in IDO_AGENTS]
     points = []
-    for rung, make, sizes in (("three_agent_2efx", three_agent, SIZES),
-                              ("check_tefx", tefx, TEFX_SIZES)):
-        for m in sizes:
-            for family in FAMILIES:
-                best = float("inf")
-                for _ in range(RUNS):
-                    run = make(family, m)
-                    start = perf_counter()
-                    run()
-                    best = min(best, perf_counter() - start)
-                run = make(family, m)
-                for name, method in originals.items():
-                    setattr(RowOracle, name, counted(method, TERMS[name]))
-                summed[0] = 0
-                try:
-                    run()
-                finally:
-                    for name, method in originals.items():
-                        setattr(RowOracle, name, method)
-                points.append({"rung": rung, "family": family, "m": m,
-                               "best_s": round(best, 6),
-                               "chores_summed": summed[0]})
-                print(f"{rung:16} {family:16} m={m:5}  best {best:9.4f} s  "
-                      f"chores_summed {summed[0]}", file=sys.stderr)
+    for rung, family, n, m, make in cases:
+        best = float("inf")
+        for _ in range(RUNS):
+            run = make()
+            start = perf_counter()
+            run()
+            best = min(best, perf_counter() - start)
+        run = make()
+        for name, method in originals.items():
+            setattr(RowOracle, name, counted(method, TERMS[name]))
+        summed[0] = 0
+        try:
+            run()
+        finally:
+            for name, method in originals.items():
+                setattr(RowOracle, name, method)
+        points.append({"rung": rung, "family": family, "n": n, "m": m,
+                       "best_s": round(best, 6), "chores_summed": summed[0]})
+        print(f"{rung:16} {family:16} n={n:3} m={m:5}  best {best:9.4f} s  "
+              f"chores_summed {summed[0]}", file=sys.stderr)
     return points
 
 
@@ -136,7 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         "about": "rung three_agent_2efx: three_agent_2efx on "
                  "generate_instance(family, 3, m, seed); rung check_tefx: "
                  "check_tefx on the round_robin_allocate output for "
-                 f"generate_instance(family, {TEFX_AGENTS}, m, seed). "
+                 f"generate_instance(family, {TEFX_AGENTS}, m, seed); rung "
+                 "partial_ido_2efx: partial_ido_2efx on generate_instance("
+                 "'k_partial_ido', n, 4n, seed, k=n-1). "
                  f"Best of {RUNS} wall times (s) on fresh instances, and "
                  "chores_summed (chore terms summed by RowOracle's _raw_cost, "
                  "add, uncached removal_units, addition_units and singleton "

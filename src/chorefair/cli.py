@@ -138,10 +138,20 @@ def allocation_to_json(alloc: Allocation) -> dict:
             "pool": sorted(c + 1 for c in alloc.pool)}
 
 
-def allocation_from_json(data: dict, m: int) -> Allocation:
-    bundles = [frozenset(_json_int(c) - 1 for c in b)
-               for b in data["allocation"]]
-    pool = frozenset(_json_int(c) - 1 for c in data.get("pool", ()))
+def _json_typed(value: Any, kind: type, what: str) -> Any:
+    """value when it is a JSON list or object, as kind (list or dict) asks."""
+    if type(value) is not kind:
+        name = "list" if kind is list else "object"
+        raise ValueError(f"{what} must be a JSON {name}, got {type(value).__name__}")
+    return value
+
+
+def allocation_from_json(data: Any, m: int) -> Allocation:
+    data = _json_typed(data, dict, "an allocation")
+    bundles = [frozenset(_json_int(c) - 1 for c in _json_typed(b, list, "a bundle"))
+               for b in _json_typed(data["allocation"], list, '"allocation"')]
+    pool = frozenset(_json_int(c) - 1
+                     for c in _json_typed(data.get("pool", []), list, '"pool"'))
     alloc = Allocation(tuple(bundles), pool)
     if alloc.chores() != frozenset(range(m)):
         raise ValueError(f"bundles and pool must hold exactly the chores 1..{m}")

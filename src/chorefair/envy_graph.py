@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     ONE,
@@ -35,15 +35,6 @@ class TopTradingGraph:
 
     succ: tuple[int | None, ...]
 
-    @classmethod
-    def from_costs(cls, costs: Sequence[Sequence[int]]) -> "TopTradingGraph":
-        """The graph of costs[i][j] = C_i(X_j) by build_top_trading_graph's rule."""
-        succ = []
-        for i, row in enumerate(costs):
-            best = min(row)
-            succ.append(row.index(best) if row[i] > best else None)
-        return cls(tuple(succ))
-
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, j in enumerate(self.succ) if j is not None)
@@ -52,30 +43,62 @@ class TopTradingGraph:
         return tuple(i for i, j in enumerate(self.succ) if j is None)
 
     def find_cycle(self) -> tuple[int, ...] | None:
-        """Some directed cycle as an agent tuple, or None if acyclic.
+        """Some directed cycle as an agent tuple, or None if acyclic."""
+        return _cycle(self.succ, range(len(self.succ)))
 
-        Out-degree <= 1, so following successors from each unvisited node
-        either dies at a sink or closes a cycle.
-        """
-        seen: set[int] = set()
-        for start in range(len(self.succ)):
-            path: list[int] = []
-            on_path: dict[int, int] = {}
-            node: int | None = start
-            while node is not None and node not in seen:
-                if node in on_path:
-                    return tuple(path[on_path[node]:])
-                on_path[node] = len(path)
-                path.append(node)
-                node = self.succ[node]
-            seen.update(path)
-        return None
+
+def _successor(i: int, row: Sequence[int]) -> int | None:
+    best = min(row)
+    return row.index(best) if row[i] > best else None
+
+
+def _successors(costs: Sequence[Sequence[int]]) -> list[int | None]:
+    return [_successor(i, row) for i, row in enumerate(costs)]
+
+
+def _cycle(succ: Sequence[int | None], starts: Iterable[int]) -> tuple[int, ...] | None:
+    """The first directed cycle reached from ``starts``, in order, or None.
+    Out-degree <= 1, so following successors from each unvisited node
+    either dies at a sink or closes a cycle."""
+    seen: set[int] = set()
+    for start in starts:
+        path: list[int] = []
+        on_path: dict[int, int] = {}
+        node: int | None = start
+        while node is not None and node not in seen:
+            if node in on_path:
+                return tuple(path[on_path[node]:])
+            on_path[node] = len(path)
+            path.append(node)
+            node = succ[node]
+        seen.update(path)
+    return None
+
+
+def _eliminate(succ: list[int | None], columns: Sequence[list],
+               costs: Sequence[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Rotate the cycle ``find_cycle`` picks in each per-bundle list of
+    ``columns`` (the rows of ``costs`` among them) and yield it, until
+    ``succ``, the graph of ``costs``, is acyclic.  Agent i_k on a cycle
+    receives X_{i_{k+1}}, its strict favourite, so each rotation strictly
+    lowers the rotating agents' own costs and at most n rotations occur."""
+    for _ in range(len(succ) + 1):
+        cycle = _cycle(succ, range(len(succ)))
+        if cycle is None:
+            return
+        source = cycle[1:] + cycle[:1]
+        for column in columns:
+            for j, value in zip(cycle, [column[k] for k in source]):
+                column[j] = value
+        succ[:] = _successors(costs)
+        yield cycle
+    raise VerificationError("cycle elimination failed to terminate in n rounds")
 
 
 def build_top_trading_graph(alloc: Allocation, instance: Instance) -> TopTradingGraph:
     """Edge i -> j iff C_i(X_i) > C_i(X_j) = min_k C_i(X_k); ties to lowest j."""
-    return TopTradingGraph.from_costs(
-        [list(map(oracle.units, alloc.bundles)) for oracle in instance.oracles])
+    return TopTradingGraph(tuple(_successors(
+        [list(map(oracle.units, alloc.bundles)) for oracle in instance.oracles])))
 
 
 def eliminate_top_trading_cycles(
@@ -84,26 +107,15 @@ def eliminate_top_trading_cycles(
     on_cycle_removed: Callable[[tuple[int, ...], Allocation], None] | None = None,
 ) -> tuple[Allocation, TopTradingGraph]:
     """Rotate bundles along top trading cycles until the graph is acyclic;
-    returns the final allocation and its acyclic graph.
-
-    Agent i_k on a cycle i_1 -> ... -> i_t -> i_1 receives X_{i_{k+1}}, its
-    strict favourite, so each rotation strictly lowers the rotating agents'
-    own costs and at most n rotations occur.
-    """
-    current = alloc
-    for _ in range(instance.n + 1):
-        graph = build_top_trading_graph(current, instance)
-        cycle = graph.find_cycle()
-        if cycle is None:
-            return current, graph
-        bundles = list(current.bundles)
-        old = [bundles[i] for i in cycle]
-        for k, agent in enumerate(cycle):
-            bundles[agent] = old[(k + 1) % len(cycle)]
-        current = Allocation(tuple(bundles), current.pool)
+    returns the final allocation and its acyclic graph, and reports each
+    rotated cycle with the allocation after it."""
+    bundles = list(alloc.bundles)
+    costs = [list(map(oracle.units, bundles)) for oracle in instance.oracles]
+    succ = _successors(costs)
+    for cycle in _eliminate(succ, (bundles, *costs), costs):
         if on_cycle_removed is not None:
-            on_cycle_removed(cycle, current)
-    raise VerificationError("cycle elimination failed to terminate in n rounds")
+            on_cycle_removed(cycle, Allocation(tuple(bundles), alloc.pool))
+    return Allocation(tuple(bundles), alloc.pool), TopTradingGraph(tuple(succ))
 
 
 def _ttece(
@@ -116,8 +128,10 @@ def _ttece(
     then hand the chore to the lowest-index sink.  No guarantee checks here.
 
     ``states[i][j]``, ``costs[i][j]``: agent i's oracle state and units of
-    bundle j; the cycles ``eliminate_top_trading_cycles`` reports permute them.
-    """
+    bundle j; ``succ`` is the graph of ``costs``.  A placement on sink s
+    changes column s only, so it recomputes the successor of s, of the
+    agents pointing at s and of those whose cost of s fell (a non-monotone
+    oracle); a new cycle runs through one of them."""
     bundles = [list(b) for b in alloc.bundles]  # frozen only when needed
 
     def frozen() -> Allocation:  # the pool is every chore no bundle holds yet
@@ -126,28 +140,21 @@ def _ttece(
 
     states = [[o.bundle_state(b) for b in alloc.bundles] for o in instance.oracles]
     costs = [list(map(o.units, alloc.bundles)) for o in instance.oracles]
-    cycles: list[tuple[int, ...]] = []
-
-    def on_cycle(cycle: tuple[int, ...], snapshot: Allocation) -> None:
-        cycles.append(cycle)
-        if trace is not None:
-            trace.append(Event("cycle", cycle, allocation=snapshot))
-
+    succ = _successors(costs)
+    changed: Iterable[int] = range(instance.n)
     for chore in pool_order:
-        graph = TopTradingGraph.from_costs(costs)
-        if graph.find_cycle() is not None:
-            cycles.clear()
-            _, graph = eliminate_top_trading_cycles(frozen(), instance, on_cycle)
-            # agent cycle[k] took bundle cycle[k + 1]; the columns follow by
-            # position, since equal bundles (every empty one) are one object
-            for cycle in cycles:
-                source = cycle[1:] + cycle[:1]
-                for row in (bundles, *states, *costs):
-                    for j, value in zip(cycle, [row[k] for k in source]):
-                        row[j] = value
-        sink = graph.sinks()[0]
-        for oracle, row, units in zip(instance.oracles, states, costs):
+        if _cycle(succ, changed) is not None:
+            for cycle in _eliminate(succ, (bundles, *states, *costs), costs):
+                if trace is not None:
+                    trace.append(Event("cycle", cycle, allocation=frozen()))
+        sink = succ.index(None)
+        changed = []
+        for i, (oracle, row, units) in enumerate(zip(instance.oracles, states, costs)):
+            before = units[sink]
             row[sink], units[sink] = oracle.add(row[sink], (chore,))
+            if i == sink or succ[i] == sink or units[sink] < before:
+                succ[i] = _successor(i, units)
+                changed.append(i)
         bundles[sink].append(chore)
         if trace is not None:
             trace.append(Event("place", (sink,), chore, allocation=frozen()))

@@ -186,6 +186,9 @@ class RowOracle(CostOracle):
         return self.add([0] * len(self._rows), self._checked(chores))[0]
 
     def add(self, sums: list[int], chores: Collection[int]) -> tuple[list[int], int]:
+        if self.kind == "additive":  # one uncapped row: its sum is the units
+            total = sums[0] + sum(map(self._rows[0].__getitem__, chores))
+            return [total], total
         sums = [s + sum(map(row.__getitem__, chores))
                 for s, row in zip(sums, self._rows)]
         return sums, self._total(sums)

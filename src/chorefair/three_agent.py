@@ -20,7 +20,6 @@ from .core import (
     Event,
     Instance,
     check_alpha_efx,
-    check_partial_property2,
     max_removal_cost,
 )
 from .envy_graph import extend_partial
@@ -186,8 +185,8 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext,
     events to ``trace``.
 
     Role space throughout; the returned allocation is mapped back to actual
-    agent indices and re-checked (2-EFX, and the two-cheaper-bundles pool
-    property when partial) before returning.
+    agent indices and re-checked 2-EFX before returning.  A partial seed's
+    two-cheaper-bundles pool property is checked where it is extended.
     """
     roles = ctx.roles
     c = ctx.top  # c(role 1-based, rank) in role space
@@ -251,18 +250,12 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext,
 def _verified_outcome(
     instance: Instance, alloc: Allocation, trace: list[Event]
 ) -> Allocation:
-    """2-EFX plus the pool property, which a full allocation meets vacuously."""
+    """The seed, checked 2-EFX."""
     trace.append(Event("branch", allocation=alloc, note="seed"))
     report = check_alpha_efx(alloc, instance, TWO)
     if not report.verdict:
         raise VerificationError(
             f"case outcome not 2-EFX: {report.witnesses[:3]}; "
-            f"trace={[e.note for e in trace]}")
-    props = check_partial_property2(alloc, instance)
-    if not all(props):
-        raise VerificationError(
-            f"pool property fails for agents "
-            f"{[i for i, ok in enumerate(props) if not ok]}; "
             f"trace={[e.note for e in trace]}")
     return alloc
 
@@ -314,8 +307,10 @@ def _solve_deep_b(
                 # peeled set stays within twice the threshold
                 chores = sorted(x1)
                 drops = o1.removal_units(frozenset(x1), chores)
-                if chores[drops.index(min(drops))] == b1:
-                    assert o1.cost(d) <= TWO * threshold
+                if (chores[drops.index(min(drops))] == b1
+                        and o1.cost(d) > TWO * threshold):
+                    raise VerificationError(
+                        "peeled set D costs role 1 over twice the threshold")
             alloc = _alloc(instance, roles, [x1, x2, {top3}])
             return _verified_outcome(instance, alloc, trace)
         # crossed case: three rescue allocations depending on role 2's envy
@@ -329,8 +324,10 @@ def _solve_deep_b(
             else:
                 bundles = [set(d), {top3, c(3, 1)}, {mid1}]
             # both front roles stay within twice their cost of D
-            assert max_removal_cost(o1, {b2, mid1}) <= TWO * o1.cost(d)
-            assert max_removal_cost(o2, x2) <= TWO * o2.cost(d)
+            if (max_removal_cost(o1, {b2, mid1}) > TWO * o1.cost(d)
+                    or max_removal_cost(o2, x2) > TWO * o2.cost(d)):
+                raise VerificationError(
+                    "a front role's removal exceeds twice its cost of D")
         else:
             branch("role 2 content; keep seed with D")
             bundles = [x1, x2, {top3}]
@@ -381,6 +378,9 @@ def three_agent_2efx(instance: Instance, trace: list[Event] | None = None
         return alloc
     case, ctx = classify_case(instance)
     seed = solve_case(instance, case, ctx, trace)
-    # a full seed was verified 2-EFX by solve_case, an extension by
-    # extend_partial at max(2, 2)
-    return seed if seed.is_full else extend_partial(seed, instance, 2, trace)
+    # solve_case verified the seed 2-EFX; extend_partial checks a partial
+    # seed's pool property, and its refusal is a fault of the case analysis
+    try:
+        return seed if seed.is_full else extend_partial(seed, instance, 2, trace)
+    except PreconditionError as err:
+        raise VerificationError(f"case {case} seed refused: {err}") from err

@@ -15,26 +15,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def cycle_removal_guard(monkeypatch):
-    """Wrap cycle elimination so every single cycle removal is checked to
-    preserve the 1-EFX and 2-EFX verdicts; returns the list of removals."""
+    """Trace every extension and check that each single cycle removal in it
+    preserves the 1-EFX and 2-EFX verdicts of the allocation before it (the
+    seed, or the previous event's snapshot); returns the list of removals."""
     removals: list = []
-    original = envy_graph.eliminate_top_trading_cycles
+    original = envy_graph._ttece
 
-    def guarded(alloc, instance, on_cycle_removed=None):
-        state = {"prev": alloc}
+    def guarded(alloc, instance, pool_order, trace=None):
+        events = [] if trace is None else trace
+        first = len(events)
+        result = original(alloc, instance, pool_order, events)
+        prev = alloc
+        for event in events[first:]:
+            if event.kind == "cycle":
+                for alpha in (1, 2):
+                    if is_alpha_efx(prev, instance, alpha):
+                        assert is_alpha_efx(event.allocation, instance, alpha), (
+                            f"cycle removal {event.agents} broke the "
+                            f"{alpha}-EFX verdict")
+                removals.append(event.agents)
+            prev = event.allocation
+        return result
 
-        def hook(cycle, snapshot):
-            prev = state["prev"]
-            for alpha in (1, 2):
-                if is_alpha_efx(prev, instance, alpha):
-                    assert is_alpha_efx(snapshot, instance, alpha), (
-                        f"cycle removal {cycle} broke the {alpha}-EFX verdict")
-            removals.append(cycle)
-            state["prev"] = snapshot
-            if on_cycle_removed is not None:
-                on_cycle_removed(cycle, snapshot)
-
-        return original(alloc, instance, hook)
-
-    monkeypatch.setattr(envy_graph, "eliminate_top_trading_cycles", guarded)
+    monkeypatch.setattr(envy_graph, "_ttece", guarded)
     return removals

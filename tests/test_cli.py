@@ -326,6 +326,24 @@ def test_verify_rejects_non_integer_chores(tmp_path, capsys, data):
         allocation_from_json(data, 6)
 
 
+@pytest.mark.parametrize("data", [
+    {"allocation": [1, 2, 3, 4, 5, 6]},  # flat: no bundles
+    {"allocation": "123456"},
+    {"allocation": [[1, 2], [3, 4], [5]], "pool": 6},
+    [[1, 2], [3, 4], [5, 6]],  # the bundles without the object around them
+])
+def test_verify_rejects_wrong_json_types(tmp_path, capsys, data):
+    inst_path = write_instance(tmp_path, counterexample_instance(20, 8))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps(data))
+    assert main(["verify", "--instance", inst_path, "--allocation", str(alloc),
+                 "--criterion", "efx"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    with pytest.raises(ValueError, match="must be a JSON"):
+        allocation_from_json(data, 6)
+
+
 @pytest.mark.parametrize("field, value", [
     ("m", 6.9), ("m", 6.0), ("m", True), ("m", "6"), ("n", 3.0), ("n", True)])
 def test_instance_counts_must_be_integers(tmp_path, capsys, field, value):

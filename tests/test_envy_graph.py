@@ -27,6 +27,7 @@ from chorefair import (
 )
 from chorefair import envy_graph
 from chorefair.envy_graph import _ttece
+from chorefair.oracles import top_chore_order
 
 from support import CASE_INSTANCES, COUNTEREXAMPLE, tri
 
@@ -339,3 +340,50 @@ def test_ttece_matches_reference_loop():
         cycles += kinds.count("cycle")
         multi += sum(a == b == "cycle" for a, b in zip(kinds, kinds[1:]))
     assert cycles > 100 and multi >= 1
+
+
+def test_ttece_steps_match_rebuilt_graph():
+    # the extension keeps successors incrementally; at every step they must
+    # give the sink and the cycle that the graph rebuilt from the previous
+    # snapshot gives.  Ordered instances up to n = 30 from their shared-top
+    # seed, and every oracle shape, the non-monotone table included, from
+    # random seeds that may start with cycles
+    rng = random.Random(21)
+    shapes = ("additive", "capped", "max", "table", "perturbed")
+    cases = []
+    for n in (6, 12, 20, 30):
+        for seed in range(3):
+            inst = generate_instance("k_partial_ido", n, 3 * n, seed, k=n - 1)
+            top = top_chore_order(inst.oracles[0])[:n - 1]
+            cases.append((inst, Allocation.from_bundles(
+                [{c} for c in top] + [set()], inst.m)))
+    for trial in range(150):  # two in three tables: only they lower a cost
+        shape = shapes[trial % 5] if trial % 3 == 0 else "table"
+        n = rng.randint(3, 6) if shape == "table" else rng.randint(6, 30)
+        m = rng.randint(n + 1, 9) if shape == "table" else rng.randint(n + 1, 3 * n)
+        inst = Instance(m, n, tuple(_random_oracle(rng, shape, m) for _ in range(n)))
+        chores = rng.sample(range(m), m)
+        owner = dict(zip(chores, range(n)))
+        owner.update((c, rng.randrange(n) if rng.random() < 0.3 else n)
+                     for c in chores[n:])  # n: the pool
+        cases.append((inst, Allocation.from_bundles(
+            [{c for c in range(m) if owner[c] == j} for j in range(n)], m)))
+    cycles = fell = 0
+    for inst, alloc in cases:
+        trace: list = []
+        result = _ttece(alloc, inst, sorted(alloc.pool), trace)
+        prev = alloc
+        for event in trace:
+            graph = build_top_trading_graph(prev, inst)
+            if event.kind == "cycle":
+                assert event.agents == graph.find_cycle()
+                cycles += 1
+            else:
+                assert graph.find_cycle() is None
+                (sink,) = event.agents
+                assert sink == graph.sinks()[0]
+                fell += any(o.units(event.allocation.bundles[sink])
+                            < o.units(prev.bundles[sink]) for o in inst.oracles)
+            prev = event.allocation
+        assert prev == result
+    assert cycles > 50 and fell > 0

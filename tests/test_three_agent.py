@@ -5,6 +5,7 @@ import pytest
 
 from chorefair import (
     AdditiveOracle,
+    Allocation,
     CappedAdditiveOracle,
     Instance,
     MaxOfAdditiveOracle,
@@ -19,6 +20,7 @@ from chorefair import (
     solve_case,
     three_agent_2efx,
 )
+from chorefair import three_agent
 from chorefair.three_agent import CASE_IDS
 
 from support import CASE_INSTANCES, COUNTEREXAMPLE, tri
@@ -153,6 +155,31 @@ def test_three_agent_counterexample_exact_output():
     assert alloc.bundles == (frozenset({1, 4}), frozenset({2, 3, 5}),
                              frozenset({0}))
     assert check_alpha_efx(alloc, COUNTEREXAMPLE, 1).verdict  # EFX outright here
+
+
+def test_b2222_rescue_where_role_2_strongly_envies_role_3():
+    # hand-built: the crossed case whose role 2 neither envies role 1 nor
+    # fits within twice role 3's bundle, so a rescue allocation replaces the
+    # seed; random instances reach this branch very rarely
+    inst = tri([45, 100, 90, 40, 30, 20, 20, 20],
+               [19, 20, 200, 18, 18, 18, 18, 18],
+               [1, 1, 1, 100, 90, 5, 5, 5])
+    trace = []
+    alloc = three_agent_2efx(inst, trace)
+    assert trace[0].note == "case B2222"
+    assert "role 2 strongly envies role 3" in [e.note for e in trace]
+    assert alloc.is_full
+    assert check_alpha_efx(alloc, inst, 2).verdict
+
+
+def test_refused_case_seed_raises_verification_error(monkeypatch):
+    # a 2-EFX case seed that breaks the pool property (chore 3 costs more
+    # than every bundle) is a fault of the case analysis, not bad input
+    inst = tri([1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1])
+    seed = Allocation.from_bundles([{0}, {1}, {2}], 6)
+    monkeypatch.setattr(three_agent, "solve_case", lambda *args: seed)
+    with pytest.raises(VerificationError, match="seed refused.*chore 3"):
+        three_agent_2efx(inst)
 
 
 def test_small_m_uses_exhaustive_search():
