@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -48,19 +49,33 @@ SCHEMA_VERSION = 1
 # (de)serialization
 # ---------------------------------------------------------------------------
 
-def _json_int(value: Any) -> int:
-    """A JSON integer; bool is a subclass of int in Python, so refuse it."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
+_JSON_NAMES = {int: "integer", list: "list", dict: "object"}
+
+
+def _json_typed(value: Any, kind: type, what: str) -> Any:
+    """value when its JSON type is kind (int, list or dict); the type must
+    match exactly, since bool is a subclass of int in Python."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {_JSON_NAMES[kind]}, "
+                         f"got {type(value).__name__}")
     return value
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+RATIONAL_MAX_CHARS = 1000
+
+
 def parse_rational(value: Any) -> Fraction:
+    """A JSON integer, or a string "p" or "p/q" of at most RATIONAL_MAX_CHARS
+    characters.  Decimals and exponents are refused: Fraction expands an
+    exponent in full, so "1e99999999" would never finish."""
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
+    if (isinstance(value, str) and len(value) <= RATIONAL_MAX_CHARS
+            and _RATIONAL.fullmatch(value)):
         return Fraction(value)
-    raise ValueError(f"rationals must be strings or integers, got {value!r}")
+    raise ValueError(f"rationals must be integers or strings p or p/q, "
+                     f"got {value!r:.40}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -98,15 +113,17 @@ def oracle_to_json(oracle: CostOracle) -> dict:
     raise ValueError(f"cannot serialize oracle {oracle!r}")
 
 
-def oracle_from_json(data: dict, m: int) -> CostOracle:
-    kind = data.get("type")
+def oracle_from_json(data: Any, m: int) -> CostOracle:
+    kind = _json_typed(data, dict, "an agent").get("type")
     if kind in ("additive", "capped_additive", "max_of_additive"):
-        rows = data["rows"] if kind == "max_of_additive" else [data["costs"]]
+        rows = (_json_typed(data["rows"], list, '"rows"')
+                if kind == "max_of_additive" else [data["costs"]])
         cap = parse_rational(data["cap"]) if kind == "capped_additive" else None
-        return RowOracle([[parse_rational(c) for c in row] for row in rows], cap)
+        return RowOracle([[parse_rational(c) for c in _json_typed(row, list, "a row")]
+                          for row in rows], cap)
     if kind == "table":
         values = {_parse_subset_key(k, m): parse_rational(v)
-                  for k, v in data["values"].items()}
+                  for k, v in _json_typed(data["values"], dict, '"values"').items()}
         oracle = TabulatedOracle(m, values)
         bad = validate_oracle(oracle, ("monotone",))["monotone"].violations
         if bad:
@@ -125,11 +142,13 @@ def instance_to_json(instance: Instance) -> dict:
             "agents": [oracle_to_json(o) for o in instance.oracles]}
 
 
-def instance_from_json(data: dict) -> Instance:
+def instance_from_json(data: Any) -> Instance:
+    data = _json_typed(data, dict, "an instance")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported or missing schema_version")
-    m, n = _json_int(data["m"]), _json_int(data["n"])
-    oracles = tuple(oracle_from_json(a, m) for a in data["agents"])
+    m, n = _json_typed(data["m"], int, '"m"'), _json_typed(data["n"], int, '"n"')
+    oracles = tuple(oracle_from_json(a, m)
+                    for a in _json_typed(data["agents"], list, '"agents"'))
     return Instance(m, n, oracles)
 
 
@@ -138,19 +157,12 @@ def allocation_to_json(alloc: Allocation) -> dict:
             "pool": sorted(c + 1 for c in alloc.pool)}
 
 
-def _json_typed(value: Any, kind: type, what: str) -> Any:
-    """value when it is a JSON list or object, as kind (list or dict) asks."""
-    if type(value) is not kind:
-        name = "list" if kind is list else "object"
-        raise ValueError(f"{what} must be a JSON {name}, got {type(value).__name__}")
-    return value
-
-
 def allocation_from_json(data: Any, m: int) -> Allocation:
     data = _json_typed(data, dict, "an allocation")
-    bundles = [frozenset(_json_int(c) - 1 for c in _json_typed(b, list, "a bundle"))
+    bundles = [frozenset(_json_typed(c, int, "a chore") - 1
+                         for c in _json_typed(b, list, "a bundle"))
                for b in _json_typed(data["allocation"], list, '"allocation"')]
-    pool = frozenset(_json_int(c) - 1
+    pool = frozenset(_json_typed(c, int, "a chore") - 1
                      for c in _json_typed(data.get("pool", []), list, '"pool"'))
     alloc = Allocation(tuple(bundles), pool)
     if alloc.chores() != frozenset(range(m)):
@@ -263,7 +275,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         alloc = tefx_three_group(instance, groups, trace)
         criterion, alpha = "tefx", None
     elif args.algorithm == "exhaustive":
-        criterion, alpha = args.criterion or "efx", Fraction(args.alpha or 1)
+        criterion, alpha = args.criterion or "efx", parse_rational(args.alpha or 1)
         alloc = exhaustive_search(instance, criterion, alpha)
         if alloc is None:
             print("no allocation satisfies the criterion", file=sys.stderr)
@@ -297,7 +309,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = instance_from_json(_load_json(args.instance))
     alloc = allocation_from_json(_load_json(args.allocation), instance.m)
-    report = check_criterion(alloc, instance, args.criterion, args.alpha or 2)
+    report = check_criterion(alloc, instance, args.criterion,
+                             parse_rational(args.alpha or 2))
     json.dump(report_to_json(report), sys.stdout, indent=2, sort_keys=True)
     print()
     return 0 if report.verdict else 1
@@ -307,13 +320,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "counterexample":
         if args.m1 is None or args.m2 is None:
             raise ValueError("--m1 and --m2 are required for counterexample")
-        instance = counterexample_instance(Fraction(args.m1), Fraction(args.m2))
+        instance = counterexample_instance(parse_rational(args.m1),
+                                           parse_rational(args.m2))
     else:
         if args.n is None or args.m is None or args.seed is None:
             raise ValueError("--n, --m, and --seed are required")
         params: dict[str, Any] = {}
         if args.alpha is not None:
-            params["alpha"] = Fraction(args.alpha)
+            params["alpha"] = parse_rational(args.alpha)
         if args.k is not None:
             params["k"] = args.k
         if args.sizes:
@@ -332,7 +346,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_repro_counterexample(args: argparse.Namespace) -> int:
-    m1, m2 = Fraction(args.m1), Fraction(args.m2)
+    m1, m2 = parse_rational(args.m1), parse_rational(args.m2)
     run = rival_counterexample_run(m1, m2)
     instance = counterexample_instance(m1, m2)
     own = three_agent_2efx(instance)

@@ -140,12 +140,16 @@ def resolve_criterion(
     criterion: str, alpha: Fraction | int | str = ONE
 ) -> tuple[str, Fraction | None]:
     """The check a criterion name selects, with its alpha: "efx" is
-    alpha-EFX at alpha = 1, "alpha_efx" keeps alpha, "tefx" takes none."""
+    alpha-EFX at alpha = 1, "alpha_efx" keeps alpha (at least 1), "tefx"
+    takes none."""
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     if criterion == "tefx":
         return "tefx", None
-    return "alpha_efx", ONE if criterion == "efx" else Fraction(alpha)
+    alpha = ONE if criterion == "efx" else Fraction(alpha)
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    return "alpha_efx", alpha
 
 
 def _violations(
@@ -209,9 +213,7 @@ def check_alpha_efx(
 
     Pool chores are ignored: the criterion constrains allocated bundles only.
     """
-    alpha = Fraction(alpha)
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    _, alpha = resolve_criterion("alpha_efx", alpha)
     _check_shapes(alloc, instance)
     witnesses = tuple(_all_violations(alloc, instance, "alpha_efx", alpha))
     return FairnessReport("alpha_efx", alpha, witnesses)

@@ -10,6 +10,7 @@ handled by letting it pick its cheapest bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .core import ONE, TWO, Allocation, Event, Instance, _violations, check_tefx
@@ -37,26 +38,18 @@ class GroupSpec:
 
 
 def is_efx_feasible(
-    bundle: frozenset[int], others: Sequence[frozenset[int]], oracle: CostOracle
+    bundles: Sequence[frozenset[int]], i: int, oracle: CostOracle
 ) -> bool:
-    """Every removal from the bundle stays within every other bundle's cost."""
-    return next(_violations(oracle, 0, [bundle, *others], "alpha_efx", ONE),
-                None) is None
+    """Every removal from bundle i stays within every other bundle's cost."""
+    return next(_violations(oracle, i, bundles, "alpha_efx", ONE), None) is None
 
 
 def is_tefx_feasible(
-    bundle: frozenset[int], others: Sequence[frozenset[int]], oracle: CostOracle
+    bundles: Sequence[frozenset[int]], i: int, oracle: CostOracle
 ) -> bool:
-    """Every removal stays within every other bundle plus the removed chore."""
-    return next(_violations(oracle, 0, [bundle, *others], "tefx", None),
-                None) is None
-
-
-def _efx_violator(bundles: Sequence[frozenset[int]], oracle: CostOracle) -> int | None:
-    """First bundle that is not EFX-feasible under the oracle, or None."""
-    return next((i for i, b in enumerate(bundles)
-                 if not is_efx_feasible(b, bundles[:i] + bundles[i + 1:], oracle)),
-                None)
+    """Every removal from bundle i stays within every other bundle plus the
+    removed chore."""
+    return next(_violations(oracle, i, bundles, "tefx", None), None) is None
 
 
 def _min_cost_index(bundles: Sequence[frozenset[int]], oracle: CostOracle) -> int:
@@ -76,14 +69,16 @@ def identical_cost_efx(bundle_count: int, oracle: CostOracle) -> Bundles:
     if bundle_count < 1:
         raise ValueError("need at least one bundle")
     m = oracle.m
-    bundles: Bundles = [frozenset() for _ in range(bundle_count)]
+    positions = range(bundle_count)
+    bundles: Bundles = [frozenset() for _ in positions]
     for c in top_chore_order(oracle):
-        grow = [oracle.cost(b | {c}) for b in bundles]
+        grow = [oracle.units(b | {c}) for b in bundles]
         target = grow.index(min(grow))
         bundles[target] = bundles[target] | {c}
 
     for _ in range(m * m * bundle_count):
-        violator = _efx_violator(bundles, oracle)
+        violator = next((i for i in positions
+                         if not is_efx_feasible(bundles, i, oracle)), None)
         if violator is None:
             return bundles
         src = bundles[violator]
@@ -99,7 +94,7 @@ def identical_cost_efx(bundle_count: int, oracle: CostOracle) -> Bundles:
 
     # exhaustive fallback over assignment vectors
     for candidate in partitions(m, bundle_count):
-        if _efx_violator(candidate, oracle) is None:
+        if all(is_efx_feasible(candidate, i, oracle) for i in positions):
             return list(candidate)
     raise VerificationError(
         "no single-oracle EFX partition exists; the oracle is likely not "
@@ -116,12 +111,13 @@ def tefx_two_group(
     """Bundles 1..n-k+1 EFX-feasible under C1 and n-k+1..n tEFX-feasible
     under C2 (1-based positions; the boundary bundle satisfies both).
 
-    Recursive on k: the base case partitions under C1 alone and parks the
+    One pass per level 1..k, where level l constrains the first n-l+1
+    positions under C1.  Level 1 partitions under C1 alone and parks the
     cheapest C2 bundle last; each later level moves the front bundles'
     worst removal chore onto the cheapest bundle until some front bundle
     becomes tEFX-feasible under C2.  Each move is a "move" event from the
     source bundle, relabelled to position 0 first, to position n-1; the
-    chores on the first n-k+1 bundles of its snapshot fall by one per move.
+    chores on the first n-l+1 bundles of its snapshot fall by one per move.
     """
     if not 1 <= k <= n:
         raise PreconditionError("need 1 <= k <= n")
@@ -130,65 +126,53 @@ def tefx_two_group(
     if ratio_bound(c2) > TWO:
         raise PreconditionError("second cost function must be 2-ratio-bounded")
 
-    front = n - k + 1  # count of C1-constrained positions
-    if k == 1:
-        bundles = identical_cost_efx(n, c1)
+    def park_cheapest() -> None:
         cheap = _min_cost_index(bundles, c2)
         bundles[cheap], bundles[n - 1] = bundles[n - 1], bundles[cheap]
-    else:
-        bundles = list(tefx_two_group(n, c1, c2, k - 1, trace).bundles)
+
+    def check(front: int, tefx_start: int) -> None:
+        """Positions before `front` EFX-feasible under C1, positions from
+        `tefx_start` on tEFX-feasible under C2."""
+        for i in range(front):
+            if not is_efx_feasible(bundles, i, c1):
+                raise VerificationError(f"bundle {i} not EFX-feasible under C1")
+        for i in range(tefx_start, n):
+            if not is_tefx_feasible(bundles, i, c2):
+                raise VerificationError(f"bundle {i} not tEFX-feasible under C2")
+
+    bundles = identical_cost_efx(n, c1)
+    park_cheapest()
+    check(n, n - 1)
+    for level in range(2, k + 1):
+        front = n - level + 1  # count of C1-constrained positions
         for _ in range(c1.m + 1):
-            feasible = next(
-                (i for i in range(front)
-                 if is_tefx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c2)),
-                None,
-            )
+            feasible = next((i for i in range(front)
+                             if is_tefx_feasible(bundles, i, c2)), None)
             if feasible is not None:
                 # relabel within the identically-priced front so the boundary
                 # position carries the tEFX-feasible bundle
                 bundles[feasible], bundles[front - 1] = (
                     bundles[front - 1], bundles[feasible])
                 break
-            cheap = _min_cost_index(bundles, c2)
-            bundles[cheap], bundles[n - 1] = bundles[n - 1], bundles[cheap]
-            # worst single-removal over the front bundles, ties to lowest
-            # position, then lowest chore
-            best: tuple[int, int, int] | None = None
-            for i in range(front):
-                chores = sorted(bundles[i])
-                for c, left in zip(chores, c1.removal_units(bundles[i], chores)):
-                    if best is None or left > best[0]:
-                        best = (left, i, c)
-            if best is None:
-                raise VerificationError("front bundles are empty but infeasible")
-            _, src, chore = best
+            park_cheapest()
+            # worst single-removal over the front bundles; max keeps the
+            # first, so ties go to the lowest position, then lowest chore
+            moves = ((left, i, c)
+                     for i, chores in enumerate(map(sorted, bundles[:front]))
+                     for c, left in zip(chores, c1.removal_units(bundles[i], chores)))
+            _, src, chore = max(moves, key=itemgetter(0))
             bundles[src], bundles[0] = bundles[0], bundles[src]
             bundles[0] = bundles[0] - {chore}
             bundles[n - 1] = bundles[n - 1] | {chore}
             if trace is not None:
-                trace.append(Event("move", (0, n - 1), chore, k,
+                trace.append(Event("move", (0, n - 1), chore, level,
                                    Allocation.full(bundles)))
             # both invariants must survive every move
-            _check_two_group(bundles, c1, c2, front, front)
+            check(front, front)
         else:
             raise VerificationError("two-group loop failed to terminate")
-    result = Allocation.full(bundles)
-    _check_two_group(result.bundles, c1, c2, front, front - 1)
-    return result
-
-
-def _check_two_group(
-    bundles: Sequence[frozenset[int]], c1: CostOracle, c2: CostOracle,
-    front: int, tefx_start: int,
-) -> None:
-    """Positions before `front` EFX-feasible under C1, positions from
-    `tefx_start` on tEFX-feasible under C2."""
-    for i in range(front):
-        if not is_efx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c1):
-            raise VerificationError(f"bundle {i} not EFX-feasible under C1")
-    for i in range(tefx_start, len(bundles)):
-        if not is_tefx_feasible(bundles[i], bundles[:i] + bundles[i + 1:], c2):
-            raise VerificationError(f"bundle {i} not tEFX-feasible under C2")
+        check(front, front - 1)
+    return Allocation.full(bundles)
 
 
 def tefx_three_group(
@@ -214,16 +198,11 @@ def tefx_three_group(
 
     agents = sorted(groups.group1) + sorted(groups.group2)
     bundles: list[frozenset[int]] = [frozenset()] * n
-    if not groups.group3:
-        shared = tefx_two_group(n, c1, c2, ell, trace).bundles
-    else:
-        agent3 = min(groups.group3)
-        shared = tefx_two_group(n, c1, c2, ell + 1, trace).bundles
-        # the third agent takes its cheapest bundle; the other agents keep
-        # the remaining positions in order, whichever group it came from
-        pick = _min_cost_index(shared, instance.oracles[agent3])
-        bundles[agent3] = shared[pick]
-        shared = shared[:pick] + shared[pick + 1:]
+    shared = list(tefx_two_group(n, c1, c2, ell + len(groups.group3), trace).bundles)
+    # the third agent, if any, takes its cheapest bundle; the other agents
+    # keep the remaining positions in order, whichever group it came from
+    for agent3 in groups.group3:
+        bundles[agent3] = shared.pop(_min_cost_index(shared, instance.oracles[agent3]))
     for agent, bundle in zip(agents, shared):
         bundles[agent] = bundle
     result = Allocation.full(bundles)

@@ -24,7 +24,7 @@ from chorefair.cli import (
     oracle_to_json,
     parse_rational,
 )
-from chorefair.verify import counterexample_instance
+from chorefair.verify import counterexample_instance, exhaustive_search
 
 
 def roundtrip(oracle, m):
@@ -38,6 +38,22 @@ def test_parse_rational_rejects_floats():
         parse_rational(0.5)
     with pytest.raises(ValueError):
         parse_rational(True)  # a bool is an int in Python, not in JSON
+
+
+@pytest.mark.parametrize("text", [
+    "1e3", "1e99999999", "0.5", " 3 ", "3/", "/4", "+3", "3/-4", "\u0663",
+    pytest.param("1" * 1001, id="1001-digits")])
+def test_parse_rational_refuses_all_but_p_over_q(text):
+    # Fraction takes each of these but the last two; an exponent it
+    # expands in full, so "1e99999999" would never finish
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_parse_rational_takes_signed_p_over_q():
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert parse_rational("6/4") == Fraction(3, 2)
+    assert parse_rational("7" * 1000) == int("7" * 1000)
 
 
 def test_oracle_roundtrips():
@@ -357,6 +373,76 @@ def test_instance_counts_must_be_integers(tmp_path, capsys, field, value):
                  "round-robin"]) == 2
     captured = capsys.readouterr()
     assert not captured.out and captured.err.startswith("error:")
+
+
+def additive_data(family="additive"):
+    return instance_to_json(generate_instance(family, 3, 6, 1))
+
+
+def with_table(data):
+    subsets = [frozenset(s) for s in [(), (0,), (1,), (0, 1)]]
+    data["m"] = 2
+    data["agents"] = [oracle_to_json(TabulatedOracle(
+        2, {s: Fraction(len(s)) for s in subsets}))] * 3
+    return data
+
+
+def set_in(data, path, value):
+    """data with the entry at path (keys and indices) set to value."""
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    # a string of digits once read as six one-digit costs, verdict true
+    set_in(additive_data(), ("agents", 0, "costs"), "012345"),
+    [1, 2],
+    set_in(additive_data(), ("agents", 0), 5),
+    set_in(additive_data(), ("agents",), {"1": 2}),
+    set_in(additive_data("max_of_additive"), ("agents", 1, "rows"), "012345"),
+    set_in(additive_data("max_of_additive"), ("agents", 1, "rows", 0), "012345"),
+    set_in(with_table(additive_data()), ("agents", 2, "values"), [["1", "1"]]),
+], ids=["string-costs", "top-level-list", "number-agent", "object-agents",
+        "string-rows", "string-row", "list-values"])
+def test_instance_wrong_json_types_exit_2(tmp_path, capsys, data):
+    with pytest.raises(ValueError, match="must be a JSON"):
+        instance_from_json(data)
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(data))
+    code = main(["solve", "--instance", str(inst_path), "--algorithm",
+                 "three-agent-2efx"])
+    assert_input_error(code, capsys, "must be a JSON")
+
+
+def test_exponent_rationals_exit_2(tmp_path, capsys):
+    data = set_in(additive_data(), ("agents", 0, "costs", 0), "1e5")
+    inst_path = tmp_path / "exponent.json"
+    inst_path.write_text(json.dumps(data))
+    code = main(["solve", "--instance", str(inst_path), "--algorithm",
+                 "three-agent-2efx"])
+    assert_input_error(code, capsys, "p/q")
+    inst_path = write_instance(tmp_path, counterexample_instance(20, 8))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"allocation": [[2, 5], [3, 4, 6], [1]]}))
+    code = main(["verify", "--instance", inst_path, "--allocation", str(alloc),
+                 "--criterion", "alpha_efx", "--alpha", "1e99999999"])
+    assert_input_error(code, capsys, "p/q")
+
+
+def test_solve_exhaustive(tmp_path, capsys):
+    inst = generate_instance("additive", 3, 5, 2)
+    argv = ["solve", "--instance", write_instance(tmp_path, inst),
+            "--algorithm", "exhaustive", "--criterion", "alpha_efx"]
+    assert main(argv + ["--alpha", "3/2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = allocation_to_json(exhaustive_search(inst, "alpha_efx", Fraction(3, 2)))
+    assert payload["allocation"] == expected["allocation"]
+    assert (payload["alpha"], payload["verdict"]) == ("3/2", True)
+    # below 1 is refused as input, not searched for and not found
+    assert_input_error(main(argv + ["--alpha", "-5"]), capsys, "alpha must be >= 1")
 
 
 def test_gen_reproducible_byte_identical(tmp_path):

@@ -27,18 +27,18 @@ from support import ratio2_oracle, two_group_cases, unit_potential_drops
 def test_feasibility_predicates():
     oracle = AdditiveOracle([5, 3, 3, 3])
     b = frozenset({1, 2, 3})
-    assert not is_efx_feasible(b, [frozenset({0})], oracle)  # removal 6 > 5
+    assert not is_efx_feasible([b, frozenset({0})], 0, oracle)  # removal 6 > 5
     good = frozenset({2, 3})
-    assert is_efx_feasible(good, [frozenset({0, 1})], oracle)
-    assert is_tefx_feasible(b, [frozenset({0})], oracle)  # 6 <= 5 + 3
+    assert is_efx_feasible([frozenset({0, 1}), good], 1, oracle)
+    assert is_tefx_feasible([frozenset({0}), b], 1, oracle)  # 6 <= 5 + 3
     # a singleton is feasible either way, so for two agents sharing the
     # oracle the core verdicts are those of the other bundle
     inst = Instance(4, 2, (oracle, oracle))
     single = frozenset({0})
     for bundle in (b, good, frozenset()):
         alloc = Allocation((bundle, single), frozenset())
-        assert is_efx_feasible(bundle, [single], oracle) == is_alpha_efx(alloc, inst)
-        assert is_tefx_feasible(bundle, [single], oracle) == is_tefx(alloc, inst)
+        assert is_efx_feasible(alloc.bundles, 0, oracle) == is_alpha_efx(alloc, inst)
+        assert is_tefx_feasible(alloc.bundles, 0, oracle) == is_tefx(alloc, inst)
 
 
 def test_identical_cost_efx_singletons():
@@ -50,8 +50,8 @@ def test_identical_cost_efx_singletons():
 def test_identical_cost_efx_known_split():
     oracle = AdditiveOracle([5, 3, 3, 3])
     bundles = identical_cost_efx(2, oracle)
-    for i, b in enumerate(bundles):
-        assert is_efx_feasible(b, bundles[:i] + bundles[i + 1:], oracle)
+    for i in range(len(bundles)):
+        assert is_efx_feasible(bundles, i, oracle)
     assert frozenset().union(*bundles) == frozenset(range(4))
 
 
@@ -64,8 +64,8 @@ def test_identical_cost_efx_every_bundle_feasible():
         bundles = identical_cost_efx(count, oracle)
         assert frozenset().union(*bundles) == frozenset(range(m))
         assert sum(map(len, bundles)) == m
-        for i, b in enumerate(bundles):
-            assert is_efx_feasible(b, bundles[:i] + bundles[i + 1:], oracle)
+        for i in range(count):
+            assert is_efx_feasible(bundles, i, oracle)
 
 
 def test_two_group_base_case_example():
@@ -95,13 +95,10 @@ def test_two_group_properties_all_k():
             trace = []
             alloc = tefx_two_group(n, c1, c2, k, trace=trace)
             front = n - k + 1
-            bundles = list(alloc.bundles)
             for i in range(front):
-                assert is_efx_feasible(
-                    bundles[i], bundles[:i] + bundles[i + 1:], c1)
+                assert is_efx_feasible(alloc.bundles, i, c1)
             for i in range(front - 1, n):
-                assert is_tefx_feasible(
-                    bundles[i], bundles[:i] + bundles[i + 1:], c2)
+                assert is_tefx_feasible(alloc.bundles, i, c2)
             # potential falls by exactly 1 per move within each level
             assert unit_potential_drops(trace, n)
             levels = Counter(move.step for move in trace)
