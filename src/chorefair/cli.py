@@ -87,12 +87,37 @@ def _subset_key(chores) -> str:
     return ",".join(str(c + 1) for c in sorted(chores))
 
 
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _parse_digit_list(raw: str, what: str) -> list[int]:
+    """The parts of a comma-separated list, each plain digits: int() would
+    also take "1_0", " 2" and "+3"."""
+    parts = raw.split(",")
+    if not all(_DIGITS.fullmatch(part) for part in parts):
+        raise ValueError(f"{what} {raw!r} must be comma-separated digits")
+    return [int(part) for part in parts]
+
+
+def _parse_index_list(raw: str, size: int, what: str) -> list[int]:
+    """0-based indices of a comma-separated list of distinct 1-based ones."""
+    if not raw:
+        return []
+    indices = [i - 1 for i in _parse_digit_list(raw, what)]
+    if any(not 0 <= i < size for i in indices):
+        raise ValueError(f"{what} {raw!r} out of range")
+    if len(set(indices)) < len(indices):
+        raise ValueError(f"{what} {raw!r} repeats an index")
+    return indices
+
+
 def _parse_subset_key(key: str, m: int) -> frozenset[int]:
-    if not key:
-        return frozenset()
-    chores = frozenset(int(part) - 1 for part in key.split(","))
-    if any(not 0 <= c < m for c in chores):
-        raise ValueError(f"subset key {key!r} out of range")
+    """A table key, spelled exactly as _subset_key writes it, so that no
+    two keys name one subset."""
+    chores = frozenset(_parse_index_list(key, m, "subset key"))
+    if key != _subset_key(chores):
+        raise ValueError(f"subset key {key!r} must be written "
+                         f"{_subset_key(chores)!r}")
     return chores
 
 
@@ -231,15 +256,6 @@ def _load_json(path: str) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def _parse_agent_list(raw: str, n: int) -> frozenset[int]:
-    if not raw:
-        return frozenset()
-    agents = frozenset(int(part) - 1 for part in raw.split(","))
-    if any(not 0 <= a < n for a in agents):
-        raise ValueError(f"agent list {raw!r} out of range")
-    return agents
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = instance_from_json(_load_json(args.instance))
     started = time.perf_counter()
@@ -251,10 +267,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elif args.algorithm == "partial-ido-2efx":
         alloc = partial_ido_2efx(instance, trace)
     elif args.algorithm == "round-robin":
-        order = None
-        if args.order:
-            order = [int(part) - 1 for part in args.order.split(",")]
-        alloc, picks = round_robin_allocate(instance, order)
+        order = _parse_index_list(args.order or "", instance.n, "--order")
+        alloc, picks = round_robin_allocate(instance, order or None)
         criterion, alpha = claimed_guarantee(instance) or (None, None)
         if trace is not None:
             trace.extend(picks.picks)
@@ -268,10 +282,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         alloc = tefx_three_group(instance, groups, trace)
         criterion, alpha = "tefx", None
     elif args.algorithm == "tefx-three-group":
-        groups = GroupSpec(
-            _parse_agent_list(args.group1 or "", instance.n),
-            _parse_agent_list(args.group2 or "", instance.n),
-            _parse_agent_list(args.group3 or "", instance.n))
+        groups = GroupSpec(*(
+            frozenset(_parse_index_list(raw or "", instance.n, "agent list"))
+            for raw in (args.group1, args.group2, args.group3)))
         alloc = tefx_three_group(instance, groups, trace)
         criterion, alpha = "tefx", None
     elif args.algorithm == "exhaustive":
@@ -331,7 +344,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if args.k is not None:
             params["k"] = args.k
         if args.sizes:
-            params["sizes"] = tuple(int(s) for s in args.sizes.split(","))
+            params["sizes"] = tuple(_parse_digit_list(args.sizes, "--sizes"))
         if args.rows is not None:
             params["rows"] = args.rows
         instance = generate_instance(args.family, args.n, args.m, args.seed,

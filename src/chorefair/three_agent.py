@@ -10,6 +10,7 @@ exhaustive EFX search.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -112,8 +113,7 @@ def classify_case(instance: Instance) -> tuple[str, CaseContext]:
     for i in range(3):
         for j in range(3):
             if i != j and c1[i] == c2[j]:
-                third = ({0, 1, 2} - {i, j}).pop()
-                return "D1", ctx((i, j, third))
+                return "D1", ctx(roles_from_pair((i, j)))
     seconds = len(set(c2))
     if seconds == 3:
         return "D21", ctx((0, 1, 2))
@@ -136,26 +136,19 @@ def find_subset_D(
     strict_peel, else weakly above.  The result D is non-empty,
     C(anchor ∪ D) >= threshold, and no single removal stays above threshold.
     """
+    above = operator.gt if strict_peel else operator.ge
     d = set(pool)
     full = oracle.cost(d | {anchor})
     if full < threshold:
         raise NoSuchSubsetError(
             f"pool plus anchor costs {full} < threshold {threshold}")
-    anchor_cost = oracle.cost((anchor,))
-    if strict_peel:
-        if anchor_cost > threshold:
-            raise PreconditionError("anchor alone already exceeds the threshold")
-    elif anchor_cost >= threshold:
-        raise PreconditionError("anchor alone already meets the threshold")
-
-    def removable(item: int) -> bool:
-        left = oracle.cost((d - {item}) | {anchor})
-        return left > threshold if strict_peel else left >= threshold
-
+    if above(oracle.cost((anchor,)), threshold):
+        verb = "exceeds" if strict_peel else "meets"
+        raise PreconditionError(f"anchor alone already {verb} the threshold")
     # one ascending pass: removing a chore only lowers the cost of every
     # other removal (monotone costs), so a kept chore stays unremovable
     for item in sorted(d):
-        if removable(item):
+        if above(oracle.cost((d - {item}) | {anchor}), threshold):
             d.remove(item)
     if not d:
         raise VerificationError("peeling emptied the subset; bad preconditions")
@@ -227,7 +220,7 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext,
     elif case == "B221":
         bundles = [{c(3, 2)}, {c(3, 1)}, {c(1, 1), c(1, 2)}]
     elif case in ("B2221", "B2222"):
-        return _solve_deep_b(instance, case, ctx, trace)
+        bundles = _solve_deep_b(instance, case, ctx, trace)
     elif case == "C":
         bundles = [{c(2, 2)}, {c(1, 2)}, {c(1, 1)}]
         pick_rest(bundles, (0, 1))
@@ -244,13 +237,8 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext,
     else:
         raise ValueError(f"unknown case {case!r}")
 
-    return _verified_outcome(instance, _alloc(instance, roles, bundles), trace)
-
-
-def _verified_outcome(
-    instance: Instance, alloc: Allocation, trace: list[Event]
-) -> Allocation:
-    """The seed, checked 2-EFX."""
+    # the one exit of the case analysis: every seed is checked 2-EFX here
+    alloc = _alloc(instance, roles, bundles)
     trace.append(Event("branch", allocation=alloc, note="seed"))
     report = check_alpha_efx(alloc, instance, TWO)
     if not report.verdict:
@@ -262,96 +250,87 @@ def _verified_outcome(
 
 def _solve_deep_b(
     instance: Instance, case: str, ctx: CaseContext, trace: list[Event]
-) -> Allocation:
-    """Cases where roles 1 and 2 share both top chores and role 3's top two
-    are fresh: anchor placement, the peeled subset D, and envy-driven swaps.
+) -> list[set[int]]:
+    """Role-space seed bundles for the cases where roles 1 and 2 share both
+    top chores and role 3's top two are fresh: anchor placement, the peeled
+    subset D, and envy-driven swaps.
     """
-    roles = ctx.roles
     c = ctx.top
 
     def branch(note: str, allocation: Allocation | None = None) -> None:
         trace.append(Event("branch", allocation=allocation, note=note))
 
-    o1, o2, o3 = (instance.oracles[a] for a in roles)
+    o1, o2, o3 = (instance.oracles[a] for a in ctx.roles)
     # role 3's top two, ordered by role 1's cost (tie: lower chore index)
     b1, b2 = sorted((c(3, 1), c(3, 2)), key=lambda ch: (-o1.cost((ch,)), ch))
-
-    if case == "B2221":
-        top3, mid1 = c(1, 1), c(1, 2)   # shared: roles 1 and 2 agree on both
-        strict_peel = True
-    else:
-        top3, mid1 = c(2, 2), c(1, 2)   # crossed: role 2's second = role 1's top
-        strict_peel = False
+    # roles 1 and 2 hold the same top two chores, in order for B2221 and
+    # crossed for B2222, so role 1's top is the anchor top3 in both cases
+    top3, mid1 = c(1, 1), c(1, 2)
+    strict_peel = case == "B2221"
     # role-space seed: <{b2, mid1}, {b1}, {top3}>, threshold C_1(mid1)
     seed = [{b2, mid1}, {b1}, {top3}]
     m_prime = frozenset(range(instance.m)) - {b1, b2, mid1, top3}
     threshold = o1.cost((mid1,))
     branch("anchors: role 2 holds b1 alone, role 1 holds b2 and its second "
-           "chore", allocation=_alloc(instance, roles, seed))
+           "chore", allocation=_alloc(instance, ctx.roles, seed))
 
-    if case == "B2222" and not o1.cost((mid1,)) > TWO * o1.cost((b1,)):
+    if case == "B2222" and not threshold > TWO * o1.cost((b1,)):
         # role 1's worst removal already fits within twice role 2's bundle
         branch("no strong envy possible; keep seed")
-        return _verified_outcome(instance, _alloc(instance, roles, seed), trace)
+        return seed
 
     if o1.cost(m_prime | {b1}) >= threshold:
         d = find_subset_D(o1, b1, m_prime, threshold, strict_peel)
         branch("peeled subset D joins b1")
-        x1, x2 = {b2, mid1}, {b1} | set(d)
+        x1, x2 = {b2, mid1}, {b1} | d
         envies_1 = o2.cost(x2) > o2.cost(x1)
         if case == "B2221":
             if envies_1:
                 x1, x2 = x2, x1
                 branch("role 2 envied role 1; bundles swapped")
-                # when b1 has the min marginal in the swapped bundle, the
-                # peeled set stays within twice the threshold
+                # when b1 has the min marginal in the swapped bundle (the
+                # max cost left after removing it), the peeled set stays
+                # within twice the threshold
                 chores = sorted(x1)
                 drops = o1.removal_units(frozenset(x1), chores)
-                if (chores[drops.index(min(drops))] == b1
+                if (chores[drops.index(max(drops))] == b1
                         and o1.cost(d) > TWO * threshold):
                     raise VerificationError(
                         "peeled set D costs role 1 over twice the threshold")
-            alloc = _alloc(instance, roles, [x1, x2, {top3}])
-            return _verified_outcome(instance, alloc, trace)
+            return [x1, x2, {top3}]
         # crossed case: three rescue allocations depending on role 2's envy
         if envies_1:
             branch("role 2 envies role 1")
-            bundles = [{b1} | set(d), {top3, b2}, {mid1}]
-        elif max_removal_cost(o2, x2) > TWO * o2.cost((top3,)):
+            return [{b1} | d, {top3, b2}, {mid1}]
+        if max_removal_cost(o2, x2) > TWO * o2.cost((top3,)):
             branch("role 2 strongly envies role 3")
-            if o3.cost(d) <= o3.cost((c(3, 2),)):
-                bundles = [{mid1, c(3, 1)}, {top3, c(3, 2)}, set(d)]
-            else:
-                bundles = [set(d), {top3, c(3, 1)}, {mid1}]
             # both front roles stay within twice their cost of D
             if (max_removal_cost(o1, {b2, mid1}) > TWO * o1.cost(d)
                     or max_removal_cost(o2, x2) > TWO * o2.cost(d)):
                 raise VerificationError(
                     "a front role's removal exceeds twice its cost of D")
-        else:
-            branch("role 2 content; keep seed with D")
-            bundles = [x1, x2, {top3}]
-        alloc = _alloc(instance, roles, bundles)
-        return _verified_outcome(instance, alloc, trace)
+            if o3.cost(d) <= o3.cost((c(3, 2),)):
+                return [{mid1, c(3, 1)}, {top3, c(3, 2)}, set(d)]
+            return [set(d), {top3, c(3, 1)}, {mid1}]
+        branch("role 2 content; keep seed with D")
+        return [x1, x2, {top3}]
 
     # the whole pool is too cheap to reach the threshold: allocate it all
     branch("pool below threshold; full allocation")
     if case == "B2221":
-        x1, x2 = {b2, mid1}, {b1} | set(m_prime)
+        x1, x2 = {b2, mid1}, {b1} | m_prime
         if o2.cost(x2) > o2.cost(x1):
-            x1, x2 = x2, x1
             branch("role 2 envied role 1; bundles swapped")
-        elif max_removal_cost(o1, x1) > TWO * o1.cost(x2):
+            return [x2, x1, {top3}]
+        if max_removal_cost(o1, x1) > TWO * o1.cost(x2):
             branch("role 1 strongly envied role 2; regroup")
-            x1, x2 = {b1, b2} | set(m_prime), {mid1}
-        alloc = _alloc(instance, roles, [x1, x2, {top3}])
-        return _verified_outcome(instance, alloc, trace)
-    bundles = [{b1} | set(m_prime), {top3, b2}, {mid1}]
+            return [{b1, b2} | m_prime, {mid1}, {top3}]
+        return [x1, x2, {top3}]
+    bundles = [{b1} | m_prime, {top3, b2}, {mid1}]
     if max_removal_cost(o2, bundles[1]) > TWO * o2.cost(bundles[0]):
         branch("role 2 strongly envied role 1; regroup")
-        bundles = [{top3}, {b1, b2} | set(m_prime), {mid1}]
-    alloc = _alloc(instance, roles, bundles)
-    return _verified_outcome(instance, alloc, trace)
+        return [{top3}, {b1, b2} | m_prime, {mid1}]
+    return bundles
 
 
 def three_agent_2efx(instance: Instance, trace: list[Event] | None = None

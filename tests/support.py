@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from chorefair import (
     AdditiveOracle,
+    Allocation,
     Instance,
     MaxOfAdditiveOracle,
     generate_instance,
@@ -33,6 +34,76 @@ CASE_INSTANCES = {
     "D22": tri([10, 4, 3, 9, 2, 1], [4, 10, 3, 9, 2, 1], [4, 3, 10, 9, 2, 1]),
     "D23": tri([10, 4, 3, 9, 2, 1], [4, 10, 3, 9, 2, 1], [4, 3, 10, 2, 9, 1]),
 }
+
+ANCHORS = "anchors: role 2 holds b1 alone, role 1 holds b2 and its second chore"
+PEELED = "peeled subset D joins b1"
+POOL = "pool below threshold; full allocation"
+SWAPPED = "role 2 envied role 1; bundles swapped"
+
+# one additive instance per note path through the B2221 / B2222 analysis:
+# (case, notes after the anchors, rows, seed bundles), the seeds recorded
+# from the solver.  A seeded search over skewed costs (powers of two, mixes
+# of 1-3 with 50-1,000, or roles 1 and 2 within 3 of each other) found every
+# path at m = 6 but the rescue, which is hand-built at m = 8.
+_DEEP_B_PATHS = (
+    ("B2221", (PEELED,),
+     [[999, 500, 237, 804, 917, 474], [1002, 500, 239, 801, 917, 473],
+      [2, 402, 3, 292, 3, 848]],
+     [[4, 5], [1, 3], [0]]),
+    ("B2221", (PEELED, SWAPPED),
+     [[546, 87, 3, 827, 377, 329], [546, 90, 1, 829, 380, 329],
+      [602, 247, 766, 321, 674, 914]],
+     [[4, 5], [0, 2], [3]]),
+    ("B2221", (POOL,),
+     [[2, 261, 2, 719, 85, 385], [1, 259, 4, 718, 82, 385],
+      [667, 2, 3, 1, 727, 2]],
+     [[0, 5], [1, 2, 4], [3]]),
+    ("B2221", (POOL, SWAPPED),
+     [[1, 535, 208, 1, 282, 997], [3, 2, 764, 922, 1, 317],
+      [2, 845, 86, 1, 809, 855]],
+     [[0, 2, 4], [5], [1, 3]]),
+    ("B2221", (POOL, "role 1 strongly envied role 2; regroup"),
+     [[2, 346, 3, 727, 1, 3], [2, 345, 6, 728, 4, 2],
+      [750, 461, 3, 1, 3, 871]],
+     [[0, 2, 4, 5], [1], [3]]),
+    ("B2222", ("no strong envy possible; keep seed",),
+     [[2, 256, 256, 512, 8, 1024], [8, 16, 1, 512, 16, 64],
+      [512, 2, 1024, 2, 128, 32]],
+     [[0, 3], [2], [5]]),
+    ("B2222", (PEELED, "role 2 envies role 1"),
+     [[778, 288, 1, 1, 679, 562], [725, 396, 93, 3, 779, 566],
+      [2, 1, 779, 697, 127, 544]],
+     [[1, 2, 5], [0, 3], [4]]),
+    ("B2222", (PEELED, "role 2 strongly envies role 3"),
+     [[45, 100, 90, 40, 30, 20, 20, 20], [19, 20, 200, 18, 18, 18, 18, 18],
+      [1, 1, 1, 100, 90, 5, 5, 5]],
+     [[2, 3], [1, 4], [5, 6, 7]]),
+    ("B2222", (PEELED, "role 2 content; keep seed with D"),
+     [[256, 64, 1024, 64, 32, 16], [32, 4, 2, 128, 1024, 128],
+      [32, 8, 4, 1024, 256, 128]],
+     [[4], [2, 3], [0, 5]]),
+    ("B2222", (POOL,),
+     [[3, 2, 2, 3, 2, 2], [3, 770, 425, 1, 2, 606],
+      [157, 581, 231, 1, 1, 950]],
+     [[5], [0, 2, 4], [1, 3]]),
+    ("B2222", (POOL, "role 2 strongly envied role 1; regroup"),
+     [[393, 3, 130, 2, 2, 1], [564, 3, 849, 3, 3, 2],
+      [2, 3, 1, 1, 175, 999]],
+     [[0], [1, 3, 4, 5], [2]]),
+)
+
+
+def deep_b_cases():
+    """{note path of solve_case, "seed" excluded: (instance, seed)} for
+    every path through the B2221 and B2222 analysis.  Keyed on the path,
+    since one note can end two different paths."""
+    cases = {}
+    for case, notes, rows, seed in _DEEP_B_PATHS:
+        inst = tri(*rows)
+        cases[(f"case {case}", ANCHORS, *notes)] = (
+            inst, Allocation.from_bundles(seed, inst.m))
+    return cases
+
 
 COUNTEREXAMPLE = counterexample_instance(26, 12)
 

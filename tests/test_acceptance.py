@@ -39,7 +39,8 @@ from chorefair.round_robin import round_count
 from chorefair.tefx import GroupSpec
 from chorefair.three_agent import CASE_IDS
 
-from support import CASE_INSTANCES, two_group_cases, unit_potential_drops
+from support import (CASE_INSTANCES, deep_b_cases, two_group_cases,
+                     unit_potential_drops)
 
 CYCLE_REMOVALS: list = []
 
@@ -94,13 +95,25 @@ def test_acceptance_2_three_agent_suite(cycle_removal_guard):
         assert check_alpha_efx(alloc, inst, 2).verdict
         cases_seen.add(case)
         checked += 1
+    # one pinned instance per note path of the B2221 / B2222 analysis
+    deep_b = deep_b_cases()
+    paths_seen = set()
+    for inst, _ in deep_b.values():
+        trace = []
+        alloc = three_agent_2efx(inst, trace)
+        assert check_alpha_efx(alloc, inst, 2).verdict
+        notes = [e.note for e in trace]
+        paths_seen.add(tuple(notes[:notes.index("seed")]))
+        checked += 1
     for seed in range(30):
         small = generate_instance("additive", 3, 3 + seed % 3, seed)
         assert exhaustive_search(small, "efx") is not None
     elapsed = time.perf_counter() - started
     CYCLE_REMOVALS.extend(cycle_removal_guard)
-    ok = cases_seen == set(CASE_IDS) and elapsed < 300
+    ok = (cases_seen == set(CASE_IDS) and paths_seen == set(deep_b)
+          and elapsed < 300)
     _report(2, ok, f"{checked} instances 2-EFX, cases {len(cases_seen)}/13, "
+                   f"deep-B paths {len(paths_seen & set(deep_b))}/{len(deep_b)}, "
                    f"30 small instances have exact EFX, {elapsed:.1f}s")
 
 

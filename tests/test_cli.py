@@ -136,6 +136,28 @@ def test_solve_round_robin_with_order_and_trace(tmp_path, capsys):
     assert payload["trace"][0].startswith("round 1: agent 2")
 
 
+@pytest.mark.parametrize("flag, value, word", [
+    ("--order", "+2,1", "digits"), ("--order", "2, 1", "digits"),
+    ("--group1", "1,1", "repeats"),
+    ("--group1", "+1", "digits"), ("--sizes", "+2,1", "digits"),
+    ("--sizes", "2,1_0", "digits")])
+def test_index_lists_must_be_plain_digits(tmp_path, capsys, flag, value, word):
+    # int() reads each of these, so they once ran as if spelled plainly
+    if flag == "--sizes":
+        argv = ["gen", "--family", "identical_groups", "--n", "3", "--m", "6",
+                "--seed", "0"]
+    elif flag == "--order":
+        o = AdditiveOracle([2, 3, 3, 4])
+        argv = ["solve", "--instance", write_instance(tmp_path, Instance(4, 2, (o, o))),
+                "--algorithm", "round-robin"]
+    else:
+        c1, c2, c3 = two_group_oracles()
+        argv = ["solve", "--instance",
+                write_instance(tmp_path, Instance(9, 3, (c1, c2, c3))),
+                "--algorithm", "tefx-three-group", "--group2", "2", "--group3", "3"]
+    assert_input_error(main(argv + [flag, value]), capsys, repr(value), word)
+
+
 def test_solve_round_robin_checks_only_the_claimed_guarantee(tmp_path, capsys):
     # ratios 2.9, 12.1 and 10.3 over three rounds: no tEFX claim (this
     # allocation has a tEFX witness), alpha-EFX at 1 + (12.1 - 1)/2 instead
@@ -262,6 +284,21 @@ def test_non_monotone_table_rejected(tmp_path, capsys, command):
     else:
         argv += ["--allocation", allocation_file(tmp_path), "--criterion", "efx"]
     assert_input_error(main(argv), capsys, "not monotone", "chore 2 to {1}")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("2,1", "3"), ("1,1", "1"), ("01", "1"), (" 2", "1"), ("+3", "1")])
+def test_table_key_spelled_twice_exit_2(tmp_path, capsys, key, value):
+    # each key re-spells a subset the table already names; the values keep
+    # the table monotone, so the later one once replaced the earlier silently
+    path = table_instance(tmp_path)
+    data = json.loads(open(path).read())
+    data["agents"][2]["values"][key] = value
+    with open(path, "w") as handle:
+        json.dump(data, handle)
+    assert_input_error(main(["verify", "--instance", path, "--allocation",
+                             allocation_file(tmp_path), "--criterion", "efx"]),
+                       capsys, "subset key", repr(key))
 
 
 def test_table_beyond_enumeration_guard(tmp_path, capsys, monkeypatch):

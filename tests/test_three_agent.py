@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from chorefair import (
 from chorefair import three_agent
 from chorefair.three_agent import CASE_IDS
 
-from support import CASE_INSTANCES, COUNTEREXAMPLE, tri
+from support import CASE_INSTANCES, COUNTEREXAMPLE, deep_b_cases, tri
 
 
 def test_counterexample_classifies_as_b2222_identity_roles():
@@ -148,6 +149,38 @@ def test_find_subset_d_one_pass_matches_restart_loop():
                                         strict_peel)
             valid += 1
     assert valid > 1000
+
+
+def test_find_subset_d_precondition_boundary():
+    # the anchor alone at the threshold passes the strict peel and fails the
+    # weak one; above the threshold it fails the strict peel too
+    oracle = AdditiveOracle([3, 1, 2])
+    assert find_subset_D(oracle, 0, {1, 2}, Fraction(3), strict_peel=True) == {2}
+    with pytest.raises(PreconditionError, match="meets the threshold"):
+        find_subset_D(oracle, 0, {1, 2}, Fraction(3), strict_peel=False)
+    with pytest.raises(PreconditionError, match="exceeds the threshold"):
+        find_subset_D(oracle, 0, {1, 2}, Fraction(2), strict_peel=True)
+
+
+DEEP_B = deep_b_cases()
+
+
+def test_deep_b_cases_cover_every_path():
+    cases = Counter(path[0] for path in DEEP_B)
+    assert cases == {"case B2221": 5, "case B2222": 6}
+
+
+@pytest.mark.parametrize("path", DEEP_B, ids=[
+    f"{path[0][5:]}-{i}" for i, path in enumerate(DEEP_B)])
+def test_deep_b_path_and_seed_pinned(path):
+    inst, seed = DEEP_B[path]
+    case, ctx = classify_case(inst)
+    trace = []
+    assert solve_case(inst, case, ctx, trace) == seed
+    assert [e.note for e in trace] == [*path, "seed"]
+    alloc = three_agent_2efx(inst)
+    assert alloc.is_full
+    assert check_alpha_efx(alloc, inst, 2).verdict
 
 
 def test_three_agent_counterexample_exact_output():
