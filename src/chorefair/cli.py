@@ -79,8 +79,7 @@ def parse_rational(value: Any) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    return str(value.numerator) if value.denominator == 1 else str(value)
+    return str(Fraction(value))
 
 
 def _subset_key(chores) -> str:

@@ -206,35 +206,28 @@ def _all_violations(
         yield from _violations(oracle, i, alloc.bundles, criterion, alpha)
 
 
-def check_alpha_efx(
-    alloc: Allocation, instance: Instance, alpha: Fraction | int = ONE
-) -> FairnessReport:
-    """alpha-EFX report; witnesses enumerate every violation.
-
-    Pool chores are ignored: the criterion constrains allocated bundles only.
-    """
-    _, alpha = resolve_criterion("alpha_efx", alpha)
-    _check_shapes(alloc, instance)
-    witnesses = tuple(_all_violations(alloc, instance, "alpha_efx", alpha))
-    return FairnessReport("alpha_efx", alpha, witnesses)
-
-
-def check_tefx(alloc: Allocation, instance: Instance) -> FairnessReport:
-    """tEFX report: every removal beats the corresponding transfer."""
-    _check_shapes(alloc, instance)
-    witnesses = tuple(_all_violations(alloc, instance, "tefx", None))
-    return FairnessReport("tefx", None, witnesses)
-
-
 def check_criterion(
     alloc: Allocation, instance: Instance, criterion: str,
     alpha: Fraction | int | str = ONE,
 ) -> FairnessReport:
-    """Report for a criterion name, as mapped by resolve_criterion."""
+    """Report for a criterion name, as mapped by resolve_criterion: every
+    violation, by agent, other agent and chore; pool chores are ignored."""
     criterion, alpha = resolve_criterion(criterion, alpha)
-    if criterion == "tefx":
-        return check_tefx(alloc, instance)
-    return check_alpha_efx(alloc, instance, alpha)
+    _check_shapes(alloc, instance)
+    witnesses = tuple(_all_violations(alloc, instance, criterion, alpha))
+    return FairnessReport(criterion, alpha, witnesses)
+
+
+def check_alpha_efx(
+    alloc: Allocation, instance: Instance, alpha: Fraction | int = ONE
+) -> FairnessReport:
+    """alpha-EFX report."""
+    return check_criterion(alloc, instance, "alpha_efx", alpha)
+
+
+def check_tefx(alloc: Allocation, instance: Instance) -> FairnessReport:
+    """tEFX report: every removal beats the corresponding transfer."""
+    return check_criterion(alloc, instance, "tefx")
 
 
 def is_alpha_efx(

@@ -438,14 +438,15 @@ def perturb_nondegenerate(instance, delta: Fraction | None = None):
 # seeded instance generators
 # ---------------------------------------------------------------------------
 
-GENERATOR_FAMILIES = (
-    "additive",
-    "additive_ratio",
-    "capped_additive",
-    "max_of_additive",
-    "k_partial_ido",
-    "identical_groups",
-)
+# each family with the one keyword parameter generate_instance reads for it
+GENERATOR_FAMILIES = {
+    "additive": None,
+    "additive_ratio": "alpha",
+    "capped_additive": None,
+    "max_of_additive": "rows",
+    "k_partial_ido": "k",
+    "identical_groups": "sizes",
+}
 
 
 def _distinct_costs(rng: random.Random, m: int) -> tuple[Fraction, ...]:
@@ -458,8 +459,7 @@ def _ratio_bounded_costs(rng: random.Random, m: int, alpha: Fraction) -> tuple[F
     span = (alpha - 1) * low
     grid = max(m + 1, 101)
     offsets = rng.sample(range(grid), m)
-    return tuple(low + span * Fraction(off, grid - 1) if grid > 1 else low
-                 for off in offsets)
+    return tuple(low + span * Fraction(off, grid - 1) for off in offsets)
 
 
 def generate_instance(family: str, n: int, m: int, seed: int, **params):
@@ -472,6 +472,9 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
 
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
+    unused = sorted(params.keys() - {GENERATOR_FAMILIES.get(family)})
+    if unused and family in GENERATOR_FAMILIES:
+        raise ValueError(f"family {family!r} does not use parameter {unused[0]!r}")
     rng = random.Random(f"{family}:{n}:{m}:{seed}")
 
     if family == "additive":
@@ -531,6 +534,6 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
             built.extend([shared] * size)
         oracles = tuple(built)
     else:
-        raise ValueError(f"unknown family {family!r}; choose from {GENERATOR_FAMILIES}")
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(GENERATOR_FAMILIES)}")
 
     return Instance(m, n, oracles)

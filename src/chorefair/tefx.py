@@ -16,7 +16,7 @@ from typing import Sequence
 from .core import ONE, TWO, Allocation, Event, Instance, _violations, check_tefx
 from .errors import PreconditionError, VerificationError
 from .oracles import CostOracle, ratio_bound, top_chore_order
-from .verify import partitions
+from .verify import exhaustive_search
 
 Bundles = list[frozenset[int]]
 
@@ -76,7 +76,8 @@ def identical_cost_efx(bundle_count: int, oracle: CostOracle) -> Bundles:
         target = grow.index(min(grow))
         bundles[target] = bundles[target] | {c}
 
-    for _ in range(m * m * bundle_count):
+    # at least one pass, so that m = 0 returns its empty bundles here
+    for _ in range(max(m * m * bundle_count, 1)):
         violator = next((i for i in positions
                          if not is_efx_feasible(bundles, i, oracle)), None)
         if violator is None:
@@ -92,13 +93,12 @@ def identical_cost_efx(bundle_count: int, oracle: CostOracle) -> Bundles:
         bundles[violator] = src - {chore}
         bundles[dest] = bundles[dest] | {chore}
 
-    # exhaustive fallback over assignment vectors
-    for candidate in partitions(m, bundle_count):
-        if all(is_efx_feasible(candidate, i, oracle) for i in positions):
-            return list(candidate)
-    raise VerificationError(
-        "no single-oracle EFX partition exists; the oracle is likely not "
-        "monotone")
+    # every agent sharing the oracle is EFX iff every bundle is EFX-feasible
+    found = exhaustive_search(Instance(m, bundle_count, (oracle,) * bundle_count))
+    if found is None:
+        raise VerificationError("no single-oracle EFX partition exists; the "
+                                "oracle is likely not monotone")
+    return list(found.bundles)
 
 
 def tefx_two_group(

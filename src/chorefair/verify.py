@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import (
     Allocation,
@@ -23,22 +23,9 @@ from .core import (
 )
 from .envy_graph import TopTradingGraph, _ttece, build_top_trading_graph
 from .errors import EnumerationLimitError, PreconditionError
-from .oracles import AdditiveOracle
+from .oracles import AdditiveOracle, CostOracle
 
 SEARCH_LIMIT = 10**7
-
-
-def partitions(m: int, count: int) -> Iterator[tuple[frozenset[int], ...]]:
-    """Every split of chores 0..m-1 into `count` bundles, lexicographic over
-    the chore -> bundle assignment vectors; refuses past the search limit."""
-    if count**m > SEARCH_LIMIT:
-        raise EnumerationLimitError(
-            f"{count}^{m} assignments exceed the search limit")
-    for assignment in itertools.product(range(count), repeat=m):
-        bundles = [set() for _ in range(count)]
-        for chore, position in enumerate(assignment):
-            bundles[position].add(chore)
-        yield tuple(map(frozenset, bundles))
 
 
 def exhaustive_search(
@@ -47,46 +34,52 @@ def exhaustive_search(
     alpha: Fraction | int = 1,
 ) -> Allocation | None:
     """First full allocation (lexicographic over chore->agent assignment
-    vectors) passing the criterion, or None as a nonexistence certificate.
+    vectors) passing the criterion, or None as a nonexistence certificate;
+    refuses past the search limit.
 
     criterion: "efx" (alpha forced to 1), "alpha_efx", or "tefx".
     """
     criterion, alpha = resolve_criterion(criterion, alpha)
-    for bundles in partitions(instance.m, instance.n):
-        alloc = Allocation(bundles, frozenset())
+    m, n = instance.m, instance.n
+    if n**m > SEARCH_LIMIT:
+        raise EnumerationLimitError(f"{n}^{m} assignments exceed the search limit")
+    for assignment in itertools.product(range(n), repeat=m):
+        bundles = [set() for _ in range(n)]
+        for chore, agent in enumerate(assignment):
+            bundles[agent].add(chore)
+        alloc = Allocation.full(bundles)
         if (is_tefx(alloc, instance) if criterion == "tefx"
                 else is_alpha_efx(alloc, instance, alpha)):
             return alloc
     return None
 
 
+def _second_opinion(
+    alloc: Allocation, instance: Instance,
+    bound: Callable[[CostOracle, frozenset[int], int], Fraction],
+) -> bool:
+    """Whether C_i(X_i - c) <= bound(C_i, X_j, c) for every triple (i, j, c)
+    with c in X_i; a separate enumeration shape from the core's."""
+    bundles, oracles = alloc.bundles, instance.oracles
+    triples = itertools.product(range(instance.n), range(instance.n),
+                                range(instance.m))
+    return not any(oracles[i].cost(bundles[i] - {c}) > bound(oracles[i], bundles[j], c)
+                   for i, j, c in triples if i != j and c in bundles[i])
+
+
 def independent_alpha_efx(
     alloc: Allocation, instance: Instance, alpha: Fraction | int = 1
 ) -> bool:
-    """Second-opinion alpha-EFX check with a separate enumeration shape."""
+    """Second-opinion alpha-EFX check: C_i(X_i - c) <= alpha * C_i(X_j)."""
     alpha = Fraction(alpha)
-    triples = itertools.product(range(instance.n), range(instance.n),
-                                range(instance.m))
-    for i, j, c in triples:
-        if i == j or c not in alloc.bundles[i]:
-            continue
-        oracle = instance.oracles[i]
-        if oracle.cost(alloc.bundles[i] - {c}) > alpha * oracle.cost(alloc.bundles[j]):
-            return False
-    return True
+    return _second_opinion(alloc, instance,
+                           lambda oracle, other, c: alpha * oracle.cost(other))
 
 
 def independent_tefx(alloc: Allocation, instance: Instance) -> bool:
-    """Second-opinion tEFX check with a separate enumeration shape."""
-    triples = itertools.product(range(instance.n), range(instance.n),
-                                range(instance.m))
-    for i, j, c in triples:
-        if i == j or c not in alloc.bundles[i]:
-            continue
-        oracle = instance.oracles[i]
-        if oracle.cost(alloc.bundles[i] - {c}) > oracle.cost(alloc.bundles[j] | {c}):
-            return False
-    return True
+    """Second-opinion tEFX check: C_i(X_i - c) <= C_i(X_j + c)."""
+    return _second_opinion(alloc, instance,
+                           lambda oracle, other, c: oracle.cost(other | {c}))
 
 
 def counterexample_instance(m1: Fraction | int, m2: Fraction | int) -> Instance:

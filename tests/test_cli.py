@@ -11,6 +11,7 @@ from chorefair import (
     MaxOfAdditiveOracle,
     TabulatedOracle,
     check_alpha_efx,
+    check_k_partial_ido,
     generate_instance,
 )
 from chorefair import cli
@@ -500,6 +501,23 @@ def test_gen_counterexample_and_invalid_params(tmp_path, capsys):
                  "--m2", "7"]) == 2
     assert main(["gen", "--family", "no-such-family", "--n", "2", "--m", "4",
                  "--seed", "0"]) == 2
+
+
+def test_gen_refuses_a_flag_its_family_does_not_use(capsys):
+    argv = ["gen", "--family", "additive", "--n", "3", "--m", "6", "--seed", "1",
+            "--rows", "3", "--k", "2", "--alpha", "5"]
+    assert_input_error(main(argv), capsys, "'additive'")
+
+
+def test_gen_passes_rows_and_k_to_their_families(tmp_path, capsys):
+    assert main(["gen", "--family", "max_of_additive", "--n", "2", "--m", "5",
+                 "--seed", "1", "--rows", "3"]) == 0
+    agents = json.loads(capsys.readouterr().out)["agents"]
+    assert [len(agent["rows"]) for agent in agents] == [3, 3]
+    out = tmp_path / "ido.json"
+    assert main(["gen", "--family", "k_partial_ido", "--n", "3", "--m", "8",
+                 "--seed", "1", "--k", "1", "--output", str(out)]) == 0
+    assert check_k_partial_ido(instance_from_json(json.loads(out.read_text())), 1)
 
 
 def test_repro_counterexample_exit_codes(capsys):

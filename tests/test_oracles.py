@@ -144,6 +144,15 @@ def test_validate_catches_violations():
     assert not result.passed and result.violations
 
 
+def test_validate_nondegenerate_names_each_tie():
+    # each pair is (first subset with the cost, later subset matching it)
+    oracle = AdditiveOracle([1, 1, 2])
+    result = validate_oracle(oracle, ("nondegenerate",))["nondegenerate"]
+    assert result.violations == (((0,), (1,)), ((2,), (0, 1)), ((0, 2), (1, 2)))
+    perturbed = PerturbedOracle(oracle, Fraction(1, 64))
+    assert validate_oracle(perturbed, ("nondegenerate",))["nondegenerate"].passed
+
+
 def test_validate_refuses_oversize():
     oracle = AdditiveOracle(range(1, 22))
     with pytest.raises(EnumerationLimitError):
@@ -252,6 +261,16 @@ def test_generate_identical_groups():
 def test_generate_rejects_unknown_family():
     with pytest.raises(ValueError):
         generate_instance("nope", 2, 4, 0)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("additive", {"rows": 3}), ("additive_ratio", {"k": 2}),
+    ("max_of_additive", {"alpha": 2}), ("identical_groups", {"rows": 2}),
+    ("capped_additive", {"sizes": (2,)})])
+def test_generate_refuses_a_parameter_its_family_does_not_use(family, params):
+    (name,) = params
+    with pytest.raises(ValueError, match=f"{family!r}.*{name!r}"):
+        generate_instance(family, 2, 6, 0, **params)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,8 @@ from chorefair import (
     Instance,
     MaxOfAdditiveOracle,
     PreconditionError,
+    TabulatedOracle,
+    VerificationError,
     check_tefx,
     generate_instance,
     identical_cost_efx,
@@ -67,6 +69,36 @@ def test_identical_cost_efx_every_bundle_feasible():
         for i in range(count):
             assert is_efx_feasible(bundles, i, oracle)
 
+
+
+def _table(values):
+    m = max(map(len, values))
+    return TabulatedOracle(m, values)
+
+
+def test_identical_cost_efx_without_chores():
+    assert identical_cost_efx(2, TabulatedOracle(0, {(): 0})) == [frozenset()] * 2
+
+def test_identical_cost_efx_falls_back_to_exhaustive_search():
+    # the repair loop stops when the violating bundle is also the cheapest,
+    # which only a non-monotone cost allows: the greedy split is {1, 2}, {0},
+    # both at cost 0, and dropping chore 2 from {1, 2} leaves {1} at cost 3
+    oracle = _table({(): 0, (0,): 0, (1,): 3, (2,): 1, (0, 1): 0, (0, 2): 1,
+                     (1, 2): 0, (0, 1, 2): 2})
+    bundles = identical_cost_efx(2, oracle)
+    assert bundles == [frozenset({0, 2}), frozenset({1})]
+    assert all(is_efx_feasible(bundles, i, oracle) for i in range(2))
+
+
+def test_identical_cost_efx_without_an_efx_split_raises():
+    # non-monotone values from {0, 1, 5, 9}: no split into two bundles is
+    # EFX-feasible, so the search behind the repair loop comes back empty
+    oracle = _table({(): 0, (0,): 5, (1,): 5, (2,): 1, (3,): 0, (0, 1): 0,
+                     (0, 2): 0, (0, 3): 0, (1, 2): 1, (1, 3): 9, (2, 3): 9,
+                     (0, 1, 2): 1, (0, 1, 3): 5, (0, 2, 3): 9, (1, 2, 3): 5,
+                     (0, 1, 2, 3): 9})
+    with pytest.raises(VerificationError, match="likely not monotone"):
+        identical_cost_efx(2, oracle)
 
 def test_two_group_base_case_example():
     c1 = AdditiveOracle([4, 3, 2, 1])

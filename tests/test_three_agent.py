@@ -205,6 +205,23 @@ def test_b2222_rescue_where_role_2_strongly_envies_role_3():
     assert check_alpha_efx(alloc, inst, 2).verdict
 
 
+def test_b2222_rescue_gives_role_3_the_peeled_set():
+    # the rescue rows with role 3's costs of chores 5-7 raised from 5 to 40:
+    # now C3(D) > C3(role 3's second chore), so D goes to role 3 and roles
+    # 1 and 2 take {top3, role 3's top chore} and {mid1}
+    inst = tri([45, 100, 90, 40, 30, 20, 20, 20],
+               [19, 20, 200, 18, 18, 18, 18, 18],
+               [1, 1, 1, 100, 90, 40, 40, 40])
+    case, ctx = classify_case(inst)
+    trace = []
+    seed = solve_case(inst, case, ctx, trace)
+    assert trace[-2].note == "role 2 strongly envies role 3"
+    assert seed == Allocation.from_bundles([[5, 6, 7], [1, 3], [2]], inst.m)
+    alloc = three_agent_2efx(inst)
+    assert alloc.is_full
+    assert check_alpha_efx(alloc, inst, 2).verdict
+
+
 def test_refused_case_seed_raises_verification_error(monkeypatch):
     # a 2-EFX case seed that breaks the pool property (chore 3 costs more
     # than every bundle) is a fault of the case analysis, not bad input
@@ -220,6 +237,14 @@ def test_small_m_uses_exhaustive_search():
     alloc = three_agent_2efx(inst)
     assert alloc.is_full
     assert check_alpha_efx(alloc, inst, 1).verdict
+
+
+def test_small_m_trace_is_one_search_event():
+    inst = tri([3, 2, 1], [1, 2, 3], [2, 1, 3])
+    trace = []
+    alloc = three_agent_2efx(inst, trace)
+    assert [(e.kind, e.note, e.allocation) for e in trace] == [
+        ("branch", "m <= 5: first EFX allocation found", alloc)]
 
 
 def test_roles_invert_correctly():

@@ -5,7 +5,9 @@ import pytest
 from chorefair import (
     Allocation,
     EnumerationLimitError,
+    Instance,
     PreconditionError,
+    TabulatedOracle,
     check_alpha_efx,
     check_tefx,
     counterexample_instance,
@@ -40,6 +42,19 @@ def test_counterexample_has_an_efx_allocation():
     alloc = exhaustive_search(COUNTEREXAMPLE, "efx")
     assert alloc is not None
     assert check_alpha_efx(alloc, COUNTEREXAMPLE, 1).verdict
+
+
+def test_search_certifies_that_no_efx_allocation_exists():
+    # two agents share a non-monotone table under which no split is EFX
+    oracle = TabulatedOracle(4, {
+        (): 0, (0,): 5, (1,): 5, (2,): 1, (3,): 0, (0, 1): 0, (0, 2): 0,
+        (0, 3): 0, (1, 2): 1, (1, 3): 9, (2, 3): 9, (0, 1, 2): 1,
+        (0, 1, 3): 5, (0, 2, 3): 9, (1, 2, 3): 5, (0, 1, 2, 3): 9})
+    inst = Instance(4, 2, (oracle, oracle))
+    assert exhaustive_search(inst, "efx") is None
+    alloc = exhaustive_search(inst, "tefx")
+    assert alloc.bundles == (frozenset({0, 1}), frozenset({2, 3}))
+    assert check_tefx(alloc, inst).verdict
 
 
 def test_search_guard(monkeypatch):
