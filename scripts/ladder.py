@@ -1,19 +1,23 @@
-"""Scaling ladders of `three_agent_2efx`, `check_tefx` and
-`partial_ido_2efx` (standard library only).
+"""Scaling ladders of `three_agent_2efx`, `check_tefx`, `check_alpha_efx`
+and `partial_ido_2efx` (standard library only).
 
-Three rungs, each run once per checkout, written to one JSON file:
+Four rungs, each run once per checkout, written to one JSON file:
 
 - `three_agent_2efx` on `generate_instance(family, 3, m, 1)` for each m in
   SIZES and each row-cost family;
 - `check_tefx` on the `round_robin_allocate` output for
   `generate_instance(family, 50, m, 1)` for each m in TEFX_SIZES and each
   row-cost family;
+- `check_alpha_efx` at `guarantee_ratio(2, rounds)` on the
+  `round_robin_allocate` output for `generate_instance("additive_ratio",
+  n, 5n, 1, alpha=2)` for each n in ALPHA_AGENTS: the checker's scaling
+  in n;
 - `partial_ido_2efx` on `generate_instance("k_partial_ido", n, 4n, 1,
   k=n-1)` for each n in IDO_AGENTS: the extension's scaling in n.
 
 Each point holds the best of three wall times, each on a freshly
-generated instance (empty oracle caches; generation and, for
-`check_tefx`, the allocation not timed), and `chores_summed` of one more
+generated instance (empty oracle caches; generation and, for the
+checkers, the allocation not timed), and `chores_summed` of one more
 run: the chore terms the `RowOracle` cost kernels summed, counted by
 wrapping them from outside the library.
 
@@ -22,14 +26,16 @@ wrapping them from outside the library.
 - `removal_units` on a bundle it has not cached: |S| terms (an additive
   oracle caches none and takes |chores| = |S| differences each call);
 - `addition_units`: |chores| terms;
-- `singleton_units` when it builds the table: m terms.
+- `singleton_units` when it builds the table: m terms;
+- `bundle_units`, one row of `cost_rows`: one term per chore of the
+  bundles it values, whatever the number of rows.
 
 A checkout without these methods counts `_raw_cost` only.  The
 count repeats exactly, so it compares two checkouts where noisy wall times
 cannot.
 
     python3 scripts/ladder.py --side parent=../parent --side change=. \\
-        --out BENCH_11.json
+        --out BENCH_16.json
 
 Each checkout is measured in its own process, importing `chorefair` from
 that checkout's `src/`.
@@ -50,6 +56,7 @@ FAMILIES = ("additive", "capped_additive", "max_of_additive")
 SIZES = (250, 500, 1000, 2000, 4000)
 TEFX_SIZES = (250, 500, 1000)
 TEFX_AGENTS = 50
+ALPHA_AGENTS = (40, 100, 200)
 IDO_AGENTS = (50, 100, 200)
 RUNS = 3
 SEED = 1
@@ -62,15 +69,19 @@ TERMS = {
         0 if bundle in oracle._removals else len(bundle),
     "addition_units": lambda oracle, bundle, chores: len(chores),
     "singleton_units": lambda oracle: oracle.m if oracle._singles is None else 0,
+    # the layout's pick lays out every chore it values, once
+    "bundle_units": lambda oracle, layout: len(layout[0](oracle._rows[0])),
 }
 
 
 def measure(src: str) -> list[dict]:
     """The ladder for the library under `src`, in this process."""
     sys.path.insert(0, src)
-    from chorefair import (check_tefx, generate_instance, partial_ido_2efx,
+    from chorefair import (check_alpha_efx, check_tefx, generate_instance,
+                           guarantee_ratio, partial_ido_2efx,
                            round_robin_allocate, three_agent_2efx)
     from chorefair.oracles import RowOracle
+    from chorefair.round_robin import round_count
 
     summed = [0]
 
@@ -92,6 +103,12 @@ def measure(src: str) -> list[dict]:
         alloc = round_robin_allocate(instance)[0]
         return lambda: check_tefx(alloc, instance)
 
+    def alpha_efx(n):
+        instance = generate_instance("additive_ratio", n, 5 * n, SEED, alpha=2)
+        alloc = round_robin_allocate(instance)[0]
+        bound = guarantee_ratio(2, round_count(instance))
+        return lambda: check_alpha_efx(alloc, instance, bound)
+
     def ido(n):
         instance = generate_instance("k_partial_ido", n, 4 * n, SEED, k=n - 1)
         return lambda: partial_ido_2efx(instance)
@@ -102,6 +119,8 @@ def measure(src: str) -> list[dict]:
                  ("three_agent_2efx", three_agent, 3, SIZES),
                  ("check_tefx", tefx, TEFX_AGENTS, TEFX_SIZES))
              for m in sizes for family in FAMILIES]
+    cases += [("check_alpha_efx", "additive_ratio", n, 5 * n,
+               functools.partial(alpha_efx, n)) for n in ALPHA_AGENTS]
     cases += [("partial_ido_2efx", "k_partial_ido", n, 4 * n,
                functools.partial(ido, n)) for n in IDO_AGENTS]
     points = []
@@ -149,12 +168,15 @@ def main(argv: list[str] | None = None) -> int:
                  "generate_instance(family, 3, m, seed); rung check_tefx: "
                  "check_tefx on the round_robin_allocate output for "
                  f"generate_instance(family, {TEFX_AGENTS}, m, seed); rung "
+                 "check_alpha_efx: check_alpha_efx at guarantee_ratio(2, "
+                 "rounds) on the round_robin_allocate output for "
+                 "generate_instance('additive_ratio', n, 5n, seed, alpha=2); rung "
                  "partial_ido_2efx: partial_ido_2efx on generate_instance("
                  "'k_partial_ido', n, 4n, seed, k=n-1). "
                  f"Best of {RUNS} wall times (s) on fresh instances, and "
                  "chores_summed (chore terms summed by RowOracle's _raw_cost, "
-                 "add, uncached removal_units, addition_units and singleton "
-                 "table) of one more run",
+                 "add, uncached removal_units, addition_units, singleton "
+                 "table and bundle_units) of one more run",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "seed": SEED,

@@ -328,8 +328,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.verdict else 1
 
 
+# `gen`'s flags: the counterexample family reads only --m1 and --m2, the
+# generator families never read them
+COUNTEREXAMPLE_FLAGS = ("m1", "m2")
+GENERATOR_FLAGS = ("n", "m", "seed", "alpha", "k", "sizes", "rows")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "counterexample":
+    counterexample = args.family == "counterexample"
+    stray = [f"--{flag}" for flag in
+             (GENERATOR_FLAGS if counterexample else COUNTEREXAMPLE_FLAGS)
+             if getattr(args, flag) is not None]
+    if stray:
+        raise ValueError(f"family {args.family!r} does not use {', '.join(stray)}")
+    if counterexample:
         if args.m1 is None or args.m2 is None:
             raise ValueError("--m1 and --m2 are required for counterexample")
         instance = counterexample_instance(parse_rational(args.m1),

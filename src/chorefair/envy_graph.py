@@ -26,6 +26,7 @@ from .core import (
     is_alpha_efx,
 )
 from .errors import PreconditionError, VerificationError
+from .oracles import cost_rows
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def _eliminate(succ: list[int | None], columns: Sequence[list],
 def build_top_trading_graph(alloc: Allocation, instance: Instance) -> TopTradingGraph:
     """Edge i -> j iff C_i(X_i) > C_i(X_j) = min_k C_i(X_k); ties to lowest j."""
     return TopTradingGraph(tuple(_successors(
-        [list(map(oracle.units, alloc.bundles)) for oracle in instance.oracles])))
+        list(cost_rows(instance.oracles, alloc.bundles)))))
 
 
 def eliminate_top_trading_cycles(
@@ -110,7 +111,7 @@ def eliminate_top_trading_cycles(
     returns the final allocation and its acyclic graph, and reports each
     rotated cycle with the allocation after it."""
     bundles = list(alloc.bundles)
-    costs = [list(map(oracle.units, bundles)) for oracle in instance.oracles]
+    costs = list(cost_rows(instance.oracles, bundles))
     succ = _successors(costs)
     for cycle in _eliminate(succ, (bundles, *costs), costs):
         if on_cycle_removed is not None:
@@ -139,7 +140,7 @@ def _ttece(
                           alloc.pool.difference(*bundles))
 
     states = [[o.bundle_state(b) for b in alloc.bundles] for o in instance.oracles]
-    costs = [list(map(o.units, alloc.bundles)) for o in instance.oracles]
+    costs = list(cost_rows(instance.oracles, alloc.bundles))
     succ = _successors(costs)
     changed: Iterable[int] = range(instance.n)
     for chore in pool_order:

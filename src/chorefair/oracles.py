@@ -1,5 +1,5 @@
-"""Cost oracles, structural validators, seeded generators and the
-non-degeneracy perturbation.
+"""Cost oracles, the cost-row kernel, structural validators, seeded
+generators and the non-degeneracy perturbation.
 
 Chores are 0-based ints internally; all values are exact: an oracle keeps
 each cost as an int over its one denominator and shows it as a
@@ -15,7 +15,8 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import EnumerationLimitError, PreconditionError
 
@@ -172,6 +173,15 @@ class RowOracle(CostOracle):
             return sum(map(self._rows[0].__getitem__, chores))
         return self._total([sum(map(row.__getitem__, chores)) for row in self._rows])
 
+    def bundle_units(self, layout: BundleLayout) -> list[int]:
+        """units of every bundle of ``layout``: per row, one pick of the
+        laid-out chores' costs, summed bundle by bundle."""
+        pick, split = layout
+        sums = [map(sum, split(pick(row))) for row in self._rows]
+        if self.kind == "additive":
+            return list(sums[0])
+        return list(map(self._total, zip(*sums)))
+
     def singleton_units(self) -> tuple[int, ...]:
         if self._singles is None:  # from the rows, not through the cache
             self._singles = tuple(map(self._total, zip(*self._rows)))
@@ -219,6 +229,56 @@ class RowOracle(CostOracle):
 
     def _key(self) -> tuple:
         return (self.rows, self.cap)
+
+
+# (pick, split): ``pick(row)`` is the tuple of a row's costs of the bundles'
+# chores laid end to end, and ``split`` cuts it into one tuple per bundle
+BundleLayout = tuple[Callable, Callable]
+
+
+def _tuple_getter(items: Sequence) -> Callable:
+    """``itemgetter(*items)``, returning a tuple for one item too."""
+    if len(items) == 1:
+        (item,) = items
+        return lambda seq: (seq[item],)
+    return itemgetter(*items)
+
+
+def _bundle_layout(bundles: Sequence[frozenset[int]], m: int) -> BundleLayout:
+    """The shared layout of bundles, at least one of them non-empty."""
+    order = tuple(itertools.chain.from_iterable(bundles))
+    if min(order) < 0:  # a row index would wrap around; >= m raises itself
+        raise IndexError(f"chore {min(order)} out of range for m={m}")
+    ends = list(itertools.accumulate(map(len, bundles)))
+    return (_tuple_getter(order),
+            _tuple_getter(list(map(slice, [0, *ends], ends))))
+
+
+def cost_rows(oracles: Iterable[CostOracle], bundles: Sequence[frozenset[int]]
+              ) -> Iterator[list[int]]:
+    """Each oracle's row ``[units(b) for b in bundles]``, one per oracle as
+    the caller asks for it.  A row comes from the oracle's cache when every
+    non-empty bundle is there; otherwise a ``RowOracle`` values all of them
+    in one ``bundle_units`` pass over a layout built once and shared by the
+    oracles, and stores them in its cache as ``units`` would; any other
+    oracle calls ``units``."""
+    # cache.get's defaults: None marks a miss, and the empty set costs 0
+    defaults = [None if bundle else 0 for bundle in bundles]
+    layout = None
+    for oracle in oracles:
+        cache = oracle._cache
+        row = list(map(cache.get, bundles, defaults))
+        if None not in row:
+            yield row
+        elif not isinstance(oracle, RowOracle):
+            yield list(map(oracle.units, bundles))
+        else:
+            if layout is None:
+                layout = _bundle_layout(bundles, oracle.m)
+            row = oracle.bundle_units(layout)
+            cache.update(zip(bundles, row))
+            cache.pop(frozenset(), None)  # units never stores the empty set
+            yield row
 
 
 def AdditiveOracle(costs: Iterable) -> RowOracle:

@@ -509,6 +509,26 @@ def test_gen_refuses_a_flag_its_family_does_not_use(capsys):
     assert_input_error(main(argv), capsys, "'additive'")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "5"), ("--m", "6"), ("--seed", "1"), ("--alpha", "2"),
+    ("--k", "2"), ("--sizes", "2,1"), ("--rows", "3")])
+def test_gen_counterexample_refuses_generator_flags(flag, value, capsys):
+    argv = ["gen", "--family", "counterexample", "--m1", "26", "--m2", "12"]
+    assert_input_error(main(argv + [flag, value]), capsys, "'counterexample'", flag)
+
+
+@pytest.mark.parametrize("flag", ["--m1", "--m2"])
+def test_gen_generator_families_refuse_counterexample_flags(flag, capsys):
+    argv = ["gen", "--family", "additive", "--n", "3", "--m", "6", "--seed", "1"]
+    assert_input_error(main(argv + [flag, "26"]), capsys, "'additive'", flag)
+
+
+def test_gen_names_every_stray_flag(capsys):
+    argv = ["gen", "--family", "counterexample", "--m1", "26", "--m2", "12",
+            "--rows", "3", "--n", "5"]
+    assert_input_error(main(argv), capsys, "does not use --n, --rows")
+
+
 def test_gen_passes_rows_and_k_to_their_families(tmp_path, capsys):
     assert main(["gen", "--family", "max_of_additive", "--n", "2", "--m", "5",
                  "--seed", "1", "--rows", "3"]) == 0

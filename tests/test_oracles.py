@@ -27,7 +27,8 @@ from chorefair import (
     top_chore_order,
     validate_oracle,
 )
-from chorefair.oracles import env_enum_limit
+from chorefair.core import ROW_KERNEL_BUNDLES
+from chorefair.oracles import cost_rows, env_enum_limit
 
 from support import COUNTEREXAMPLE
 
@@ -408,6 +409,56 @@ def test_addition_units_match_reference_every_subset(m):
                     oracle.addition_units(s, [bad])
 
 
+def _random_bundles(rng, m, n):
+    """n disjoint bundles of chores 0..m-1, some chores left out."""
+    owners = [rng.randrange(n + 1) for _ in range(m)]
+    return [frozenset(c for c in range(m) if owners[c] == j) for j in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cost_rows_match_units(n):
+    # every oracle shape in one call, so the row oracles share one layout
+    # and the others take units; fresh oracles on both sides, then some
+    # with one bundle already cached, then the rows read back
+    rng = random.Random(f"rows:{n}")
+    for m in sorted({1, n, 3 * n}):
+        specs = _specs(rng, m, with_table=m <= 8)
+        shapes = [_random_bundles(rng, m, n) for _ in range(6)]
+        shapes.append([frozenset()] * (n - 1) + [frozenset({m - 1})])
+        shapes.append([frozenset({c}) for c in range(min(n, m))]
+                      + [frozenset()] * (n - min(n, m)))
+        for bundles in shapes:
+            ours = [_build(spec) for spec in specs]
+            plain = [_build(spec) for spec in specs]
+            for oracle in ours[::3]:
+                oracle.units(bundles[-1])
+            expected = [[oracle.units(b) for b in bundles] for oracle in plain]
+            assert expected == [[_reference(spec, b) * oracle.den for b in bundles]
+                                for spec, oracle in zip(specs, plain)]
+            assert list(cost_rows(ours, bundles)) == expected
+            assert [o._cache for o in ours] == [o._cache for o in plain]
+            assert frozenset() not in ours[0]._cache
+            assert list(cost_rows(ours, bundles)) == expected
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 5, 6])
+def test_cost_rows_refuse_a_chore_out_of_range(bad):
+    # m = 5; a negative chore would wrap around a row.  Nothing is cached
+    # that units would not cache, and all of it when the bad bundle is first
+    rng = random.Random(f"rows-bad:{bad}")
+    for spec in _specs(rng, 5, with_table=True):
+        for bundles in ([frozenset({0, 1}), frozenset({2, bad})],
+                        [frozenset({bad}), frozenset({0, 1})]):
+            ours, plain = _build(spec), _build(spec)
+            with pytest.raises(IndexError):
+                list(cost_rows([ours], bundles))
+            with pytest.raises(IndexError):
+                [plain.units(b) for b in bundles]
+            assert ours._cache.items() <= plain._cache.items()
+            if bad in bundles[0]:
+                assert ours._cache == plain._cache
+
+
 def test_singleton_units_match_units():
     rng = random.Random("singletons")
     for m in (1, 5, 8):
@@ -473,3 +524,46 @@ def test_checker_witnesses_match_reference():
                     specs, frozen, criterion, alpha)
                 seen += len(report.witnesses)
     assert seen > 1000
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_checker_witnesses_match_reference_many_agents(n):
+    # both sides of ROW_KERNEL_BUNDLES: from it on, each agent's bundle
+    # costs come from one cost_rows row
+    assert 4 < ROW_KERNEL_BUNDLES <= 9
+    rng = random.Random(f"witnesses:{n}")
+    both = 0
+    for trial in range(12):
+        # half of the trials small enough for the (non-monotone) tables
+        m = n + trial % (3 if trial % 2 else 2 * n)
+        pool = _specs(rng, m, with_table=m <= 10)
+        specs = [pool[rng.randrange(len(pool))] for _ in range(n)]
+        inst = Instance(m, n, tuple(_build(spec) for spec in specs))
+        for _ in range(4):
+            bundles = _random_bundles(rng, m, n)
+            alloc = Allocation.from_bundles(bundles, m)
+            found = {}
+            for criterion, alpha in (("tefx", None), ("alpha_efx", Fraction(1)),
+                                     ("alpha_efx", Fraction(3, 2))):
+                report = (check_tefx(alloc, inst) if alpha is None
+                          else check_alpha_efx(alloc, inst, alpha))
+                found[alpha] = [tuple(w) for w in report.witnesses]
+                assert found[alpha] == _reference_witnesses(
+                    specs, alloc.bundles, criterion, alpha)
+            both += bool(found[None] and found[1])
+    assert both >= 30
+
+
+def test_row_screen_keeps_non_monotone_tefx_witnesses():
+    # every bundle costs at least the worst removal, 1, yet adding chore 0
+    # to bundle {2} costs 0 on this non-monotone table
+    m, n = 9, 8
+    values = {s: len(s) for s in all_subsets(m)}
+    values[frozenset({0, 2})] = 0
+    spec = ("table", m, values)
+    inst = Instance(m, n, (_build(spec),) * n)
+    alloc = Allocation.full([{0, 1}] + [{c} for c in range(2, m)])
+    assert alloc.n >= ROW_KERNEL_BUNDLES
+    witnesses = [tuple(w) for w in check_tefx(alloc, inst).witnesses]
+    assert witnesses == [(0, 1, 0, 1, 0)]
+    assert witnesses == _reference_witnesses([spec] * n, alloc.bundles, "tefx", None)
