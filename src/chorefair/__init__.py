@@ -38,13 +38,9 @@ from .oracles import (
     CappedAdditiveOracle,
     CostOracle,
     MaxOfAdditiveOracle,
-    PerturbedOracle,
     RowOracle,
     TabulatedOracle,
-    compute_delta,
     generate_instance,
-    perturb_nondegenerate,
-    perturb_oracle,
     ratio_bound,
     top_chore_order,
     validate_oracle,

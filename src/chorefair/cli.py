@@ -31,6 +31,7 @@ from .core import (
 from .errors import ChorefairError, VerificationError
 from .ido import partial_ido_2efx
 from .oracles import (
+    DIGITS,
     CostOracle,
     RowOracle,
     TabulatedOracle,
@@ -86,14 +87,11 @@ def _subset_key(chores) -> str:
     return ",".join(str(c + 1) for c in sorted(chores))
 
 
-_DIGITS = re.compile(r"[0-9]+")
-
-
 def _parse_digit_list(raw: str, what: str) -> list[int]:
     """The parts of a comma-separated list, each plain digits: int() would
     also take "1_0", " 2" and "+3"."""
     parts = raw.split(",")
-    if not all(_DIGITS.fullmatch(part) for part in parts):
+    if not all(DIGITS.fullmatch(part) for part in parts):
         raise ValueError(f"{what} {raw!r} must be comma-separated digits")
     return [int(part) for part in parts]
 
@@ -255,7 +253,31 @@ def _load_json(path: str) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
+def _refuse_unread(args: argparse.Namespace, flags, reader: str) -> None:
+    """Refuse the flags that are set, naming each: reader does not read them."""
+    stray = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if stray:
+        raise ValueError(f"{reader} does not use {', '.join(stray)}")
+
+
+def _criterion_alpha(args: argparse.Namespace, default: int) -> tuple[str, Fraction]:
+    """(--criterion or efx, --alpha or default); only alpha_efx reads --alpha."""
+    criterion = args.criterion or "efx"
+    if criterion != "alpha_efx":
+        _refuse_unread(args, ("alpha",), f"criterion {criterion!r}")
+    return criterion, parse_rational(default if args.alpha is None else args.alpha)
+
+
+# the flags of `solve` that one algorithm reads and the others refuse
+SOLVE_FLAGS = {"round-robin": ("order",), "tefx-two-group": ("k",),
+               "tefx-three-group": ("group1", "group2", "group3"),
+               "exhaustive": ("criterion", "alpha")}
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
+    _refuse_unread(args, [flag for algorithm, flags in SOLVE_FLAGS.items()
+                          if algorithm != args.algorithm for flag in flags],
+                   f"algorithm {args.algorithm!r}")
     instance = instance_from_json(_load_json(args.instance))
     started = time.perf_counter()
     criterion, alpha = "alpha_efx", TWO
@@ -287,7 +309,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         alloc = tefx_three_group(instance, groups, trace)
         criterion, alpha = "tefx", None
     elif args.algorithm == "exhaustive":
-        criterion, alpha = args.criterion or "efx", parse_rational(args.alpha or 1)
+        criterion, alpha = _criterion_alpha(args, 1)
         alloc = exhaustive_search(instance, criterion, alpha)
         if alloc is None:
             print("no allocation satisfies the criterion", file=sys.stderr)
@@ -321,8 +343,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = instance_from_json(_load_json(args.instance))
     alloc = allocation_from_json(_load_json(args.allocation), instance.m)
-    report = check_criterion(alloc, instance, args.criterion,
-                             parse_rational(args.alpha or 2))
+    report = check_criterion(alloc, instance, *_criterion_alpha(args, 2))
     json.dump(report_to_json(report), sys.stdout, indent=2, sort_keys=True)
     print()
     return 0 if report.verdict else 1
@@ -336,11 +357,8 @@ GENERATOR_FLAGS = ("n", "m", "seed", "alpha", "k", "sizes", "rows")
 
 def cmd_gen(args: argparse.Namespace) -> int:
     counterexample = args.family == "counterexample"
-    stray = [f"--{flag}" for flag in
-             (GENERATOR_FLAGS if counterexample else COUNTEREXAMPLE_FLAGS)
-             if getattr(args, flag) is not None]
-    if stray:
-        raise ValueError(f"family {args.family!r} does not use {', '.join(stray)}")
+    _refuse_unread(args, GENERATOR_FLAGS if counterexample else COUNTEREXAMPLE_FLAGS,
+                   f"family {args.family!r}")
     if counterexample:
         if args.m1 is None or args.m2 is None:
             raise ValueError("--m1 and --m2 are required for counterexample")
@@ -354,7 +372,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             params["alpha"] = parse_rational(args.alpha)
         if args.k is not None:
             params["k"] = args.k
-        if args.sizes:
+        if args.sizes is not None:
             params["sizes"] = tuple(_parse_digit_list(args.sizes, "--sizes"))
         if args.rows is not None:
             params["rows"] = args.rows
@@ -444,13 +462,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
     except (ChorefairError, ValueError, KeyError, OSError,
             json.JSONDecodeError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
+        # a KeyError is a JSON object without a key the file needs
+        reason = f'missing key "{exc.args[0]}"' if isinstance(exc, KeyError) else exc
+        print(f"error: {reason}", file=sys.stderr)
+        code = 1 if isinstance(exc, VerificationError) else 2
     if argv is None:
         sys.exit(code)
     return code

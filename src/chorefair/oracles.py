@@ -1,5 +1,5 @@
-"""Cost oracles, the cost-row kernel, structural validators, seeded
-generators and the non-degeneracy perturbation.
+"""Cost oracles, the cost-row kernel, structural validators and seeded
+generators.
 
 Chores are 0-based ints internally; all values are exact: an oracle keeps
 each cost as an int over its one denominator and shows it as a
@@ -13,28 +13,31 @@ import itertools
 import math
 import os
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .errors import EnumerationLimitError, PreconditionError
+from .errors import EnumerationLimitError
 
 ENV_MAX_ENUM = "CHOREFAIR_MAX_ENUM"
+# plain digits: int() would also take " 3", "1_0", "+3" and "-1"
+DIGITS = re.compile(r"[0-9]+")
 
 # default enumeration guards (number of chores m)
-CHECK_LIMITS = {"monotone": 14, "subadditive": 10, "nondegenerate": 14}
-DELTA_LIMIT_ADDITIVE = 20
-DELTA_LIMIT_GENERAL = 14
+CHECK_LIMITS = {"monotone": 14, "subadditive": 10}
 
 ZERO = Fraction(0)
 
 
 def env_enum_limit(default: int) -> int:
-    """Enumeration guard, overridable through CHOREFAIR_MAX_ENUM."""
+    """Enumeration guard, overridable through CHOREFAIR_MAX_ENUM in digits."""
     raw = os.environ.get(ENV_MAX_ENUM)
     if raw is None:
         return default
+    if not DIGITS.fullmatch(raw):
+        raise ValueError(f"{ENV_MAX_ENUM} must be plain digits, got {raw!r:.40}")
     return int(raw)
 
 
@@ -325,29 +328,6 @@ class TabulatedOracle(CostOracle):
         return f"TabulatedOracle(m={self.m})"
 
 
-class PerturbedOracle(CostOracle):
-    """Base cost plus epsilon * sum of 2^j over 1-based chore indices j."""
-
-    def __init__(self, base: CostOracle, epsilon) -> None:
-        super().__init__()
-        self.base = base
-        self.epsilon = Fraction(epsilon)
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.m = base.m
-        self.monotone = base.monotone  # the bump only grows with S
-        self.den = math.lcm(base.den, self.epsilon.denominator)
-        self._base_scale = self.den // base.den
-        (self._eps,) = _scaled((self.epsilon,), self.den)
-
-    def _raw_cost(self, chores: frozenset[int]) -> int:
-        bump = sum(2 ** (c + 1) for c in chores)
-        return self.base.units(chores) * self._base_scale + self._eps * bump
-
-    def _key(self) -> tuple:
-        return (self.base, self.epsilon)
-
-
 # ---------------------------------------------------------------------------
 # structural validators
 # ---------------------------------------------------------------------------
@@ -360,13 +340,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-
-def _all_subsets(m: int):
-    chores = range(m)
-    for r in range(m + 1):
-        for combo in itertools.combinations(chores, r):
-            yield frozenset(combo)
 
 
 def validate_oracle(
@@ -388,26 +361,19 @@ def validate_oracle(
                 f"{check} check needs m <= {limit}, got m={m}")
         bad = []
         if check == "monotone":
-            for sub in _all_subsets(m):
+            for sub in map(frozenset, itertools.chain.from_iterable(
+                    itertools.combinations(range(m), r) for r in range(m + 1))):
                 base = oracle.cost(sub)
                 for c in range(m):
                     if c not in sub and oracle.cost(sub | {c}) < base:
                         bad.append((tuple(sorted(sub)), c))
-        elif check == "subadditive":
-            # every chore goes to S, T or neither: 3^m disjoint pairs
+        else:
+            # subadditive: every chore goes to S, T or neither, 3^m disjoint pairs
             for assignment in itertools.product(range(3), repeat=m):
                 s = frozenset(c for c, a in enumerate(assignment) if a == 1)
                 t = frozenset(c for c, a in enumerate(assignment) if a == 2)
                 if oracle.cost(s | t) > oracle.cost(s) + oracle.cost(t):
                     bad.append((tuple(sorted(s)), tuple(sorted(t))))
-        else:
-            seen: dict[Fraction, frozenset[int]] = {}
-            for sub in _all_subsets(m):
-                value = oracle.cost(sub)
-                if value in seen:
-                    bad.append((tuple(sorted(seen[value])), tuple(sorted(sub))))
-                else:
-                    seen[value] = sub
         results[check] = CheckResult(check, tuple(bad))
     return results
 
@@ -428,70 +394,6 @@ def top_chore_order(oracle: CostOracle) -> tuple[int, ...]:
     (the sort is stable, reverse included)."""
     return tuple(sorted(range(oracle.m), key=oracle.singleton_units().__getitem__,
                         reverse=True))
-
-
-# ---------------------------------------------------------------------------
-# non-degeneracy perturbation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PerturbationParams:
-    delta: Fraction
-    epsilon: Fraction
-
-
-def _min_cost_gap(oracle: CostOracle) -> Fraction | None:
-    """Min |C(S) - C(T)| over subset pairs with differing cost, or None."""
-    values = sorted({oracle.cost(sub) for sub in _all_subsets(oracle.m)})
-    if len(values) < 2:
-        return None
-    return min(b - a for a, b in zip(values, values[1:]))
-
-
-def compute_delta(oracles: Iterable[CostOracle]) -> Fraction:
-    """Joint delta over all agents: min gap among differing subset costs."""
-    gaps = []
-    for oracle in oracles:
-        additive = isinstance(oracle, RowOracle) and oracle.kind == "additive"
-        limit = env_enum_limit(
-            DELTA_LIMIT_ADDITIVE if additive else DELTA_LIMIT_GENERAL)
-        if oracle.m > limit:
-            raise EnumerationLimitError(
-                f"delta computation needs m <= {limit} for {type(oracle).__name__}, "
-                f"got m={oracle.m}; supply delta explicitly")
-        gap = _min_cost_gap(oracle)
-        if gap is not None:
-            gaps.append(gap)
-    if not gaps:
-        raise PreconditionError(
-            "no subset pair with differing cost; delta undefined")
-    return min(gaps)
-
-
-def perturb_oracle(oracle: CostOracle, epsilon: Fraction) -> CostOracle:
-    """C(S) + epsilon * sum of 2^j over 1-based chore indices j."""
-    return PerturbedOracle(oracle, epsilon)
-
-
-def perturb_nondegenerate(instance, delta: Fraction | None = None):
-    """Tie-breaking perturbation C'(S) = C(S) + eps * sum_{j in S} 2^j.
-
-    j is the 1-based chore index; eps = delta / 2^(m+2) so that
-    eps * 2^(m+1) < delta. Returns (perturbed instance, params).
-    """
-    from .core import Instance
-
-    if delta is None:
-        delta = compute_delta(instance.oracles)
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    epsilon = delta / 2 ** (instance.m + 2)
-    perturbed = tuple(perturb_oracle(o, epsilon) for o in instance.oracles)
-    return (
-        Instance(instance.m, instance.n, perturbed),
-        PerturbationParams(delta, epsilon),
-    )
 
 
 # ---------------------------------------------------------------------------

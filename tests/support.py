@@ -1,15 +1,20 @@
 """Shared fixtures-in-plain-code for the test suite."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import chain, combinations
 
 from chorefair import (
     AdditiveOracle,
     Allocation,
+    CostOracle,
     Instance,
     MaxOfAdditiveOracle,
+    PreconditionError,
     generate_instance,
 )
+from chorefair.oracles import _scaled
 from chorefair.verify import counterexample_instance
 
 
@@ -149,3 +154,56 @@ def two_group_cases():
         c1 = MaxOfAdditiveOracle([[rng.randint(1, 40) for _ in range(m)]
                                   for _ in range(rng.randint(1, 2))])
         yield n, c1, ratio2_oracle(m, seed), True
+
+
+def all_subsets(m):
+    """Every subset of chores 0..m-1, by size, then lexicographically."""
+    return [frozenset(s) for s in chain.from_iterable(
+        combinations(range(m), r) for r in range(m + 1))]
+
+
+class PerturbedOracle(CostOracle):
+    """Base cost plus epsilon * sum of 2^j over 1-based chore indices j:
+    the tests' generic monotone oracle that is not a RowOracle."""
+
+    def __init__(self, base: CostOracle, epsilon) -> None:
+        super().__init__()
+        self.base = base
+        self.epsilon = Fraction(epsilon)
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        self.m = base.m
+        self.monotone = base.monotone  # the bump only grows with S
+        self.den = math.lcm(base.den, self.epsilon.denominator)
+        self._base_scale = self.den // base.den
+        (self._eps,) = _scaled((self.epsilon,), self.den)
+
+    def _raw_cost(self, chores: frozenset[int]) -> int:
+        bump = sum(2 ** (c + 1) for c in chores)
+        return self.base.units(chores) * self._base_scale + self._eps * bump
+
+    def _key(self) -> tuple:
+        return (self.base, self.epsilon)
+
+
+def compute_delta(oracles):
+    """Joint delta over all agents: min gap among differing subset costs
+    of one agent."""
+    gaps = []
+    for oracle in oracles:
+        values = sorted({oracle.cost(s) for s in all_subsets(oracle.m)})
+        gaps += [b - a for a, b in zip(values, values[1:])]
+    if not gaps:
+        raise PreconditionError("no subset pair with differing cost; delta undefined")
+    return min(gaps)
+
+
+def perturb_nondegenerate(instance):
+    """(perturbed instance, epsilon): C'(S) = C(S) + epsilon * sum of 2^j
+    over 1-based chore indices j in S, with epsilon = delta / 2^(m+2), so
+    that epsilon * 2^(m+1) < delta: every tie is broken, every strict
+    order kept."""
+    epsilon = compute_delta(instance.oracles) / 2 ** (instance.m + 2)
+    return (Instance(instance.m, instance.n,
+                     tuple(PerturbedOracle(o, epsilon) for o in instance.oracles)),
+            epsilon)

@@ -26,7 +26,6 @@ from chorefair import (
     independent_tefx,
     is_alpha_efx,
     partial_ido_2efx,
-    perturb_nondegenerate,
     rival_counterexample_run,
     round_robin_allocate,
     tefx_three_group,
@@ -39,8 +38,8 @@ from chorefair.round_robin import round_count
 from chorefair.tefx import GroupSpec
 from chorefair.three_agent import CASE_IDS
 
-from support import (CASE_INSTANCES, deep_b_cases, two_group_cases,
-                     unit_potential_drops)
+from support import (CASE_INSTANCES, deep_b_cases, perturb_nondegenerate,
+                     two_group_cases, unit_potential_drops)
 
 CYCLE_REMOVALS: list = []
 

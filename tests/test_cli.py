@@ -483,6 +483,101 @@ def test_solve_exhaustive(tmp_path, capsys):
     assert_input_error(main(argv + ["--alpha", "-5"]), capsys, "alpha must be >= 1")
 
 
+# each algorithm: the flags it needs here, and every flag that only some
+# algorithms read that it reads
+SOLVE_RUNS = {
+    "three-agent-2efx": ([], ()), "partial-ido-2efx": ([], ()),
+    "round-robin": ([], ("--order",)),
+    "tefx-two-group": (["--k", "1"], ("--k",)),
+    "tefx-three-group": (["--group1", "1", "--group2", "2", "--group3", "3"],
+                         ("--group1", "--group2", "--group3")),
+    "exhaustive": ([], ("--criterion", "--alpha")),
+}
+SOLVE_FLAG_VALUES = {"--order": "2,1,3", "--k": "1", "--group1": "1",
+                     "--group2": "2", "--group3": "3", "--criterion": "efx",
+                     "--alpha": "2"}
+
+
+def solve_argv(tmp_path, algorithm):
+    o = AdditiveOracle([6, 5, 4, 4, 3, 3])  # 2-ratio-bounded: tEFX applies
+    return ["solve", "--instance", write_instance(tmp_path, Instance(6, 3, (o, o, o))),
+            "--algorithm", algorithm, *SOLVE_RUNS[algorithm][0]]
+
+
+@pytest.mark.parametrize("algorithm, flag", [
+    (algorithm, flag) for algorithm in SOLVE_RUNS for flag in SOLVE_FLAG_VALUES
+    if flag not in SOLVE_RUNS[algorithm][1]])
+def test_solve_refuses_a_flag_its_algorithm_does_not_read(
+        tmp_path, capsys, algorithm, flag):
+    argv = solve_argv(tmp_path, algorithm)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert_input_error(main(argv + [flag, SOLVE_FLAG_VALUES[flag]]), capsys,
+                       repr(algorithm), flag)
+
+
+@pytest.mark.parametrize("algorithm, flags, named", [
+    ("three-agent-2efx",
+     ["--alpha", "5", "--criterion", "tefx", "--order", "3,2,1", "--k", "2",
+      "--group1", "1"],
+     "does not use --order, --k, --group1, --criterion, --alpha"),
+    ("round-robin", ["--group1", "1,2", "--alpha", "9"],
+     "does not use --group1, --alpha")], ids=["three-agent-2efx", "round-robin"])
+def test_solve_names_every_stray_flag(tmp_path, capsys, algorithm, flags, named):
+    assert_input_error(main(solve_argv(tmp_path, algorithm) + flags), capsys, named)
+
+
+@pytest.mark.parametrize("command, criterion", [
+    ("verify", "efx"), ("verify", "tefx"), ("exhaustive", "efx"),
+    ("exhaustive", "tefx"), ("exhaustive", None)])
+def test_alpha_only_with_alpha_efx(tmp_path, capsys, command, criterion):
+    # each once ran at the criterion's own alpha and dropped --alpha
+    if command == "verify":
+        inst_path = write_instance(tmp_path, counterexample_instance(26, 12))
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"allocation": [[2, 5], [3, 4, 6], [1]]}))
+        argv = ["verify", "--instance", inst_path, "--allocation", str(alloc)]
+    else:
+        argv = solve_argv(tmp_path, "exhaustive")
+    if criterion is not None:
+        argv += ["--criterion", criterion]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert_input_error(main(argv + ["--alpha", "3"]), capsys,
+                       f"criterion {criterion or 'efx'!r} does not use --alpha")
+
+
+@pytest.mark.parametrize("value", [" 3", "1_0", "-1", "abc", ""])
+def test_enum_limit_must_be_plain_digits(tmp_path, capsys, monkeypatch, value):
+    # int() took the first three; "-1" then refused every check
+    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", value)
+    argv = ["verify", "--instance", table_instance(tmp_path), "--allocation",
+            allocation_file(tmp_path), "--criterion", "efx"]
+    assert_input_error(main(argv), capsys,
+                       "CHOREFAIR_MAX_ENUM must be plain digits", repr(value))
+
+
+@pytest.mark.parametrize("command, path, key", [
+    ("solve", (), "m"), ("solve", (), "n"), ("solve", (), "agents"),
+    ("solve", ("agents", 1), "costs"), ("verify", (), "allocation")],
+    ids=["m", "n", "agents", "costs", "allocation"])
+def test_missing_json_key_names_itself(tmp_path, capsys, command, path, key):
+    data = instance_to_json(counterexample_instance(26, 12))
+    allocation = {"allocation": [[2, 5], [3, 4, 6], [1]]}
+    target = allocation if command == "verify" else data
+    for step in path:
+        target = target[step]
+    del target[key]
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(data))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps(allocation))
+    argv = (["verify", "--instance", str(inst_path), "--allocation", str(alloc),
+             "--criterion", "efx"] if command == "verify" else
+            ["solve", "--instance", str(inst_path), "--algorithm", "three-agent-2efx"])
+    assert_input_error(main(argv), capsys, f'error: missing key "{key}"')
+
+
 def test_gen_reproducible_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["gen", "--family", "additive_ratio", "--n", "3", "--m", "8",

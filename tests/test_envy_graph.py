@@ -12,7 +12,6 @@ from chorefair import (
     Event,
     Instance,
     MaxOfAdditiveOracle,
-    PerturbedOracle,
     PreconditionError,
     TabulatedOracle,
     VerificationError,
@@ -29,7 +28,7 @@ from chorefair import envy_graph
 from chorefair.envy_graph import _ttece
 from chorefair.oracles import top_chore_order
 
-from support import CASE_INSTANCES, COUNTEREXAMPLE, tri
+from support import CASE_INSTANCES, COUNTEREXAMPLE, PerturbedOracle, tri
 
 
 def test_counterexample_seed_graph():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chorefair
 from chorefair import (
     AdditiveOracle,
     Allocation,
@@ -12,17 +13,13 @@ from chorefair import (
     EnumerationLimitError,
     Instance,
     MaxOfAdditiveOracle,
-    PerturbedOracle,
     PreconditionError,
     RowOracle,
     TabulatedOracle,
     check_alpha_efx,
     check_k_partial_ido,
     check_tefx,
-    compute_delta,
     generate_instance,
-    perturb_nondegenerate,
-    perturb_oracle,
     ratio_bound,
     top_chore_order,
     validate_oracle,
@@ -30,13 +27,13 @@ from chorefair import (
 from chorefair.core import ROW_KERNEL_BUNDLES
 from chorefair.oracles import cost_rows, env_enum_limit
 
-from support import COUNTEREXAMPLE
-
-
-def all_subsets(m):
-    from itertools import chain, combinations
-    return [frozenset(s) for s in chain.from_iterable(
-        combinations(range(m), r) for r in range(m + 1))]
+from support import (
+    COUNTEREXAMPLE,
+    PerturbedOracle,
+    all_subsets,
+    compute_delta,
+    perturb_nondegenerate,
+)
 
 
 def test_empty_set_costs_zero():
@@ -145,13 +142,26 @@ def test_validate_catches_violations():
     assert not result.passed and result.violations
 
 
-def test_validate_nondegenerate_names_each_tie():
+def test_perturbation_breaks_each_tie():
     # each pair is (first subset with the cost, later subset matching it)
     oracle = AdditiveOracle([1, 1, 2])
-    result = validate_oracle(oracle, ("nondegenerate",))["nondegenerate"]
-    assert result.violations == (((0,), (1,)), ((2,), (0, 1)), ((0, 2), (1, 2)))
+    seen, ties = {}, []
+    for sub in all_subsets(3):
+        first = seen.setdefault(oracle.cost(sub), sub)
+        if first != sub:
+            ties.append((tuple(sorted(first)), tuple(sorted(sub))))
+    assert ties == [((0,), (1,)), ((2,), (0, 1)), ((0, 2), (1, 2))]
     perturbed = PerturbedOracle(oracle, Fraction(1, 64))
-    assert validate_oracle(perturbed, ("nondegenerate",))["nondegenerate"].passed
+    assert len({perturbed.cost(sub) for sub in all_subsets(3)}) == 8
+
+
+def test_perturbation_is_not_public():
+    # the solvers never break ties, and validate_oracle lists none
+    removed = {"PerturbedOracle", "compute_delta", "perturb_nondegenerate",
+               "perturb_oracle"}
+    assert not removed & set(chorefair.__all__)
+    with pytest.raises(ValueError, match="unknown check"):
+        validate_oracle(AdditiveOracle([1, 1, 2]), ("nondegenerate",))
 
 
 def test_validate_refuses_oversize():
@@ -165,13 +175,6 @@ def test_env_override(monkeypatch):
     assert env_enum_limit(5) == 99
     monkeypatch.delenv("CHOREFAIR_MAX_ENUM")
     assert env_enum_limit(5) == 5
-
-
-def test_delta_guard_names_applied_limit(monkeypatch):
-    oracle = MaxOfAdditiveOracle([[1] * 6])
-    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "5")
-    with pytest.raises(EnumerationLimitError, match="m <= 5 for"):
-        compute_delta([oracle])
 
 
 def test_ratio_bound():
@@ -191,8 +194,8 @@ def test_compute_delta_and_perturb():
     inst = Instance(2, 2, (AdditiveOracle([2, 2]), AdditiveOracle([3, 1])))
     delta = compute_delta(inst.oracles)
     assert delta == 1  # agent 2's closest distinct subset costs differ by 1
-    perturbed, params = perturb_nondegenerate(inst)
-    assert params.epsilon == Fraction(delta, 2 ** (inst.m + 2))
+    perturbed, epsilon = perturb_nondegenerate(inst)
+    assert epsilon == Fraction(delta, 2 ** (inst.m + 2))
     for agent in range(2):
         costs = [perturbed.oracles[agent].cost(s) for s in all_subsets(2) if s]
         assert len(set(costs)) == len(costs)
@@ -206,7 +209,7 @@ def test_perturb_requires_some_gap():
 
 def test_perturbed_oracle_general_variant():
     base = CappedAdditiveOracle([2, 1], 2)
-    oracle = perturb_oracle(base, Fraction(1, 16))
+    oracle = PerturbedOracle(base, Fraction(1, 16))
     assert isinstance(oracle, PerturbedOracle)
     assert oracle.cost({0}) == 2 + Fraction(2, 16)
     assert oracle.cost({0, 1}) == 2 + Fraction(6, 16)  # min(2 + 1, 2) = 2
@@ -216,14 +219,14 @@ def test_perturbed_max_of_additive_bumps_every_row():
     # max_k(r_k(S) + b(S)) = max_k r_k(S) + b(S), so bumping each row agrees
     rows = [[2, 1, 5], [1, 2, Fraction(1, 3)]]
     eps = Fraction(1, 16)
-    oracle = perturb_oracle(MaxOfAdditiveOracle(rows), eps)
+    oracle = PerturbedOracle(MaxOfAdditiveOracle(rows), eps)
     bumped = MaxOfAdditiveOracle(
         [[c + eps * 2 ** (j + 1) for j, c in enumerate(row)] for row in rows])
     for s in all_subsets(3):
         assert oracle.cost(s) == bumped.cost(s)
     assert oracle.cost({0, 1}) == 3 + Fraction(6, 16)  # max(2+1, 1+2) = 3
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        perturb_oracle(AdditiveOracle([2, 1, 5]), 0)
+        PerturbedOracle(AdditiveOracle([2, 1, 5]), 0)
 
 
 def test_generate_instance_reproducible():
