@@ -30,7 +30,7 @@ def main():
     instance = counterexample_instance(m1, m2)
     print(f"instance parameters: m1 = {m1}, m2 = {m2}")
     for agent, oracle in enumerate(instance.oracles):
-        costs = ", ".join(str(oracle.singleton(c)) for c in range(6))
+        costs = ", ".join(str(oracle.cost((c,))) for c in range(6))
         print(f"  agent {agent + 1} chore costs: {costs}")
 
     run = rival_counterexample_run(m1, m2)

@@ -33,7 +33,7 @@ def main():
     # group 2: additive with singleton costs within a factor of two
     c2 = generate_instance("additive_ratio", 1, m, 16143, alpha=2).oracles[0]
     print("second-group chore costs (max/min <= 2):",
-          ", ".join(str(c2.singleton(c)) for c in range(m)))
+          ", ".join(str(c2.cost((c,))) for c in range(m)))
 
     n, k = 5, 4
     trace = []

@@ -44,7 +44,7 @@ def main():
     print("pick sequence (3 agents, 9 chores, costs within a factor 3):")
     for pick in trace.picks:
         (agent,) = pick.agents
-        cost = instance.oracles[agent].singleton(pick.chore)
+        cost = instance.oracles[agent].cost((pick.chore,))
         print(f"  round {pick.step}: agent {agent + 1} takes "
               f"c{pick.chore + 1} (cost {cost})")
     bound = guarantee_ratio(3, round_count(instance))

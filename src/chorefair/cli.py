@@ -79,10 +79,6 @@ def parse_rational(value: Any) -> Fraction:
                      f"got {value!r:.40}")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _subset_key(chores) -> str:
     return ",".join(str(c + 1) for c in sorted(chores))
 
@@ -120,16 +116,16 @@ def _parse_subset_key(key: str, m: int) -> frozenset[int]:
 
 def oracle_to_json(oracle: CostOracle) -> dict:
     if isinstance(oracle, RowOracle):
-        rows = [[format_rational(c) for c in row] for row in oracle.rows]
+        rows = [list(map(str, row)) for row in oracle.rows]
         if oracle.kind == "max_of_additive":
             return {"type": oracle.kind, "rows": rows}
         data = {"type": oracle.kind, "costs": rows[0]}
         if oracle.cap is not None:
-            data["cap"] = format_rational(oracle.cap)
+            data["cap"] = str(oracle.cap)
         return data
     if isinstance(oracle, TabulatedOracle):
         return {"type": "table",
-                "values": {_subset_key(k): format_rational(v)
+                "values": {_subset_key(k): str(v)
                            for k, v in sorted(oracle.values.items(),
                                               key=lambda kv: sorted(kv[0]))}}
     raise ValueError(f"cannot serialize oracle {oracle!r}")
@@ -147,7 +143,7 @@ def oracle_from_json(data: Any, m: int) -> CostOracle:
         values = {_parse_subset_key(k, m): parse_rational(v)
                   for k, v in _json_typed(data["values"], dict, '"values"').items()}
         oracle = TabulatedOracle(m, values)
-        bad = validate_oracle(oracle, ("monotone",))["monotone"].violations
+        bad = validate_oracle(oracle, ("monotone",))["monotone"]
         if bad:
             subset, chore = bad[0]
             raise ValueError(
@@ -195,11 +191,11 @@ def allocation_from_json(data: Any, m: int) -> Allocation:
 def report_to_json(report: FairnessReport) -> dict:
     return {
         "criterion": report.criterion,
-        "alpha": None if report.alpha is None else format_rational(report.alpha),
+        "alpha": None if report.alpha is None else str(report.alpha),
         "verdict": report.verdict,
         "witnesses": [
             {"agent": w.agent + 1, "other": w.other + 1, "chore": w.chore + 1,
-             "lhs": format_rational(w.lhs), "rhs": format_rational(w.rhs)}
+             "lhs": str(w.lhs), "rhs": str(w.rhs)}
             for w in report.witnesses
         ],
     }
@@ -314,8 +310,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if alloc is None:
             print("no allocation satisfies the criterion", file=sys.stderr)
             return 1
-    else:
-        raise ValueError(f"unknown algorithm {args.algorithm!r}")
     if not alloc.is_full:
         raise VerificationError(f"{args.algorithm} left chores unallocated")
 
@@ -398,7 +392,7 @@ def cmd_repro_counterexample(args: argparse.Namespace) -> int:
         edges = sorted((i + 1, j + 1) for i, j in graph.edges)
         lines.append(f"  step {step}: envy graph {edges}")
     lines.append("  final: " + json.dumps(allocation_to_json(run.allocation)))
-    lines.append(f"  envy ratio: {format_rational(run.ratio)} (= m2/3)")
+    lines.append(f"  envy ratio: {run.ratio} (= m2/3)")
     lines.append("own allocation: " + json.dumps(allocation_to_json(own)))
     lines.append(f"own EFX verdict: {own_report.verdict}")
     print("\n".join(lines))

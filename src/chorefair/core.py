@@ -34,9 +34,6 @@ class Instance:
             if oracle.m != self.m:
                 raise ValueError("oracle chore count disagrees with instance")
 
-    def cost(self, agent: int, chores: Iterable[int]) -> Fraction:
-        return self.oracles[agent].cost(chores)
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -232,16 +229,24 @@ def _all_violations(
         yield from _violations(oracle, i, bundles, criterion, alpha, row)
 
 
+def _checked(alloc: Allocation, instance: Instance, criterion: str,
+             alpha: Fraction | int | str = ONE
+             ) -> tuple[str, Fraction | None, Iterator[Witness]]:
+    """resolve_criterion's criterion and alpha, and the lazy violations once
+    the allocation's shape fits the instance: every public verdict's entry."""
+    criterion, alpha = resolve_criterion(criterion, alpha)
+    _check_shapes(alloc, instance)
+    return criterion, alpha, _all_violations(alloc, instance, criterion, alpha)
+
+
 def check_criterion(
     alloc: Allocation, instance: Instance, criterion: str,
     alpha: Fraction | int | str = ONE,
 ) -> FairnessReport:
-    """Report for a criterion name, as mapped by resolve_criterion: every
-    violation, by agent, other agent and chore; pool chores are ignored."""
-    criterion, alpha = resolve_criterion(criterion, alpha)
-    _check_shapes(alloc, instance)
-    witnesses = tuple(_all_violations(alloc, instance, criterion, alpha))
-    return FairnessReport(criterion, alpha, witnesses)
+    """Report for a criterion name: every violation, by agent, other agent
+    and chore; pool chores are ignored."""
+    criterion, alpha, witnesses = _checked(alloc, instance, criterion, alpha)
+    return FairnessReport(criterion, alpha, tuple(witnesses))
 
 
 def check_alpha_efx(
@@ -259,15 +264,13 @@ def check_tefx(alloc: Allocation, instance: Instance) -> FairnessReport:
 def is_alpha_efx(
     alloc: Allocation, instance: Instance, alpha: Fraction | int = ONE
 ) -> bool:
-    """Short-circuit verdict (no witness collection) for hot loops."""
-    if not isinstance(alpha, Fraction):  # exhaustive_search calls per allocation
-        alpha = Fraction(alpha)
-    return next(_all_violations(alloc, instance, "alpha_efx", alpha), None) is None
+    """alpha-EFX verdict that stops at the first witness."""
+    return next(_checked(alloc, instance, "alpha_efx", alpha)[2], None) is None
 
 
 def is_tefx(alloc: Allocation, instance: Instance) -> bool:
-    """Short-circuit tEFX verdict."""
-    return next(_all_violations(alloc, instance, "tefx", None), None) is None
+    """tEFX verdict that stops at the first witness."""
+    return next(_checked(alloc, instance, "tefx")[2], None) is None
 
 
 def eligible_bundles(oracle: CostOracle, alloc: Allocation) -> list[int]:

@@ -24,6 +24,7 @@ from .core import (
     check_partial_property2,
     eligible_bundles,
     is_alpha_efx,
+    resolve_criterion,
 )
 from .errors import PreconditionError, VerificationError
 from .oracles import cost_rows
@@ -176,7 +177,7 @@ def extend_partial(
     with C_i(b) <= C_i(X_j) for every pool chore b) and alpha-EFX are
     verified at entry, and the output guarantee at exit.
     """
-    alpha = Fraction(alpha)
+    _, alpha = resolve_criterion("alpha_efx", alpha)
     props = check_partial_property2(alloc, instance)
     if not all(props):
         i = props.index(False)
@@ -184,7 +185,7 @@ def extend_partial(
         good = eligible_bundles(oracle, alloc)
         bad_j = min(set(range(instance.n)) - set(good))
         bound = oracle.cost(alloc.bundles[bad_j])
-        chore = next(b for b in sorted(alloc.pool) if oracle.singleton(b) > bound)
+        chore = next(b for b in sorted(alloc.pool) if oracle.cost((b,)) > bound)
         raise PreconditionError(
             f"agent {i} has only {len(good)} eligible agents {good} (need >= "
             f"{instance.n - 1}); pool chore {chore} exceeds C_{i}(X_{bad_j})")

@@ -14,7 +14,6 @@ import math
 import os
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
@@ -39,10 +38,6 @@ def env_enum_limit(default: int) -> int:
     if not DIGITS.fullmatch(raw):
         raise ValueError(f"{ENV_MAX_ENUM} must be plain digits, got {raw!r:.40}")
     return int(raw)
-
-
-def _as_fractions(costs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in costs)
 
 
 def _scaled(values: Iterable[Fraction], den: int) -> tuple[int, ...]:
@@ -87,17 +82,11 @@ class CostOracle:
     def cost(self, chores: Iterable[int]) -> Fraction:
         return Fraction(self.units(chores), self.den)
 
-    def singleton(self, chore: int) -> Fraction:
-        return self.cost((chore,))
-
     def singleton_units(self) -> tuple[int, ...]:
         """units({c}) for every chore c, built once per oracle."""
         if self._singles is None:
             self._singles = tuple(self.units((c,)) for c in range(self.m))
         return self._singles
-
-    def singleton_costs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(u, self.den) for u in self.singleton_units())
 
     def bundle_state(self, chores: frozenset[int]) -> object:
         """A bundle's state, which ``add`` grows; here the bundle itself."""
@@ -146,7 +135,7 @@ class RowOracle(CostOracle):
         super().__init__()
         # sorted and de-duplicated: equal cost functions get equal keys
         self.rows = tuple(row for row, _ in itertools.groupby(
-            sorted(_as_fractions(row) for row in rows)))
+            sorted(tuple(map(Fraction, row)) for row in rows)))
         self.cap = None if cap is None else Fraction(cap)
         if not self.rows:
             raise ValueError("at least one row required")
@@ -332,26 +321,17 @@ class TabulatedOracle(CostOracle):
 # structural validators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    violations: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def validate_oracle(
     oracle: CostOracle, checks: Iterable[str] = ("monotone",)
-) -> dict[str, CheckResult]:
-    """Exhaustively check structural properties of an oracle.
+) -> dict[str, tuple]:
+    """Exhaustively check structural properties of an oracle: each check's
+    name maps to its violations, a tuple that is empty when it passes.
 
     Refuses (raises EnumerationLimitError) when m exceeds the enumeration
     guard for a requested check; never silently passes.
     """
     m = oracle.m
-    results: dict[str, CheckResult] = {}
+    results: dict[str, tuple] = {}
     for check in checks:
         if check not in CHECK_LIMITS:
             raise ValueError(f"unknown check {check!r}")
@@ -374,19 +354,19 @@ def validate_oracle(
                 t = frozenset(c for c, a in enumerate(assignment) if a == 2)
                 if oracle.cost(s | t) > oracle.cost(s) + oracle.cost(t):
                     bad.append((tuple(sorted(s)), tuple(sorted(t))))
-        results[check] = CheckResult(check, tuple(bad))
+        results[check] = tuple(bad)
     return results
 
 
 def ratio_bound(oracle: CostOracle) -> Fraction:
-    """Exact max-singleton / min-singleton cost ratio."""
-    singles = oracle.singleton_costs()
-    if not singles:
+    """Exact max-singleton / min-singleton cost ratio, from the units table:
+    the denominator cancels."""
+    units = oracle.singleton_units()
+    if not units:
         raise ValueError("oracle has no chores")
-    low = min(singles)
-    if low == 0:
+    if min(units) == 0:
         raise ValueError("ratio bound undefined: a singleton cost is 0")
-    return max(singles) / low
+    return Fraction(max(units), min(units))
 
 
 def top_chore_order(oracle: CostOracle) -> tuple[int, ...]:
@@ -436,7 +416,7 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
         raise ValueError("need n >= 1 and m >= 1")
     unused = sorted(params.keys() - {GENERATOR_FAMILIES.get(family)})
     if unused and family in GENERATOR_FAMILIES:
-        raise ValueError(f"family {family!r} does not use parameter {unused[0]!r}")
+        raise ValueError(f"family {family!r} does not use {', '.join(map(repr, unused))}")
     rng = random.Random(f"{family}:{n}:{m}:{seed}")
 
     if family == "additive":

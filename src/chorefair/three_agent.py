@@ -26,6 +26,7 @@ from .core import (
 from .envy_graph import extend_partial
 from .errors import NoSuchSubsetError, PreconditionError, VerificationError
 from .oracles import CostOracle, top_chore_order
+from .verify import exhaustive_search
 
 CASE_IDS = (
     "A1", "A2", "A3",
@@ -344,8 +345,6 @@ def three_agent_2efx(instance: Instance, trace: list[Event] | None = None
     if instance.n != 3:
         raise PreconditionError("requires exactly 3 agents")
     if instance.m <= 5:
-        from .verify import exhaustive_search
-
         alloc = exhaustive_search(instance, criterion="efx")
         if alloc is None:
             raise VerificationError(

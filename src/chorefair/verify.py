@@ -16,8 +16,8 @@ from .core import (
     Allocation,
     Event,
     Instance,
-    is_alpha_efx,
-    is_tefx,
+    _all_violations,
+    _check_shapes,
     max_removal_cost,
     resolve_criterion,
 )
@@ -48,8 +48,7 @@ def exhaustive_search(
         for chore, agent in enumerate(assignment):
             bundles[agent].add(chore)
         alloc = Allocation.full(bundles)
-        if (is_tefx(alloc, instance) if criterion == "tefx"
-                else is_alpha_efx(alloc, instance, alpha)):
+        if next(_all_violations(alloc, instance, criterion, alpha), None) is None:
             return alloc
     return None
 
@@ -59,7 +58,8 @@ def _second_opinion(
     bound: Callable[[CostOracle, frozenset[int], int], Fraction],
 ) -> bool:
     """Whether C_i(X_i - c) <= bound(C_i, X_j, c) for every triple (i, j, c)
-    with c in X_i; a separate enumeration shape from the core's."""
+    with c in X_i: the core's shape check, then a loop apart from the core's."""
+    _check_shapes(alloc, instance)
     bundles, oracles = alloc.bundles, instance.oracles
     triples = itertools.product(range(instance.n), range(instance.n),
                                 range(instance.m))
@@ -71,7 +71,7 @@ def independent_alpha_efx(
     alloc: Allocation, instance: Instance, alpha: Fraction | int = 1
 ) -> bool:
     """Second-opinion alpha-EFX check: C_i(X_i - c) <= alpha * C_i(X_j)."""
-    alpha = Fraction(alpha)
+    _, alpha = resolve_criterion("alpha_efx", alpha)
     return _second_opinion(alloc, instance,
                            lambda oracle, other, c: alpha * oracle.cost(other))
 
@@ -113,7 +113,7 @@ def rival_counterexample_run(m1: Fraction | int, m2: Fraction | int) -> RivalRun
     instance = counterexample_instance(m1, m2)
     seed = Allocation.from_bundles([{1}, {2}, {0}], instance.m)
     c3 = instance.oracles[2]
-    pool_order = sorted(seed.pool, key=lambda c: (-c3.singleton(c), c))
+    pool_order = sorted(seed.pool, key=lambda c: (-c3.singleton_units()[c], c))
     trace: list[Event] = []
     final = _ttece(seed, instance, pool_order, trace)
     graphs = [build_top_trading_graph(seed, instance)]

@@ -141,9 +141,11 @@ def test_solve_round_robin_with_order_and_trace(tmp_path, capsys):
     ("--order", "+2,1", "digits"), ("--order", "2, 1", "digits"),
     ("--group1", "1,1", "repeats"),
     ("--group1", "+1", "digits"), ("--sizes", "+2,1", "digits"),
-    ("--sizes", "2,1_0", "digits")])
+    ("--sizes", "2,1_0", "digits"), ("--order", "3,1", "out of range"),
+    ("--order", "0,1", "out of range")])
 def test_index_lists_must_be_plain_digits(tmp_path, capsys, flag, value, word):
-    # int() reads each of these, so they once ran as if spelled plainly
+    # int() reads each digits case, so they once ran as if spelled plainly;
+    # a 1-based index must also name an agent
     if flag == "--sizes":
         argv = ["gen", "--family", "identical_groups", "--n", "3", "--m", "6",
                 "--seed", "0"]
@@ -293,7 +295,8 @@ def test_table_key_spelled_twice_exit_2(tmp_path, capsys, key, value):
     # each key re-spells a subset the table already names; the values keep
     # the table monotone, so the later one once replaced the earlier silently
     path = table_instance(tmp_path)
-    data = json.loads(open(path).read())
+    with open(path) as handle:
+        data = json.load(handle)
     data["agents"][2]["values"][key] = value
     with open(path, "w") as handle:
         json.dump(data, handle)
@@ -455,6 +458,16 @@ def test_instance_wrong_json_types_exit_2(tmp_path, capsys, data):
     assert_input_error(code, capsys, "must be a JSON")
 
 
+@pytest.mark.parametrize("kind", ["cubic", None])
+def test_unknown_oracle_type_exit_2(tmp_path, capsys, kind):
+    data = set_in(additive_data(), ("agents", 1, "type"), kind)
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(data))
+    code = main(["solve", "--instance", str(inst_path), "--algorithm",
+                 "three-agent-2efx"])
+    assert_input_error(code, capsys, f"unknown oracle type {kind!r}")
+
+
 def test_exponent_rationals_exit_2(tmp_path, capsys):
     data = set_in(additive_data(), ("agents", 0, "costs", 0), "1e5")
     inst_path = tmp_path / "exponent.json"
@@ -481,6 +494,14 @@ def test_solve_exhaustive(tmp_path, capsys):
     assert (payload["alpha"], payload["verdict"]) == ("3/2", True)
     # below 1 is refused as input, not searched for and not found
     assert_input_error(main(argv + ["--alpha", "-5"]), capsys, "alpha must be >= 1")
+
+
+def test_solve_exhaustive_without_an_allocation_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "exhaustive_search", lambda *args: None)
+    assert main(solve_argv(tmp_path, "exhaustive")) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "no allocation satisfies the criterion\n")
 
 
 # each algorithm: the flags it needs here, and every flag that only some
@@ -596,6 +617,16 @@ def test_gen_counterexample_and_invalid_params(tmp_path, capsys):
                  "--m2", "7"]) == 2
     assert main(["gen", "--family", "no-such-family", "--n", "2", "--m", "4",
                  "--seed", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--family", "counterexample", "--m1", "26"], "--m1 and --m2 are required"),
+    (["--family", "counterexample", "--m2", "12"], "--m1 and --m2 are required"),
+    (["--family", "additive", "--n", "3", "--m", "6"], "--n, --m, and --seed"),
+    (["--family", "additive", "--m", "6", "--seed", "1"], "--n, --m, and --seed"),
+], ids=["no-m2", "no-m1", "no-seed", "no-n"])
+def test_gen_missing_a_required_flag_exit_2(capsys, argv, named):
+    assert_input_error(main(["gen", *argv]), capsys, named)
 
 
 def test_gen_refuses_a_flag_its_family_does_not_use(capsys):

@@ -13,6 +13,7 @@ from chorefair import (
     check_alpha_efx,
     check_partial_property2,
     check_tefx,
+    extend_partial,
     generate_instance,
     independent_alpha_efx,
     independent_tefx,
@@ -32,6 +33,17 @@ def test_allocation_rejects_overlap():
         Allocation((frozenset({0, 1}), frozenset({1})), frozenset())
     with pytest.raises(ValueError):
         Allocation((frozenset({0}),), frozenset({0}))
+
+
+@pytest.mark.parametrize("m, n, oracles, message", [
+    (0, 1, (AdditiveOracle([]),), "need m >= 1 and n >= 1"),
+    (2, 0, (), "need m >= 1 and n >= 1"),
+    (2, 2, (AdditiveOracle([1, 2]),), "one oracle per agent"),
+    (3, 1, (AdditiveOracle([1, 2]),), "chore count disagrees"),
+], ids=["no-chores", "no-agents", "oracle-count", "oracle-chore-count"])
+def test_instance_rejects_bad_shapes(m, n, oracles, message):
+    with pytest.raises(ValueError, match=message):
+        Instance(m, n, oracles)
 
 
 def test_from_bundles_computes_pool():
@@ -103,11 +115,11 @@ def test_tefx_witness_under_non_monotone_table():
 
 def _tefx_by_enumeration(alloc, inst):
     """Every tEFX witness, through each oracle's cost of the two sets."""
-    return [(i, j, c, inst.cost(i, mine - {c}), inst.cost(i, other | {c}))
-            for i, mine in enumerate(alloc.bundles)
+    return [(i, j, c, oracle.cost(mine - {c}), oracle.cost(other | {c}))
+            for i, (oracle, mine) in enumerate(zip(inst.oracles, alloc.bundles))
             for j, other in enumerate(alloc.bundles) if j != i
             for c in sorted(mine)
-            if inst.cost(i, mine - {c}) > inst.cost(i, other | {c})]
+            if oracle.cost(mine - {c}) > oracle.cost(other | {c})]
 
 
 def test_tefx_matches_independent_at_scale():
@@ -165,6 +177,36 @@ def test_alpha_below_one_rejected():
     alloc = Allocation.full([{0}, {1}, {2, 3, 4, 5}])
     with pytest.raises(ValueError):
         check_alpha_efx(alloc, COUNTEREXAMPLE, Fraction(1, 2))
+
+
+# every public verdict on (allocation, instance, alpha); the tEFX ones take
+# no alpha
+VERDICTS = {
+    "check_alpha_efx": check_alpha_efx,
+    "check_tefx": lambda alloc, inst, alpha: check_tefx(alloc, inst),
+    "is_alpha_efx": is_alpha_efx,
+    "is_tefx": lambda alloc, inst, alpha: is_tefx(alloc, inst),
+    "independent_alpha_efx": independent_alpha_efx,
+    "independent_tefx": lambda alloc, inst, alpha: independent_tefx(alloc, inst),
+    "extend_partial": extend_partial,
+}
+# bundle count (on 3 agents), alpha, and the error each gives
+REFUSED_INPUTS = {"4-bundles": (4, 2, DimensionError, "4 bundles"),
+                  "2-bundles": (2, 2, DimensionError, "2 bundles"),
+                  "alpha-0": (3, 0, ValueError, "alpha must be >= 1"),
+                  "alpha-1/2": (3, Fraction(1, 2), ValueError, "alpha must be >= 1")}
+
+
+@pytest.mark.parametrize("verdict, case", [
+    (verdict, case) for verdict in VERDICTS for case in REFUSED_INPUTS
+    if not ("tefx" in verdict and case.startswith("alpha"))])
+def test_every_verdict_refuses_what_check_refuses(verdict, case):
+    # each boolean verdict once said True to 4 bundles on 3 agents, and
+    # is_alpha_efx, independent_alpha_efx and extend_partial took alpha < 1
+    bundles, alpha, error, message = REFUSED_INPUTS[case]
+    alloc = Allocation.from_bundles([{c} for c in range(bundles)], 6)
+    with pytest.raises(error, match=message):
+        VERDICTS[verdict](alloc, COUNTEREXAMPLE, alpha)
 
 
 def test_partial_property2():

@@ -20,6 +20,8 @@ def test_identical_oracles_always_ido():
     inst = Instance(5, 3, (o, o, o))
     for k in (1, 3, 5, 9):
         assert check_k_partial_ido(inst, k)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check_k_partial_ido(inst, 0)
 
 
 def test_counterexample_agents_disagree_at_the_top():
@@ -39,7 +41,7 @@ def test_generator_beyond_99_non_top_chores():
     # m - k = 150 non-top chores: more distinct costs than 1..99 holds
     inst = generate_instance("k_partial_ido", 3, 152, 4, k=2)
     assert check_k_partial_ido(inst, 2)
-    assert len(set(inst.oracles[0].singleton_costs())) == 152
+    assert len(set(inst.oracles[0].singleton_units())) == 152
     assert check_alpha_efx(partial_ido_2efx(inst), inst, 2).verdict
 
 

@@ -45,7 +45,7 @@ def test_empty_set_costs_zero():
 def test_additive_is_a_sum():
     oracle = AdditiveOracle([Fraction(1, 2), 2, 3])
     assert oracle.cost({0, 2}) == Fraction(7, 2)
-    assert oracle.singleton_costs() == (Fraction(1, 2), Fraction(2), Fraction(3))
+    assert [oracle.cost((c,)) for c in range(3)] == [Fraction(1, 2), 2, 3]
 
 
 def test_capped_additive_truncates():
@@ -64,6 +64,8 @@ def test_max_of_additive():
 def test_tabulated_requires_full_table():
     with pytest.raises(ValueError):
         TabulatedOracle(2, {frozenset(): 0})
+    with pytest.raises(ValueError, match="non-negative"):
+        TabulatedOracle(1, {(): 0, (0,): -1})
     values = {s: sum(s) + len(s) for s in all_subsets(2)}
     values[frozenset()] = 0
     oracle = TabulatedOracle(2, values)
@@ -131,15 +133,19 @@ def test_validate_oracle_families():
     for oracle in (AdditiveOracle([4, 2, 1]), CappedAdditiveOracle([4, 2, 1], 5),
                    MaxOfAdditiveOracle([[4, 2, 1], [1, 2, 4]])):
         results = validate_oracle(oracle, checks=("monotone", "subadditive"))
-        assert all(r.passed for r in results.values())
+        assert results == {"monotone": (), "subadditive": ()}
 
 
 def test_validate_catches_violations():
     values = {s: len(s) for s in all_subsets(2)}
     values[frozenset({0, 1})] = 0  # smaller than its subsets: not monotone
     oracle = TabulatedOracle(2, values)
-    result = validate_oracle(oracle, checks=("monotone",))["monotone"]
-    assert not result.passed and result.violations
+    assert validate_oracle(oracle, checks=("monotone",))["monotone"] == (
+        ((0,), 1), ((1,), 0))
+    # monotone, but the pair costs more than its two chores apart
+    oracle = TabulatedOracle(2, {(): 0, (0,): 1, (1,): 1, (0, 1): 3})
+    assert validate_oracle(oracle, checks=("monotone", "subadditive")) == {
+        "monotone": (), "subadditive": (((0,), (1,)), ((1,), (0,)))}
 
 
 def test_perturbation_breaks_each_tie():
@@ -242,7 +248,7 @@ def test_generated_families_are_monotone_subadditive(family):
     inst = generate_instance(family, 2, 6, 7)
     for oracle in inst.oracles:
         results = validate_oracle(oracle, checks=("monotone", "subadditive"))
-        assert all(r.passed for r in results.values())
+        assert results == {"monotone": (), "subadditive": ()}
 
 
 def test_generate_ratio_family():
@@ -270,11 +276,26 @@ def test_generate_rejects_unknown_family():
 @pytest.mark.parametrize("family, params", [
     ("additive", {"rows": 3}), ("additive_ratio", {"k": 2}),
     ("max_of_additive", {"alpha": 2}), ("identical_groups", {"rows": 2}),
-    ("capped_additive", {"sizes": (2,)})])
+    ("capped_additive", {"sizes": (2,)}),
+    ("max_of_additive", {"sizes": (2,), "k": 2})])
 def test_generate_refuses_a_parameter_its_family_does_not_use(family, params):
-    (name,) = params
-    with pytest.raises(ValueError, match=f"{family!r}.*{name!r}"):
+    # every stray parameter is named, not only the first
+    named = ", ".join(map(repr, sorted(params)))
+    with pytest.raises(ValueError, match=f"{family!r} does not use {named}$"):
         generate_instance(family, 2, 6, 0, **params)
+
+
+@pytest.mark.parametrize("family, n, m, params, message", [
+    ("additive", 0, 4, {}, "n >= 1"), ("additive", 2, 0, {}, "m >= 1"),
+    ("additive_ratio", 2, 4, {"alpha": Fraction(1, 2)}, "alpha must be >= 1"),
+    ("k_partial_ido", 2, 4, {"k": 0}, "1 <= k <= m"),
+    ("k_partial_ido", 2, 4, {"k": 5}, "1 <= k <= m"),
+    ("identical_groups", 3, 4, {"sizes": (1, 1)}, "sum to n"),
+    ("identical_groups", 2, 4, {"sizes": (2, 0)}, "positive"),
+])
+def test_generate_refuses_bad_values(family, n, m, params, message):
+    with pytest.raises(ValueError, match=message):
+        generate_instance(family, n, m, 0, **params)
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,8 +20,8 @@ def test_identical_two_agent_example():
     o = AdditiveOracle([2, 3, 3, 4])
     inst = Instance(4, 2, (o, o))
     alloc, trace = round_robin_allocate(inst)
-    assert inst.cost(0, alloc.bundles[0]) == 5
-    assert inst.cost(1, alloc.bundles[1]) == 7
+    assert inst.oracles[0].cost(alloc.bundles[0]) == 5
+    assert inst.oracles[1].cost(alloc.bundles[1]) == 7
     assert check_tefx(alloc, inst).verdict
     assert [p.chore for p in trace.picks] == [0, 1, 2, 3]
 
@@ -38,8 +38,8 @@ def test_three_round_guarantee_example():
     o = AdditiveOracle(costs)
     inst = Instance(6, 2, (o, o))
     alloc, _ = round_robin_allocate(inst)
-    assert inst.cost(0, alloc.bundles[0]) == 6
-    assert inst.cost(1, alloc.bundles[1]) == 8
+    assert inst.oracles[0].cost(alloc.bundles[0]) == 6
+    assert inst.oracles[1].cost(alloc.bundles[1]) == 8
     assert check_alpha_efx(alloc, inst, guarantee_ratio(4, 3)).verdict
     assert guarantee_ratio(4, 3) == Fraction(5, 2)
 
@@ -51,7 +51,7 @@ def test_trace_invariants():
     for pick in trace.picks:
         assert pick.kind == "pick"
         (agent,) = pick.agents
-        cost = inst.oracles[agent].singleton(pick.chore)
+        cost = inst.oracles[agent].cost((pick.chore,))
         if agent in per_agent:
             assert cost >= per_agent[agent]
         per_agent[agent] = cost
@@ -67,7 +67,7 @@ def test_earlier_agents_weakly_better_per_round():
     for picks in by_round.values():
         for a, b in zip(picks, picks[1:]):
             oracle = inst.oracles[a.agents[0]]
-            assert oracle.singleton(a.chore) <= oracle.singleton(b.chore)
+            assert oracle.cost((a.chore,)) <= oracle.cost((b.chore,))
 
 
 def test_bad_order_rejected():
@@ -109,7 +109,7 @@ def _reference_round_robin(instance, agent_order):
             if not remaining:
                 break
             oracle = instance.oracles[agent]
-            chore = min(remaining, key=lambda c: (oracle.singleton(c), c))
+            chore = min(remaining, key=lambda c: (oracle.cost((c,)), c))
             remaining.remove(chore)
             bundles[agent].add(chore)
             picks.append((agent, chore, t))

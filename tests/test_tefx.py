@@ -79,6 +79,12 @@ def _table(values):
 def test_identical_cost_efx_without_chores():
     assert identical_cost_efx(2, TabulatedOracle(0, {(): 0})) == [frozenset()] * 2
 
+
+def test_identical_cost_efx_refuses_zero_bundles():
+    with pytest.raises(ValueError, match="at least one bundle"):
+        identical_cost_efx(0, AdditiveOracle([1, 2]))
+
+
 def test_identical_cost_efx_falls_back_to_exhaustive_search():
     # the repair loop stops when the violating bundle is also the cheapest,
     # which only a non-monotone cost allows: the greedy split is {1, 2}, {0},
@@ -118,6 +124,12 @@ def test_two_group_invalid_k():
     c1 = AdditiveOracle([4, 3, 2, 1])
     with pytest.raises(PreconditionError):
         tefx_two_group(2, c1, c1, 0)
+
+
+def test_two_group_refuses_a_chore_count_mismatch():
+    c1 = AdditiveOracle([4, 3, 2, 1])
+    with pytest.raises(PreconditionError, match="chore count"):
+        tefx_two_group(2, c1, AdditiveOracle([2, 2, 3]), 1)
 
 
 def test_two_group_properties_all_k():
@@ -224,6 +236,9 @@ def test_group_spec_validation():
     inst = generate_instance("additive", 3, 6, 0)
     with pytest.raises(PreconditionError):
         tefx_three_group(inst, GroupSpec(frozenset({0, 1, 2}), frozenset(),
+                                         frozenset()))
+    with pytest.raises(PreconditionError, match="cover all agents"):
+        tefx_three_group(inst, GroupSpec(frozenset({0}), frozenset({1}),
                                          frozenset()))
 
 

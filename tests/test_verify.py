@@ -62,7 +62,7 @@ def test_search_guard(monkeypatch):
     def checked(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(verify, "is_alpha_efx", checked)
+    monkeypatch.setattr(verify, "_all_violations", checked)
     inst = generate_instance("additive", 3, 15, 0)
     with pytest.raises(EnumerationLimitError):
         exhaustive_search(inst, "efx")
@@ -101,8 +101,8 @@ def test_counterexample_parameter_validation():
     with pytest.raises(PreconditionError):
         counterexample_instance(30, 6)  # m2 must exceed 6
     inst = counterexample_instance(26, 12)
-    assert inst.oracles[2].singleton(5) == 12
-    assert inst.oracles[2].singleton(3) == 13
+    assert inst.oracles[2].cost((5,)) == 12
+    assert inst.oracles[2].cost((3,)) == 13
 
 
 def test_rival_run_exact_outputs():
