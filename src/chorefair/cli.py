@@ -9,6 +9,7 @@ failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -31,7 +32,6 @@ from .core import (
 from .errors import ChorefairError, VerificationError
 from .ido import partial_ido_2efx
 from .oracles import (
-    DIGITS,
     CostOracle,
     RowOracle,
     TabulatedOracle,
@@ -62,6 +62,7 @@ def _json_typed(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+DIGITS = re.compile(r"[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 RATIONAL_MAX_CHARS = 1000
 
@@ -177,15 +178,14 @@ def allocation_to_json(alloc: Allocation) -> dict:
 
 def allocation_from_json(data: Any, m: int) -> Allocation:
     data = _json_typed(data, dict, "an allocation")
-    bundles = [frozenset(_json_typed(c, int, "a chore") - 1
-                         for c in _json_typed(b, list, "a bundle"))
+    bundles = [[_json_typed(c, int, "a chore") - 1 for c in _json_typed(b, list, "a bundle")]
                for b in _json_typed(data["allocation"], list, '"allocation"')]
-    pool = frozenset(_json_typed(c, int, "a chore") - 1
-                     for c in _json_typed(data.get("pool", []), list, '"pool"'))
-    alloc = Allocation(tuple(bundles), pool)
-    if alloc.chores() != frozenset(range(m)):
-        raise ValueError(f"bundles and pool must hold exactly the chores 1..{m}")
-    return alloc
+    pool = [_json_typed(c, int, "a chore") - 1
+            for c in _json_typed(data.get("pool", []), list, '"pool"')]
+    # sorted before any set: a set would merge a chore listed twice
+    if sorted(itertools.chain(pool, *bundles)) != list(range(m)):
+        raise ValueError(f"bundles and pool must hold each chore 1..{m} once")
+    return Allocation(tuple(map(frozenset, bundles)), frozenset(pool))
 
 
 def report_to_json(report: FairnessReport) -> dict:
@@ -284,8 +284,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elif args.algorithm == "partial-ido-2efx":
         alloc = partial_ido_2efx(instance, trace)
     elif args.algorithm == "round-robin":
-        order = _parse_index_list(args.order or "", instance.n, "--order")
-        alloc, picks = round_robin_allocate(instance, order or None)
+        order = (None if args.order is None
+                 else _parse_index_list(args.order, instance.n, "--order"))
+        alloc, picks = round_robin_allocate(instance, order)
         criterion, alpha = claimed_guarantee(instance) or (None, None)
         if trace is not None:
             trace.extend(picks.picks)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError
@@ -166,43 +167,31 @@ def _violations(
         return
     chores = sorted(mine)
     units, den = oracle.units, oracle.den
-    # both criteria compare the removal costs C(X_i - c), as ints over den
     removals = oracle.removal_units(mine, chores)
-    worst = max(removals)
-    if criterion == "tefx":
-        # C(X_i - c) > C(X_j + c) needs C(X_i - c) > C(X_j) when adding a
-        # chore cannot lower a cost, so such an oracle skips every j whose
-        # cost covers the worst removal: all of them when the cheapest does
-        if oracle.monotone and costs is not None and worst <= min(costs):
-            return
-        for j, other in enumerate(bundles):
-            if j == agent or oracle.monotone and worst <= (
-                    units(other) if costs is None else costs[j]):
-                continue
-            additions = oracle.addition_units(other, chores)
-            for c, lhs, rhs in zip(chores, removals, additions):
-                if lhs > rhs:
-                    yield Witness(agent, j, c, Fraction(lhs, den),
-                                  Fraction(rhs, den))
-        return
-    # alpha-EFX, alpha = p/q: C(X_i - c) > alpha * C(X_j) iff
-    # q * units(X_i - c) > p * units(X_j).  A j is walked chore by chore
-    # only when the worst removal exceeds it, and none is when it does not
-    # exceed the cheapest bundle.
-    p, q = alpha.numerator, alpha.denominator
-    worst *= q
-    if costs is not None and worst <= p * min(costs):
+    # with alpha = p/q, both criteria compare q * units(X_i - c), ints over
+    # den, with a right side: p * units(X_j) for alpha-EFX, and for tEFX,
+    # p = q = 1, the addition units(X_j + c)
+    tefx = criterion == "tefx"
+    p, q = (1, 1) if tefx else (alpha.numerator, alpha.denominator)
+    worst = q * max(removals)
+    # the right side is at least p * units(X_j) wherever adding a chore
+    # cannot lower a cost, so there a j is walked chore by chore only when
+    # the worst removal exceeds it, and none is when it does not exceed
+    # the cheapest bundle
+    screen = not tefx or oracle.monotone
+    if screen and costs is not None and worst <= p * min(costs):
         return
     for j, other in enumerate(bundles):
         if j == agent:
             continue
-        theirs = units(other) if costs is None else costs[j]
-        bound = p * theirs
-        if worst > bound:
-            rhs = alpha * Fraction(theirs, den)
-            for c, lhs in zip(chores, removals):
-                if q * lhs > bound:
-                    yield Witness(agent, j, c, Fraction(lhs, den), rhs)
+        if screen:
+            bound = p * (units(other) if costs is None else costs[j])
+            if worst <= bound:
+                continue
+        rights = oracle.addition_units(other, chores) if tefx else repeat(bound)
+        for c, lhs, rhs in zip(chores, removals, rights):
+            if q * lhs > rhs:
+                yield Witness(agent, j, c, Fraction(lhs, den), Fraction(rhs, q * den))
 
 
 # Fewest bundles for which the checkers take each agent's costs as one

@@ -11,33 +11,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-import re
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import EnumerationLimitError
 
-ENV_MAX_ENUM = "CHOREFAIR_MAX_ENUM"
-# plain digits: int() would also take " 3", "1_0", "+3" and "-1"
-DIGITS = re.compile(r"[0-9]+")
-
-# default enumeration guards (number of chores m)
-CHECK_LIMITS = {"monotone": 14, "subadditive": 10}
+# steps any one enumeration may take: a validate_oracle check, m * 2^m
+# for "monotone" and 3^m for "subadditive", or exhaustive_search's n^m
+ENUM_LIMIT = 10**7
 
 ZERO = Fraction(0)
-
-
-def env_enum_limit(default: int) -> int:
-    """Enumeration guard, overridable through CHOREFAIR_MAX_ENUM in digits."""
-    raw = os.environ.get(ENV_MAX_ENUM)
-    if raw is None:
-        return default
-    if not DIGITS.fullmatch(raw):
-        raise ValueError(f"{ENV_MAX_ENUM} must be plain digits, got {raw!r:.40}")
-    return int(raw)
 
 
 def _scaled(values: Iterable[Fraction], den: int) -> tuple[int, ...]:
@@ -327,18 +312,19 @@ def validate_oracle(
     """Exhaustively check structural properties of an oracle: each check's
     name maps to its violations, a tuple that is empty when it passes.
 
-    Refuses (raises EnumerationLimitError) when m exceeds the enumeration
-    guard for a requested check; never silently passes.
+    Refuses (raises EnumerationLimitError) when a requested check would
+    take more than ENUM_LIMIT steps; never silently passes.
     """
     m = oracle.m
     results: dict[str, tuple] = {}
     for check in checks:
-        if check not in CHECK_LIMITS:
+        if check not in ("monotone", "subadditive"):
             raise ValueError(f"unknown check {check!r}")
-        limit = env_enum_limit(CHECK_LIMITS[check])
-        if m > limit:
+        steps = m * 2**m if check == "monotone" else 3**m
+        if steps > ENUM_LIMIT:
             raise EnumerationLimitError(
-                f"{check} check needs m <= {limit}, got m={m}")
+                f"{check} check on m={m} chores takes {steps} steps, "
+                f"over the limit of {ENUM_LIMIT}")
         bad = []
         if check == "monotone":
             for sub in map(frozenset, itertools.chain.from_iterable(

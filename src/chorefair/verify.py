@@ -23,9 +23,7 @@ from .core import (
 )
 from .envy_graph import TopTradingGraph, _ttece, build_top_trading_graph
 from .errors import EnumerationLimitError, PreconditionError
-from .oracles import AdditiveOracle, CostOracle
-
-SEARCH_LIMIT = 10**7
+from .oracles import ENUM_LIMIT, AdditiveOracle, CostOracle
 
 
 def exhaustive_search(
@@ -41,7 +39,7 @@ def exhaustive_search(
     """
     criterion, alpha = resolve_criterion(criterion, alpha)
     m, n = instance.m, instance.n
-    if n**m > SEARCH_LIMIT:
+    if n**m > ENUM_LIMIT:
         raise EnumerationLimitError(f"{n}^{m} assignments exceed the search limit")
     for assignment in itertools.product(range(n), repeat=m):
         bundles = [set() for _ in range(n)]

@@ -161,6 +161,14 @@ def test_index_lists_must_be_plain_digits(tmp_path, capsys, flag, value, word):
     assert_input_error(main(argv + [flag, value]), capsys, repr(value), word)
 
 
+def test_solve_refuses_empty_order(tmp_path, capsys):
+    # "" once ran the default order 1..n
+    o = AdditiveOracle([2, 3, 3, 4])
+    argv = ["solve", "--instance", write_instance(tmp_path, Instance(4, 2, (o, o))),
+            "--algorithm", "round-robin", "--order", ""]
+    assert_input_error(main(argv), capsys, "permutation")
+
+
 def test_solve_round_robin_checks_only_the_claimed_guarantee(tmp_path, capsys):
     # ratios 2.9, 12.1 and 10.3 over three rounds: no tEFX claim (this
     # allocation has a tEFX witness), alpha-EFX at 1 + (12.1 - 1)/2 instead
@@ -306,11 +314,12 @@ def test_table_key_spelled_twice_exit_2(tmp_path, capsys, key, value):
 
 
 def test_table_beyond_enumeration_guard(tmp_path, capsys, monkeypatch):
+    # the 3-chore table's monotone check takes 3 * 2^3 = 24 steps
     argv = ["verify", "--instance", table_instance(tmp_path), "--allocation",
             allocation_file(tmp_path), "--criterion", "efx"]
-    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "2")
-    assert_input_error(main(argv), capsys, "m <= 2")
-    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "3")
+    monkeypatch.setattr("chorefair.oracles.ENUM_LIMIT", 23)
+    assert_input_error(main(argv), capsys, "monotone check", "24 steps")
+    monkeypatch.setattr("chorefair.oracles.ENUM_LIMIT", 24)
     assert main(argv) == 0
 
 
@@ -350,18 +359,19 @@ def test_verify_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bundles", [
-    [[1], [2], [3]],              # chores 4, 5 and 6 are left out
-    [[0, 1], [2, 3], [4, 5, 6]],  # chore ids start at 1
+    {"allocation": [[1], [2], [3]]},              # chores 4, 5 and 6 are left out
+    {"allocation": [[0, 1], [2, 3], [4, 5, 6]]},  # chore ids start at 1
+    # a chore listed twice was once merged into one and the file judged
+    {"allocation": [[1, 1, 2], [3, 4], [5, 6]]},
+    {"allocation": [[1, 2], [3, 4], [5]], "pool": [6, 6]},
 ])
 def test_verify_rejects_allocation_not_covering_chores(tmp_path, capsys, bundles):
     inst_path = write_instance(tmp_path, counterexample_instance(20, 8))
     alloc = tmp_path / "alloc.json"
-    alloc.write_text(json.dumps({"allocation": bundles}))
-    assert main(["verify", "--instance", inst_path, "--allocation", str(alloc),
-                 "--criterion", "efx"]) == 2
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    alloc.write_text(json.dumps(bundles))
+    assert_input_error(main(["verify", "--instance", inst_path, "--allocation",
+                             str(alloc), "--criterion", "efx"]),
+                       capsys, "must hold each chore 1..6 once")
 
 
 @pytest.mark.parametrize("data", [
@@ -566,16 +576,6 @@ def test_alpha_only_with_alpha_efx(tmp_path, capsys, command, criterion):
     capsys.readouterr()
     assert_input_error(main(argv + ["--alpha", "3"]), capsys,
                        f"criterion {criterion or 'efx'!r} does not use --alpha")
-
-
-@pytest.mark.parametrize("value", [" 3", "1_0", "-1", "abc", ""])
-def test_enum_limit_must_be_plain_digits(tmp_path, capsys, monkeypatch, value):
-    # int() took the first three; "-1" then refused every check
-    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", value)
-    argv = ["verify", "--instance", table_instance(tmp_path), "--allocation",
-            allocation_file(tmp_path), "--criterion", "efx"]
-    assert_input_error(main(argv), capsys,
-                       "CHOREFAIR_MAX_ENUM must be plain digits", repr(value))
 
 
 @pytest.mark.parametrize("command, path, key", [

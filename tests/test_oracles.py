@@ -25,7 +25,7 @@ from chorefair import (
     validate_oracle,
 )
 from chorefair.core import ROW_KERNEL_BUNDLES
-from chorefair.oracles import cost_rows, env_enum_limit
+from chorefair.oracles import cost_rows
 
 from support import (
     COUNTEREXAMPLE,
@@ -171,16 +171,15 @@ def test_perturbation_is_not_public():
 
 
 def test_validate_refuses_oversize():
-    oracle = AdditiveOracle(range(1, 22))
-    with pytest.raises(EnumerationLimitError):
-        validate_oracle(oracle, checks=("monotone",))
+    # 20 * 2^20 and 3^15 steps exceed 10^7: refused before any cost is read
+    def enumerated(chores):
+        raise AssertionError("enumeration started")
 
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "99")
-    assert env_enum_limit(5) == 99
-    monkeypatch.delenv("CHOREFAIR_MAX_ENUM")
-    assert env_enum_limit(5) == 5
+    for m, check in [(20, "monotone"), (15, "subadditive")]:
+        oracle = AdditiveOracle(range(1, m + 1))
+        oracle.cost = oracle.units = enumerated
+        with pytest.raises(EnumerationLimitError, match=f"{check} check on m={m}"):
+            validate_oracle(oracle, checks=(check,))
 
 
 def test_ratio_bound():

@@ -68,13 +68,6 @@ def test_search_guard(monkeypatch):
         exhaustive_search(inst, "efx")
 
 
-def test_enum_override_leaves_search_limit(monkeypatch):
-    # the variable counts chores; the search limit counts assignments
-    monkeypatch.setenv("CHOREFAIR_MAX_ENUM", "16")
-    inst = generate_instance("additive", 3, 5, 0)
-    assert check_alpha_efx(three_agent_2efx(inst), inst, 1).verdict
-
-
 def test_unknown_criterion_rejected():
     with pytest.raises(ValueError):
         exhaustive_search(COUNTEREXAMPLE, "nash")
