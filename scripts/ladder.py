@@ -22,11 +22,18 @@ run: the chore terms the `RowOracle` cost kernels summed, counted by
 wrapping them from outside the library.
 
 - `_raw_cost`, one cost-cache miss: |S| terms;
-- `add`, which also builds each `bundle_state`: |chores| terms;
+- `add`, one chore onto a bundle's state: 1 term (|chores| terms where
+  `add` takes a collection of chores);
+- `_row_sums`, a bundle's uncapped row sums, behind `bundle_state` and
+  the row-sum paths of `removal_units` and `addition_units`: |S| terms.
+  Where `add` takes a collection, `bundle_state` builds the row sums
+  through `add` instead, so they are counted there, once either way;
 - `removal_units` on a bundle it has not cached: |S| terms (an additive
   oracle caches none and takes |chores| = |S| differences each call);
 - `addition_units`: |chores| terms;
-- `singleton_units` when it builds the table: m terms;
+- `singleton_units` when it builds the table of a capped or
+  max-of-additive oracle: m terms (an additive oracle's table reads its
+  one row and counts none);
 - `bundle_units`, one row of `cost_rows`: one term per chore of the
   bundles it values, whatever the number of rows.
 
@@ -35,7 +42,7 @@ count repeats exactly, so it compares two checkouts where noisy wall times
 cannot.
 
     python3 scripts/ladder.py --side parent=../parent --side change=. \\
-        --out BENCH_16.json
+        --out BENCH_20.json
 
 Each checkout is measured in its own process, importing `chorefair` from
 that checkout's `src/`.
@@ -64,11 +71,13 @@ SEED = 1
 # chore terms each wrapped RowOracle method sums, from its arguments
 TERMS = {
     "_raw_cost": lambda oracle, chores: len(chores),
-    "add": lambda oracle, state, chores: len(chores),
+    "add": lambda oracle, state, chore: 1 if isinstance(chore, int) else len(chore),
+    "_row_sums": lambda oracle, chores: len(chores),
     "removal_units": lambda oracle, bundle, chores:
         0 if bundle in oracle._removals else len(bundle),
     "addition_units": lambda oracle, bundle, chores: len(chores),
-    "singleton_units": lambda oracle: oracle.m if oracle._singles is None else 0,
+    "singleton_units": lambda oracle:
+        oracle.m if oracle._singles is None and oracle.kind != "additive" else 0,
     # the layout's pick lays out every chore it values, once
     "bundle_units": lambda oracle, layout: len(layout[0](oracle._rows[0])),
 }
@@ -175,8 +184,8 @@ def main(argv: list[str] | None = None) -> int:
                  "'k_partial_ido', n, 4n, seed, k=n-1). "
                  f"Best of {RUNS} wall times (s) on fresh instances, and "
                  "chores_summed (chore terms summed by RowOracle's _raw_cost, "
-                 "add, uncached removal_units, addition_units, singleton "
-                 "table and bundle_units) of one more run",
+                 "add, row sums, uncached removal_units, addition_units, "
+                 "non-additive singleton table and bundle_units) of one more run",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "seed": SEED,

@@ -262,24 +262,33 @@ def is_tefx(alloc: Allocation, instance: Instance) -> bool:
     return next(_checked(alloc, instance, "tefx")[2], None) is None
 
 
-def eligible_bundles(oracle: CostOracle, alloc: Allocation) -> list[int]:
+def eligible_bundles(oracle: CostOracle, alloc: Allocation,
+                     costs: Sequence[int] | None = None) -> list[int]:
     """Every j with C(b) <= C(X_j) for each pool chore b (every j when the
     pool is empty).  The set shrinks as C(b) grows, so only the costliest
-    pool chore needs testing."""
+    pool chore needs testing.  ``costs`` is the oracle's ``cost_rows`` row;
+    without it, each bundle is valued through ``units``."""
     if not alloc.pool:
         return list(range(alloc.n))
     if min(alloc.pool) < 0:  # the table index would wrap around
         raise IndexError(f"chore {min(alloc.pool)} out of range for m={oracle.m}")
     worst = max(map(oracle.singleton_units().__getitem__, alloc.pool))
-    return [j for j, bundle in enumerate(alloc.bundles)
-            if worst <= oracle.units(bundle)]
+    if costs is None:
+        costs = map(oracle.units, alloc.bundles)
+    return [j for j, units in enumerate(costs) if worst <= units]
 
 
 def check_partial_property2(alloc: Allocation, instance: Instance) -> tuple[bool, ...]:
     """Per agent i: every pool chore costs at most C_i(X_j) for >= n-1 agents j.
 
-    Vacuously true for full allocations.
+    Vacuously true for full allocations.  With a pool, every agent's
+    costs of the bundles are valued once, from ROW_KERNEL_BUNDLES bundles
+    on as one ``cost_rows`` row, and cached for the caller's next check.
     """
     _check_shapes(alloc, instance)
-    return tuple(len(eligible_bundles(oracle, alloc)) >= instance.n - 1
-                 for oracle in instance.oracles)
+    if not alloc.pool:
+        return (True,) * instance.n
+    rows = (repeat(None) if alloc.n < ROW_KERNEL_BUNDLES
+            else cost_rows(instance.oracles, alloc.bundles))
+    return tuple(len(eligible_bundles(oracle, alloc, row)) >= instance.n - 1
+                 for oracle, row in zip(instance.oracles, rows))

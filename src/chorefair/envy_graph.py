@@ -130,7 +130,8 @@ def _ttece(
     then hand the chore to the lowest-index sink.  No guarantee checks here.
 
     ``states[i][j]``, ``costs[i][j]``: agent i's oracle state and units of
-    bundle j; ``succ`` is the graph of ``costs``.  A placement on sink s
+    bundle j, where a column's states are None until its first placement
+    builds them; ``succ`` is the graph of ``costs``.  A placement on sink s
     changes column s only, so it recomputes the successor of s, of the
     agents pointing at s and of those whose cost of s fell (a non-monotone
     oracle); a new cycle runs through one of them."""
@@ -140,7 +141,7 @@ def _ttece(
         return Allocation(tuple(map(frozenset, bundles)),
                           alloc.pool.difference(*bundles))
 
-    states = [[o.bundle_state(b) for b in alloc.bundles] for o in instance.oracles]
+    states = [[None] * instance.n for _ in instance.oracles]
     costs = list(cost_rows(instance.oracles, alloc.bundles))
     succ = _successors(costs)
     changed: Iterable[int] = range(instance.n)
@@ -150,10 +151,14 @@ def _ttece(
                 if trace is not None:
                     trace.append(Event("cycle", cycle, allocation=frozen()))
         sink = succ.index(None)
+        if states[0][sink] is None:  # states rotate with their column
+            bundle = frozenset(bundles[sink])
+            for oracle, row in zip(instance.oracles, states):
+                row[sink] = oracle.bundle_state(bundle)
         changed = []
         for i, (oracle, row, units) in enumerate(zip(instance.oracles, states, costs)):
             before = units[sink]
-            row[sink], units[sink] = oracle.add(row[sink], (chore,))
+            row[sink], units[sink] = oracle.add(row[sink], chore)
             if i == sink or succ[i] == sink or units[sink] < before:
                 succ[i] = _successor(i, units)
                 changed.append(i)

@@ -77,9 +77,9 @@ class CostOracle:
         """A bundle's state, which ``add`` grows; here the bundle itself."""
         return chores
 
-    def add(self, state, chores: Collection[int]) -> tuple[object, int]:
-        """(state, units) of the bundle in ``state`` plus new ``chores``."""
-        state = state.union(chores)
+    def add(self, state, chore: int) -> tuple[object, int]:
+        """(state, units) of the bundle in ``state`` plus a new ``chore``."""
+        state = state | {chore}
         return state, self.units(state)
 
     def removal_units(self, bundle: frozenset[int], chores: Collection[int]
@@ -160,6 +160,8 @@ class RowOracle(CostOracle):
         return list(map(self._total, zip(*sums)))
 
     def singleton_units(self) -> tuple[int, ...]:
+        if self.kind == "additive":  # one uncapped row is its own table
+            return self._rows[0]
         if self._singles is None:  # from the rows, not through the cache
             self._singles = tuple(map(self._total, zip(*self._rows)))
         return self._singles
@@ -168,17 +170,21 @@ class RowOracle(CostOracle):
         total = max(sums)
         return total if self._cap is None or total < self._cap else self._cap
 
-    def bundle_state(self, chores: frozenset[int]) -> list[int]:
-        # the row sums, uncapped so that a chore can be taken out
-        return self.add([0] * len(self._rows), self._checked(chores))[0]
+    def _row_sums(self, chores: frozenset[int]) -> list[int]:
+        """The bundle's row sums, uncapped so that a chore can be taken out."""
+        return [sum(map(row.__getitem__, self._checked(chores))) for row in self._rows]
 
-    def add(self, sums: list[int], chores: Collection[int]) -> tuple[list[int], int]:
-        if self.kind == "additive":  # one uncapped row: its sum is the units
-            total = sums[0] + sum(map(self._rows[0].__getitem__, chores))
-            return [total], total
-        sums = [s + sum(map(row.__getitem__, chores))
-                for s, row in zip(sums, self._rows)]
-        return sums, self._total(sums)
+    def bundle_state(self, chores: frozenset[int]) -> int | list[int]:
+        # one row's state is its sum as a plain int, more rows' their list
+        sums = self._row_sums(chores)
+        return sums[0] if len(sums) == 1 else sums
+
+    def add(self, state: int | list[int], chore: int) -> tuple[int | list[int], int]:
+        if self.kind == "max_of_additive":  # no cap: the max of the sums
+            state = [s + row[chore] for s, row in zip(state, self._rows)]
+            return state, max(state)
+        state += self._rows[0][chore]
+        return state, state if self._cap is None or state < self._cap else self._cap
 
     def removal_units(self, bundle: frozenset[int], chores: Collection[int]
                       ) -> list[int]:
@@ -188,7 +194,7 @@ class RowOracle(CostOracle):
         # from the bundle's row sums, and cached per bundle like units
         removals = self._removals.get(bundle)
         if removals is None:
-            sums = self.bundle_state(bundle)
+            sums = self._row_sums(bundle)
             lows = zip(*([s - row[c] for c in bundle] for s, row in zip(sums, self._rows)))
             removals = self._removals[bundle] = dict(zip(bundle, map(self._total, lows)))
         return [removals[c] for c in chores]
@@ -200,7 +206,7 @@ class RowOracle(CostOracle):
         if self.kind == "additive":
             total, row = self.units(bundle), self._rows[0]
             return [total + row[c] for c in chores]
-        sums = self.bundle_state(bundle)
+        sums = self._row_sums(bundle)
         return [self._total([s + row[c] for s, row in zip(sums, self._rows)])
                 for c in chores]
 
@@ -326,19 +332,20 @@ def validate_oracle(
                 f"{check} check on m={m} chores takes {steps} steps, "
                 f"over the limit of {ENUM_LIMIT}")
         bad = []
+        units = oracle.units  # one oracle's ints over den compare as its costs
         if check == "monotone":
             for sub in map(frozenset, itertools.chain.from_iterable(
                     itertools.combinations(range(m), r) for r in range(m + 1))):
-                base = oracle.cost(sub)
+                base = units(sub)
                 for c in range(m):
-                    if c not in sub and oracle.cost(sub | {c}) < base:
+                    if c not in sub and units(sub | {c}) < base:
                         bad.append((tuple(sorted(sub)), c))
         else:
             # subadditive: every chore goes to S, T or neither, 3^m disjoint pairs
             for assignment in itertools.product(range(3), repeat=m):
                 s = frozenset(c for c, a in enumerate(assignment) if a == 1)
                 t = frozenset(c for c, a in enumerate(assignment) if a == 2)
-                if oracle.cost(s | t) > oracle.cost(s) + oracle.cost(t):
+                if units(s | t) > units(s) + units(t):
                     bad.append((tuple(sorted(s)), tuple(sorted(t))))
         results[check] = tuple(bad)
     return results

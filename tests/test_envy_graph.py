@@ -327,7 +327,7 @@ def test_ttece_matches_reference_loop():
         alloc = Allocation.from_bundles(
             [{c for c in range(m) if owner[c] == j} for j in range(n)], m)
         cases.append((inst, alloc, rng.sample(sorted(alloc.pool), len(alloc.pool))))
-    cycles = multi = 0
+    cycles = multi = rotated_first = 0
     for inst, alloc, pool_order in cases:
         expected: list = []
         result = _reference_ttece(alloc, inst, pool_order, expected)
@@ -338,7 +338,20 @@ def test_ttece_matches_reference_loop():
         kinds = [event.kind for event in trace]
         cycles += kinds.count("cycle")
         multi += sum(a == b == "cycle" for a, b in zip(kinds, kinds[1:]))
-    assert cycles > 100 and multi >= 1
+        # a bundle's oracle states are built on its first placement, so
+        # count first placements on a bundle that a rotation moved
+        origin, placed = list(range(inst.n)), [False] * inst.n
+        for event in trace:
+            if event.kind == "cycle":
+                source = event.agents[1:] + event.agents[:1]
+                for column in (origin, placed):
+                    for j, value in zip(event.agents, [column[k] for k in source]):
+                        column[j] = value
+            else:
+                (sink,) = event.agents
+                rotated_first += not placed[sink] and origin[sink] != sink
+                placed[sink] = True
+    assert cycles > 100 and multi >= 1 and rotated_first >= 1
 
 
 def test_ttece_steps_match_rebuilt_graph():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from chorefair import (
     top_chore_order,
     validate_oracle,
 )
-from chorefair.core import ROW_KERNEL_BUNDLES
+from chorefair.core import ROW_KERNEL_BUNDLES, check_partial_property2, eligible_bundles
+from chorefair.errors import DimensionError
 from chorefair.oracles import cost_rows
 
 from support import (
@@ -168,6 +170,34 @@ def test_perturbation_is_not_public():
     assert not removed & set(chorefair.__all__)
     with pytest.raises(ValueError, match="unknown check"):
         validate_oracle(AdditiveOracle([1, 1, 2]), ("nondegenerate",))
+
+
+def test_validate_matches_fraction_enumeration():
+    # mixed denominators, so one oracle's units order its costs only
+    # because they share one den; each check rebuilt from the plain table
+    rng = random.Random("validate")
+    found = {"monotone": 0, "subadditive": 0}
+    for m in (3, 4, 5):
+        for _ in range(4):
+            values = {s: Fraction(len(s) * 60 + rng.randint(0, 90), rng.choice(DENOMINATORS))
+                      for s in all_subsets(m)}
+            values[frozenset()] = Fraction(0)
+            expected = {
+                "monotone": tuple((tuple(sorted(s)), c) for s in all_subsets(m)
+                                  for c in range(m)
+                                  if c not in s and values[s | {c}] < values[s]),
+                "subadditive": tuple(
+                    (tuple(sorted(s)), tuple(sorted(t)))
+                    for labels in itertools.product(range(3), repeat=m)
+                    for s, t in [(frozenset(c for c in range(m) if labels[c] == 1),
+                                  frozenset(c for c in range(m) if labels[c] == 2))]
+                    if values[s | t] > values[s] + values[t]),
+            }
+            oracle = TabulatedOracle(m, values)
+            assert validate_oracle(oracle, ("monotone", "subadditive")) == expected
+            for check, violations in expected.items():
+                found[check] += len(violations)
+    assert found["monotone"] > 10 and found["subadditive"] > 10
 
 
 def test_validate_refuses_oversize():
@@ -430,6 +460,67 @@ def test_addition_units_match_reference_every_subset(m):
             for bad in (-1, -m, m, m + 1):
                 with pytest.raises(IndexError):
                     oracle.addition_units(s, [bad])
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_add_matches_reference_every_subset(m):
+    # one chore onto every bundle's state, then bundles grown chore by
+    # chore from empty in random order, capped rows across their cap
+    rng = random.Random(f"add:{m}")
+    crossed = 0
+    for spec in _specs(rng, m, with_table=True):
+        oracle = _build(spec)
+        for s in all_subsets(m):
+            state = oracle.bundle_state(s)
+            for c in range(m):
+                if c not in s:
+                    assert oracle.add(state, c)[1] == _reference(spec, s | {c}) * oracle.den, (
+                        spec[0], sorted(s), c)
+        for _ in range(3):
+            state, grown, seen = oracle.bundle_state(frozenset()), set(), [0]
+            for c in rng.sample(range(m), m):
+                state, units = oracle.add(state, c)
+                grown.add(c)
+                assert units == _reference(spec, grown) * oracle.den, (spec[0], grown)
+                seen.append(units)
+            if spec[0] == "capped" and 0 < spec[2] < sum(spec[1]):
+                cap = spec[2] * oracle.den
+                assert any(a < cap == b for a, b in zip(seen, seen[1:]))
+                crossed += 1
+    assert crossed >= 3
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pool_check_matches_eligible_bundles(n):
+    # every oracle shape, mixed within an instance, on partial allocations
+    # with empty bundles; from ROW_KERNEL_BUNDLES bundles on the pool check
+    # values each agent's costs as one row, and on either side of it must
+    # leave the caches that per-bundle units leaves
+    rng = random.Random(f"pool:{n}")
+    verdicts = set()
+    for m in sorted({n + 1, 2 * n + 2, 3 * n}):
+        specs = _specs(rng, m, with_table=m <= 8)
+        for _ in range(6):
+            picked = [specs[rng.randrange(len(specs))] for _ in range(n)]
+            bundles = _random_bundles(rng, m, n)
+            bundles[rng.randrange(n)] = frozenset()
+            alloc = Allocation.from_bundles(bundles, m)
+            ours = Instance(m, n, tuple(_build(spec) for spec in picked))
+            plain = [_build(spec) for spec in picked]
+            expected = tuple(len(eligible_bundles(oracle, alloc)) >= n - 1
+                             for oracle in plain)
+            assert expected == tuple(
+                all(sum(_reference(spec, {b}) <= _reference(spec, x) for x in bundles)
+                    >= n - 1 for b in alloc.pool) for spec in picked)
+            assert check_partial_property2(alloc, ours) == expected
+            assert [o._cache for o in ours.oracles] == [o._cache for o in plain]
+            verdicts.update(expected)
+            bad = Allocation(alloc.bundles, alloc.pool | {-1})
+            with pytest.raises(DimensionError):
+                check_partial_property2(bad, ours)
+            with pytest.raises(IndexError):
+                eligible_bundles(plain[0], bad)
+    assert verdicts == ({True} if n == 1 else {True, False})
 
 
 def _random_bundles(rng, m, n):
