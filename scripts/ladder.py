@@ -1,7 +1,8 @@
 """Scaling ladders of `three_agent_2efx`, `check_tefx`, `check_alpha_efx`
-and `partial_ido_2efx` (standard library only).
+and `partial_ido_2efx`, and the cost of building instances (standard
+library only).
 
-Four rungs, each run once per checkout, written to one JSON file:
+Six rungs, each run on every checkout, written to one JSON file:
 
 - `three_agent_2efx` on `generate_instance(family, 3, m, 1)` for each m in
   SIZES and each row-cost family;
@@ -13,9 +14,14 @@ Four rungs, each run once per checkout, written to one JSON file:
   n, 5n, 1, alpha=2)` for each n in ALPHA_AGENTS: the checker's scaling
   in n;
 - `partial_ido_2efx` on `generate_instance("k_partial_ido", n, 4n, 1,
-  k=n-1)` for each n in IDO_AGENTS: the extension's scaling in n.
+  k=n-1)` for each n in IDO_AGENTS: the extension's scaling in n;
+- `generate`, `generate_instance` itself, and `load`,
+  `cli.instance_from_json(cli.instance_to_json(instance))` on a freshly
+  generated instance, each for `additive_ratio` (alpha 2) at n = 40,
+  m = 200 and for each row-cost family at n = 3, m = 188: what a CLI run
+  spends before it solves.
 
-Each point holds the best of three wall times, each on a freshly
+Each point holds the best of five wall times, each on a freshly
 generated instance (empty oracle caches; generation and, for the
 checkers, the allocation not timed), and `chores_summed` of one more
 run: the chore terms the `RowOracle` cost kernels summed, counted by
@@ -42,10 +48,12 @@ count repeats exactly, so it compares two checkouts where noisy wall times
 cannot.
 
     python3 scripts/ladder.py --side parent=../parent --side change=. \\
-        --out BENCH_20.json
+        --out BENCH_21.json
 
-Each checkout is measured in its own process, importing `chorefair` from
-that checkout's `src/`.
+Each checkout is measured in its own worker process, importing
+`chorefair` from that checkout's `src/`.  The sides take turns point by
+point and run by run, the side that goes first alternating, so a slow or
+fast spell of the host falls on both sides alike.
 """
 
 from __future__ import annotations
@@ -65,8 +73,20 @@ TEFX_SIZES = (250, 500, 1000)
 TEFX_AGENTS = 50
 ALPHA_AGENTS = (40, 100, 200)
 IDO_AGENTS = (50, 100, 200)
-RUNS = 3
+# (family, n, m) of the generate and load rungs
+LOAD_SHAPES = (("additive_ratio", 40, 200),
+               *((family, 3, 188) for family in FAMILIES))
+RUNS = 5
 SEED = 1
+
+# every point as (rung, family, n, m), the same list on every side
+CASES = [(rung, family, n, m)
+         for rung, n, sizes in (("three_agent_2efx", 3, SIZES),
+                                ("check_tefx", TEFX_AGENTS, TEFX_SIZES))
+         for m in sizes for family in FAMILIES]
+CASES += [("check_alpha_efx", "additive_ratio", n, 5 * n) for n in ALPHA_AGENTS]
+CASES += [("partial_ido_2efx", "k_partial_ido", n, 4 * n) for n in IDO_AGENTS]
+CASES += [(rung, *shape) for shape in LOAD_SHAPES for rung in ("generate", "load")]
 
 # chore terms each wrapped RowOracle method sums, from its arguments
 TERMS = {
@@ -83,10 +103,13 @@ TERMS = {
 }
 
 
-def measure(src: str) -> list[dict]:
-    """The ladder for the library under `src`, in this process."""
+def worker(src: str) -> None:
+    """Serve the library under `src`: each line of standard input is
+    [case index, counted]; each reply line is that case's wall time in
+    seconds, or with counted true its chores_summed, of one run on a
+    freshly generated instance."""
     sys.path.insert(0, src)
-    from chorefair import (check_alpha_efx, check_tefx, generate_instance,
+    from chorefair import (check_alpha_efx, check_tefx, cli, generate_instance,
                            guarantee_ratio, partial_ido_2efx,
                            round_robin_allocate, three_agent_2efx)
     from chorefair.oracles import RowOracle
@@ -103,57 +126,56 @@ def measure(src: str) -> list[dict]:
     originals = {name: RowOracle.__dict__[name] for name in TERMS
                  if name in RowOracle.__dict__}
 
-    def three_agent(family, m):
-        instance = generate_instance(family, 3, m, SEED)
+    def generate(family, n, m):
+        return generate_instance(family, n, m, SEED,
+                                 **({"alpha": 2} if family == "additive_ratio" else {}))
+
+    def three_agent(family, n, m):
+        instance = generate(family, n, m)
         return lambda: three_agent_2efx(instance)
 
-    def tefx(family, m):
-        instance = generate_instance(family, TEFX_AGENTS, m, SEED)
+    def tefx(family, n, m):
+        instance = generate(family, n, m)
         alloc = round_robin_allocate(instance)[0]
         return lambda: check_tefx(alloc, instance)
 
-    def alpha_efx(n):
-        instance = generate_instance("additive_ratio", n, 5 * n, SEED, alpha=2)
+    def alpha_efx(family, n, m):
+        instance = generate(family, n, m)
         alloc = round_robin_allocate(instance)[0]
         bound = guarantee_ratio(2, round_count(instance))
         return lambda: check_alpha_efx(alloc, instance, bound)
 
-    def ido(n):
-        instance = generate_instance("k_partial_ido", n, 4 * n, SEED, k=n - 1)
+    def ido(family, n, m):
+        instance = generate_instance(family, n, m, SEED, k=n - 1)
         return lambda: partial_ido_2efx(instance)
 
-    # (rung, family, n, m, a maker of the timed call on a fresh instance)
-    cases = [(rung, family, n, m, functools.partial(make, family, m))
-             for rung, make, n, sizes in (
-                 ("three_agent_2efx", three_agent, 3, SIZES),
-                 ("check_tefx", tefx, TEFX_AGENTS, TEFX_SIZES))
-             for m in sizes for family in FAMILIES]
-    cases += [("check_alpha_efx", "additive_ratio", n, 5 * n,
-               functools.partial(alpha_efx, n)) for n in ALPHA_AGENTS]
-    cases += [("partial_ido_2efx", "k_partial_ido", n, 4 * n,
-               functools.partial(ido, n)) for n in IDO_AGENTS]
-    points = []
-    for rung, family, n, m, make in cases:
-        best = float("inf")
-        for _ in range(RUNS):
-            run = make()
+    def load(family, n, m):
+        instance = generate(family, n, m)
+        return lambda: cli.instance_from_json(cli.instance_to_json(instance))
+
+    makers = {"three_agent_2efx": three_agent, "check_tefx": tefx,
+              "check_alpha_efx": alpha_efx, "partial_ido_2efx": ido,
+              "generate": lambda *shape: functools.partial(generate, *shape),
+              "load": load}
+    for line in sys.stdin:
+        index, count = json.loads(line)
+        rung, *shape = CASES[index]
+        run = makers[rung](*shape)
+        if count:
+            for name, method in originals.items():
+                setattr(RowOracle, name, counted(method, TERMS[name]))
+            summed[0] = 0
+            try:
+                run()
+            finally:
+                for name, method in originals.items():
+                    setattr(RowOracle, name, method)
+            reply = summed[0]
+        else:
             start = perf_counter()
             run()
-            best = min(best, perf_counter() - start)
-        run = make()
-        for name, method in originals.items():
-            setattr(RowOracle, name, counted(method, TERMS[name]))
-        summed[0] = 0
-        try:
-            run()
-        finally:
-            for name, method in originals.items():
-                setattr(RowOracle, name, method)
-        points.append({"rung": rung, "family": family, "n": n, "m": m,
-                       "best_s": round(best, 6), "chores_summed": summed[0]})
-        print(f"{rung:16} {family:16} n={n:3} m={m:5}  best {best:9.4f} s  "
-              f"chores_summed {summed[0]}", file=sys.stderr)
-    return points
+            reply = perf_counter() - start
+        print(json.dumps(reply), flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,16 +184,47 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="NAME=CHECKOUT", help="a checkout to measure")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    sides = {}
+    workers = {}
     for side in args.side:
         name, _, checkout = side.partition("=")
         src = Path(checkout).resolve() / "src"
         if not (src / "chorefair" / "__init__.py").is_file():
             sys.exit(f"error: {src / 'chorefair'} not found")
         print(f"{name}: {src}", file=sys.stderr)
-        proc = subprocess.run([sys.executable, __file__, "--measure", str(src)],
-                              stdout=subprocess.PIPE, text=True, check=True)
-        sides[name] = json.loads(proc.stdout)
+        workers[name] = subprocess.Popen(
+            [sys.executable, __file__, "--worker", str(src)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def ask(name: str, index: int, count: bool):
+        proc = workers[name]
+        proc.stdin.write(json.dumps([index, count]) + "\n")
+        proc.stdin.flush()
+        reply = proc.stdout.readline()
+        if not reply:
+            sys.exit(f"error: side {name} stopped at point {CASES[index]}")
+        return json.loads(reply)
+
+    names = list(workers)
+    sides: dict[str, list[dict]] = {name: [] for name in names}
+    try:
+        for index, (rung, family, n, m) in enumerate(CASES):
+            best = dict.fromkeys(names, float("inf"))
+            for run in range(RUNS):
+                # the first side alternates from run to run and point to point
+                for name in names if (index + run) % 2 == 0 else names[::-1]:
+                    best[name] = min(best[name], ask(name, index, False))
+            for name in names:
+                summed = ask(name, index, True)
+                sides[name].append({"rung": rung, "family": family, "n": n, "m": m,
+                                    "best_s": round(best[name], 6),
+                                    "chores_summed": summed})
+                print(f"{name:8} {rung:16} {family:16} n={n:3} m={m:5}  "
+                      f"best {best[name]:9.4f} s  chores_summed {summed}",
+                      file=sys.stderr)
+    finally:
+        for proc in workers.values():
+            proc.stdin.close()
+            proc.wait()
     args.out.write_text(json.dumps({
         "about": "rung three_agent_2efx: three_agent_2efx on "
                  "generate_instance(family, 3, m, seed); rung check_tefx: "
@@ -181,21 +234,27 @@ def main(argv: list[str] | None = None) -> int:
                  "rounds) on the round_robin_allocate output for "
                  "generate_instance('additive_ratio', n, 5n, seed, alpha=2); rung "
                  "partial_ido_2efx: partial_ido_2efx on generate_instance("
-                 "'k_partial_ido', n, 4n, seed, k=n-1). "
-                 f"Best of {RUNS} wall times (s) on fresh instances, and "
-                 "chores_summed (chore terms summed by RowOracle's _raw_cost, "
-                 "add, row sums, uncached removal_units, addition_units, "
-                 "non-additive singleton table and bundle_units) of one more run",
+                 "'k_partial_ido', n, 4n, seed, k=n-1); rung generate: "
+                 "generate_instance(family, n, m, seed) (alpha=2 for "
+                 "additive_ratio); rung load: cli.instance_from_json("
+                 "cli.instance_to_json(instance)) on a freshly generated "
+                 f"instance. Best of {RUNS} wall times (s) on fresh "
+                 "instances, the sides taking turns run by run with the first "
+                 "side alternating, and chores_summed (chore terms summed by "
+                 "RowOracle's _raw_cost, add, row sums, uncached removal_units, "
+                 "addition_units, non-additive singleton table and "
+                 "bundle_units) of one more run",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "seed": SEED,
+        "runs": RUNS,
         "sides": sides,
     }, indent=1) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--measure"]:  # child mode: one checkout's src/
-        print(json.dumps(measure(sys.argv[2])))
+    if sys.argv[1:2] == ["--worker"]:  # worker mode: one checkout's src/
+        worker(sys.argv[2])
     else:
         sys.exit(main())

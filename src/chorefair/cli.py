@@ -63,21 +63,26 @@ def _json_typed(value: Any, kind: type, what: str) -> Any:
 
 
 DIGITS = re.compile(r"[0-9]+")
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 RATIONAL_MAX_CHARS = 1000
 
 
-def parse_rational(value: Any) -> Fraction:
+def parse_rational(value: Any) -> int | Fraction:
     """A JSON integer, or a string "p" or "p/q" of at most RATIONAL_MAX_CHARS
-    characters.  Decimals and exponents are refused: Fraction expands an
-    exponent in full, so "1e99999999" would never finish."""
+    characters, as an int or, for "p/q", a Fraction.  Decimals and
+    exponents are refused: Fraction expands an exponent in full, so
+    "1e99999999" would never finish."""
     if type(value) is int:
-        return Fraction(value)
-    if (isinstance(value, str) and len(value) <= RATIONAL_MAX_CHARS
-            and _RATIONAL.fullmatch(value)):
-        return Fraction(value)
-    raise ValueError(f"rationals must be integers or strings p or p/q, "
-                     f"got {value!r:.40}")
+        return value
+    match = (isinstance(value, str) and len(value) <= RATIONAL_MAX_CHARS
+             and _RATIONAL.fullmatch(value))
+    if not match:
+        raise ValueError(f"rationals must be integers or strings p or p/q, "
+                         f"got {value!r:.40}")
+    p, q = match.groups()
+    if q is not None and not int(q):
+        raise ValueError(f"rational {value!r:.40} has a zero denominator")
+    return int(p) if q is None else Fraction(int(p), int(q))
 
 
 def _subset_key(chores) -> str:
@@ -256,7 +261,7 @@ def _refuse_unread(args: argparse.Namespace, flags, reader: str) -> None:
         raise ValueError(f"{reader} does not use {', '.join(stray)}")
 
 
-def _criterion_alpha(args: argparse.Namespace, default: int) -> tuple[str, Fraction]:
+def _criterion_alpha(args: argparse.Namespace, default: int) -> tuple[str, int | Fraction]:
     """(--criterion or efx, --alpha or default); only alpha_efx reads --alpha."""
     criterion = args.criterion or "efx"
     if criterion != "alpha_efx":

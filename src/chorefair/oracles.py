@@ -2,9 +2,9 @@
 generators.
 
 Chores are 0-based ints internally; all values are exact: an oracle keeps
-each cost as an int over its one denominator and shows it as a
-``Fraction``.  The cost of the empty set is normalized to 0 for every oracle
-variant.
+each cost as an int over its one denominator (a ``RowOracle`` stores
+nothing else) and shows it as a ``Fraction``.  The cost of the empty set
+is normalized to 0 for every oracle variant.
 """
 
 from __future__ import annotations
@@ -22,12 +22,17 @@ from .errors import EnumerationLimitError
 # for "monotone" and 3^m for "subadditive", or exhaustive_search's n^m
 ENUM_LIMIT = 10**7
 
-ZERO = Fraction(0)
+
+def _exact(value) -> int | Fraction:
+    """An int or a Fraction as it is; any other value through Fraction."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
-def _scaled(values: Iterable[Fraction], den: int) -> tuple[int, ...]:
+def _scaled(values: Iterable[int | Fraction], den: int) -> tuple[int, ...]:
     """Each value times den, exactly, as an int; den must be a common
     multiple of the values' denominators."""
+    if den == 1:  # every value is an int or a whole Fraction
+        return tuple(map(int, values))
     return tuple(v.numerator * (den // v.denominator) for v in values)
 
 
@@ -112,38 +117,47 @@ class CostOracle:
 class RowOracle(CostOracle):
     """C(S) = max over rows of the row sum over S, then min(., cap) when a
     cap is given; a cap needs exactly one row.  Additive, budget-additive
-    and max-of-additive costs: monotone and subadditive by construction."""
+    and max-of-additive costs: monotone and subadditive by construction.
+    It stores ints alone: ``den``, the lcm of the values' reduced
+    denominators, and the rows (sorted and de-duplicated, so equal cost
+    functions get equal keys) and the cap times ``den``; ``rows`` and
+    ``cap`` are their ``Fraction`` view, built on each read."""
 
     monotone = True
 
     def __init__(self, rows: Iterable[Iterable], cap=None) -> None:
         super().__init__()
-        # sorted and de-duplicated: equal cost functions get equal keys
-        self.rows = tuple(row for row, _ in itertools.groupby(
-            sorted(tuple(map(Fraction, row)) for row in rows)))
-        self.cap = None if cap is None else Fraction(cap)
-        if not self.rows:
+        exact = [list(map(_exact, row)) for row in rows]
+        if not exact:
             raise ValueError("at least one row required")
-        if len({len(row) for row in self.rows}) != 1:
+        if len({len(row) for row in exact}) != 1:
             raise ValueError("rows must have equal length")
-        values = [c for row in self.rows for c in row]
+        cap = None if cap is None else _exact(cap)
+        dens = {v.denominator for row in exact for v in row}
+        self.den = math.lcm(*dens, 1 if cap is None else cap.denominator)
+        self._rows = tuple(sorted({_scaled(row, self.den) for row in exact}))
+        self._cap = None if cap is None else _scaled((cap,), self.den)[0]
         # the JSON kind this shape is written as; _raw_cost branches on it
-        if self.cap is not None:
-            if len(self.rows) != 1:
+        if self._cap is not None:
+            if len(self._rows) != 1:
                 raise ValueError("a cap needs exactly one row")
-            values.append(self.cap)
             self.kind = "capped_additive"
-        elif len(self.rows) == 1:
+        elif len(self._rows) == 1:
             self.kind = "additive"
         else:
             self.kind = "max_of_additive"
-        if any(v < 0 for v in values):
+        if min(itertools.chain(*self._rows, [self._cap or 0])) < 0:
             raise ValueError("costs and cap must be non-negative")
-        self.m = len(self.rows[0])
-        self.den = math.lcm(*(v.denominator for v in values))
-        self._rows = tuple(_scaled(row, self.den) for row in self.rows)
-        self._cap = None if self.cap is None else _scaled((self.cap,), self.den)[0]
+        self.m = len(self._rows[0])
         self._removals: dict[frozenset[int], dict[int, int]] = {}
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(u, self.den) for u in row) for row in self._rows)
+
+    @property
+    def cap(self) -> Fraction | None:
+        return None if self._cap is None else Fraction(self._cap, self.den)
 
     def _raw_cost(self, chores: frozenset[int]) -> int:
         if self.kind == "additive":
@@ -211,7 +225,11 @@ class RowOracle(CostOracle):
                 for c in chores]
 
     def _key(self) -> tuple:
-        return (self.rows, self.cap)
+        # den is canonical, so equal ints are equal costs, hashed as ints
+        return (self.den, self._rows, self._cap)
+
+    def __repr__(self) -> str:
+        return f"RowOracle({self.rows!r}, {self.cap!r})"
 
 
 # (pick, split): ``pick(row)`` is the tuple of a row's costs of the bundles'
@@ -384,17 +402,18 @@ GENERATOR_FAMILIES = {
 }
 
 
-def _distinct_costs(rng: random.Random, m: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in rng.sample(range(1, 20 * m + 200), m))
+def _distinct_costs(rng: random.Random, m: int) -> list[int]:
+    return rng.sample(range(1, 20 * m + 200), m)
 
 
-def _ratio_bounded_costs(rng: random.Random, m: int, alpha: Fraction) -> tuple[Fraction, ...]:
-    # costs in [low, alpha*low] with distinct offsets, so ratio <= alpha
-    low = Fraction(rng.randint(20, 80))
-    span = (alpha - 1) * low
+def _ratio_bounded_costs(rng: random.Random, m: int, alpha: Fraction) -> list[Fraction]:
+    # low * (1 + (alpha - 1) * off / (grid - 1)) in [low, alpha*low] for
+    # distinct offsets, so ratio <= alpha: one Fraction each, alpha = p/q
+    low = rng.randint(20, 80)
     grid = max(m + 1, 101)
-    offsets = rng.sample(range(grid), m)
-    return tuple(low + span * Fraction(off, grid - 1) for off in offsets)
+    p, q = alpha.numerator, alpha.denominator
+    return [Fraction(low * ((grid - 1) * q + (p - q) * off), (grid - 1) * q)
+            for off in rng.sample(range(grid), m)]
 
 
 def generate_instance(family: str, n: int, m: int, seed: int, **params):
@@ -427,8 +446,8 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
         built = []
         for _ in range(n):
             costs = _distinct_costs(rng, m)
-            total = sum(costs, ZERO)
-            cap = max(costs) + Fraction(rng.randint(1, 100), 100) * (total - max(costs))
+            top = max(costs)  # the cap lies in [top, sum(costs)]
+            cap = Fraction(100 * top + rng.randint(1, 100) * (sum(costs) - top), 100)
             built.append(CappedAdditiveOracle(costs, cap))
         oracles = tuple(built)
     elif family == "max_of_additive":
@@ -446,13 +465,13 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
         # distinct non-top costs from 1..hi-1; hi stays 100 while m - k <= 99
         hi = max(100, len(rest) + 1)
         for _ in range(n):
-            costs = [Fraction(0)] * m
+            costs = [0] * m
             low_pool = rng.sample(range(1, hi), len(rest))
             for c, v in zip(rest, low_pool):
-                costs[c] = Fraction(v)
+                costs[c] = v
             # shared top-k strictly above everything else and strictly ordered
             for rank, c in enumerate(shared_top):
-                costs[c] = Fraction(hi * (k - rank + 1) + rng.randint(0, hi - 1))
+                costs[c] = hi * (k - rank + 1) + rng.randint(0, hi - 1)
             built.append(AdditiveOracle(costs))
         oracles = tuple(built)
         instance = Instance(m, n, oracles)

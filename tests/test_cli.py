@@ -57,6 +57,32 @@ def test_parse_rational_takes_signed_p_over_q():
     assert parse_rational("7" * 1000) == int("7" * 1000)
 
 
+def test_parse_rational_keeps_integers_as_int():
+    for value, parsed in ((5, 5), ("5", 5), ("-0", 0), ("007", 7), ("6/3", 2),
+                          ("6/4", Fraction(3, 2)), ("-0/5", 0)):
+        result = parse_rational(value)
+        assert result == parsed
+        assert type(result) is (Fraction if "/" in str(value) else int)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", "5/000"])
+def test_parse_rational_names_a_zero_denominator(text):
+    with pytest.raises(ValueError, match=f"rational '{text}' has a zero denominator"):
+        parse_rational(text)
+
+
+def test_zero_denominator_exit_2(tmp_path, capsys):
+    data = set_in(additive_data(), ("agents", 0, "costs", 0), "1/0")
+    inst_path = tmp_path / "zero.json"
+    inst_path.write_text(json.dumps(data))
+    code = main(["solve", "--instance", str(inst_path), "--algorithm",
+                 "three-agent-2efx"])
+    assert_input_error(code, capsys, "rational '1/0' has a zero denominator")
+    code = main(["gen", "--family", "additive_ratio", "--n", "3", "--m", "8",
+                 "--seed", "1", "--alpha", "3/0"])
+    assert_input_error(code, capsys, "rational '3/0' has a zero denominator")
+
+
 def test_oracle_roundtrips():
     m = 3
     subsets = [frozenset(s) for s in

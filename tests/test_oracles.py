@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -25,9 +28,10 @@ from chorefair import (
     top_chore_order,
     validate_oracle,
 )
+from chorefair.cli import instance_to_json
 from chorefair.core import ROW_KERNEL_BUNDLES, check_partial_property2, eligible_bundles
 from chorefair.errors import DimensionError
-from chorefair.oracles import cost_rows
+from chorefair.oracles import GENERATOR_FAMILIES, cost_rows
 
 from support import (
     COUNTEREXAMPLE,
@@ -124,6 +128,76 @@ def test_oracle_identity():
 def test_row_oracle_rejects_bad_shapes(rows, cap, message):
     with pytest.raises(ValueError, match=message):
         RowOracle(rows, cap)
+
+
+# one cost in each spelling the constructor takes: an int, a Fraction, an
+# unreduced "p/q" string, a bool and a float (exact in binary or not)
+_COST_VALUES = st.one_of(
+    st.integers(0, 60),
+    st.builds(Fraction, st.integers(0, 60), st.integers(1, 12)),
+    st.builds(lambda p, q, k: f"{p * k}/{q * k}",
+              st.integers(0, 60), st.integers(1, 12), st.integers(1, 4)),
+    st.booleans(),
+    st.floats(0, 60, allow_nan=False, allow_infinity=False),
+)
+_NEGATIVES = st.sampled_from([-1, Fraction(-1, 3), "-2/4", -0.5])
+
+
+def _plain_row_oracle(rows, cap):
+    """(den, rows, cap) from Fraction arithmetic alone: the rows sorted and
+    de-duplicated, den the lcm of every reduced denominator."""
+    rows = sorted({tuple(Fraction(v) for v in row) for row in rows})
+    cap = None if cap is None else Fraction(cap)
+    values = [v for row in rows for v in row] + ([] if cap is None else [cap])
+    return math.lcm(*(v.denominator for v in values)), tuple(rows), cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_oracle_constructor_matches_fraction_reference(data):
+    m = data.draw(st.integers(1, 5))
+    distinct = data.draw(st.lists(st.lists(_COST_VALUES, min_size=m, max_size=m),
+                                  min_size=1, max_size=3))
+    # every row at least once, some twice, in a shuffled order
+    rows = data.draw(st.permutations(
+        distinct + data.draw(st.lists(st.sampled_from(distinct), max_size=3))))
+    cap = data.draw(st.none() | _COST_VALUES)
+    den, plain, plain_cap = _plain_row_oracle(rows, cap)
+    if cap is not None and len(plain) != 1:
+        with pytest.raises(ValueError, match="exactly one row"):
+            RowOracle(rows, cap)
+        return
+    oracle = RowOracle(rows, cap)
+    assert oracle.den == den and oracle.m == m
+    assert oracle._rows == tuple(tuple(int(v * den) for v in row) for row in plain)
+    assert all(type(u) is int for row in oracle._rows for u in row)
+    assert oracle._cap == (None if cap is None else int(plain_cap * den))
+    assert oracle.kind == ("capped_additive" if cap is not None else
+                           "additive" if len(plain) == 1 else "max_of_additive")
+    assert oracle.rows == plain and oracle.cap == plain_cap
+    assert all(type(v) is Fraction for row in oracle.rows for v in row)
+    assert repr(oracle) == f"RowOracle({plain!r}, {plain_cap!r})"
+    # built from the reference's Fractions: equal, with equal hashes
+    same = RowOracle([list(row) for row in plain], plain_cap)
+    assert oracle == same and hash(oracle) == hash(same)
+    assert repr(same) == repr(oracle)
+    # halved costs can keep the same ints over twice the den: unequal
+    # unless every value is 0
+    halved = RowOracle([[v / 2 for v in row] for row in plain],
+                       None if plain_cap is None else plain_cap / 2)
+    zero = not any(itertools.chain(*plain, [plain_cap or 0]))
+    assert (halved == oracle) is zero and (halved != oracle) is not zero
+    # a negative value anywhere, in a row or as the cap, is refused
+    bad = data.draw(_NEGATIVES)
+    if data.draw(st.booleans()):
+        row, c = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, m - 1))
+        rows = [list(r) for r in rows]
+        rows[row][c] = bad
+        with pytest.raises(ValueError, match="non-negative"):
+            RowOracle(rows)
+    elif len(plain) == 1:
+        with pytest.raises(ValueError, match="non-negative"):
+            RowOracle(rows, bad)
 
 
 def test_out_of_range_chore_rejected():
@@ -325,6 +399,42 @@ def test_generate_refuses_a_parameter_its_family_does_not_use(family, params):
 def test_generate_refuses_bad_values(family, n, m, params, message):
     with pytest.raises(ValueError, match=message):
         generate_instance(family, n, m, 0, **params)
+
+
+# sha256 prefixes of instance_to_json and repr(oracles) at seeds 0, 1 and 7,
+# taken before the generators and RowOracle stopped building a Fraction per
+# cost: `chorefair gen` output stays byte-identical
+GENERATOR_DIGESTS = [
+    ("additive", 3, 8, {}, "7723a949f149b176"),
+    ("additive_ratio", 3, 9, {}, "306e4f4f5c054c2e"),
+    ("additive_ratio", 3, 9, {"alpha": 2}, "306e4f4f5c054c2e"),
+    ("additive_ratio", 4, 12, {"alpha": "7/3"}, "a8089ca2181605f8"),
+    ("additive_ratio", 4, 12, {"alpha": Fraction(7, 3)}, "a8089ca2181605f8"),
+    ("additive_ratio", 2, 150, {"alpha": "7/3"}, "5d02c24d0d20699f"),
+    ("additive_ratio", 2, 150, {"alpha": 3}, "3c7d2b70fd71f62d"),
+    ("capped_additive", 3, 8, {}, "d2e4189ad1669da8"),
+    ("capped_additive", 2, 150, {}, "376129c5721db695"),
+    ("max_of_additive", 2, 7, {}, "599e1853d9a26b44"),
+    ("max_of_additive", 3, 6, {"rows": 3}, "ad0e6a828bb9ae7b"),
+    ("k_partial_ido", 4, 10, {}, "a3ae6edbd1170f0b"),
+    ("k_partial_ido", 4, 10, {"k": 2}, "350b5ebf42c257a9"),
+    ("identical_groups", 5, 8, {}, "a47e78ceb266029c"),
+    ("identical_groups", 5, 8, {"sizes": (2, 3)}, "3b6bc26e39275288"),
+]
+
+
+def test_generator_digests_cover_every_family():
+    assert {case[0] for case in GENERATOR_DIGESTS} == set(GENERATOR_FAMILIES)
+
+
+@pytest.mark.parametrize("family, n, m, params, digest", GENERATOR_DIGESTS)
+def test_generator_output_is_pinned(family, n, m, params, digest):
+    sha = hashlib.sha256()
+    for seed in (0, 1, 7):
+        inst = generate_instance(family, n, m, seed, **params)
+        sha.update(json.dumps(instance_to_json(inst), sort_keys=True).encode())
+        sha.update(repr(inst.oracles).encode())
+    assert sha.hexdigest()[:16] == digest
 
 
 @settings(max_examples=40, deadline=None)
