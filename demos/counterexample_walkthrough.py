@@ -35,8 +35,8 @@ def main():
 
     run = rival_counterexample_run(m1, m2)
     print("\ngreedy cycle-elimination run (edges of the envy graph):")
-    for step, graph in enumerate(run.graphs):
-        edges = sorted((i + 1, j + 1) for i, j in graph.edges)
+    for step, succ in enumerate(run.graphs):
+        edges = [(i + 1, j + 1) for i, j in enumerate(succ) if j is not None]
         print(f"  step {step}: {edges or 'no envy'}")
     print(f"  final allocation: {show(run.allocation)}")
     print(f"  agent 3's envy ratio after removing its cheapest chore: "

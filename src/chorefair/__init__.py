@@ -19,7 +19,6 @@ from .core import (
     max_removal_cost,
 )
 from .envy_graph import (
-    TopTradingGraph,
     build_top_trading_graph,
     eliminate_top_trading_cycles,
     extend_partial,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -120,14 +121,20 @@ def _parse_subset_key(key: str, m: int) -> frozenset[int]:
     return chores
 
 
+def _over(units: int, den: int) -> str:
+    """str(Fraction(units, den)), without building the Fraction."""
+    g = math.gcd(units, den)
+    return str(units // g) if g == den else f"{units // g}/{den // g}"
+
+
 def oracle_to_json(oracle: CostOracle) -> dict:
     if isinstance(oracle, RowOracle):
-        rows = [list(map(str, row)) for row in oracle.rows]
+        rows = [[_over(u, oracle.den) for u in row] for row in oracle._rows]
         if oracle.kind == "max_of_additive":
             return {"type": oracle.kind, "rows": rows}
         data = {"type": oracle.kind, "costs": rows[0]}
-        if oracle.cap is not None:
-            data["cap"] = str(oracle.cap)
+        if oracle._cap is not None:
+            data["cap"] = _over(oracle._cap, oracle.den)
         return data
     if isinstance(oracle, TabulatedOracle):
         return {"type": "table",
@@ -394,8 +401,8 @@ def cmd_repro_counterexample(args: argparse.Namespace) -> int:
     own = three_agent_2efx(instance)
     own_report = check_alpha_efx(own, instance, 1)
     lines = ["rival cycle-elimination run:"]
-    for step, graph in enumerate(run.graphs):
-        edges = sorted((i + 1, j + 1) for i, j in graph.edges)
+    for step, succ in enumerate(run.graphs):
+        edges = [(i + 1, j + 1) for i, j in enumerate(succ) if j is not None]
         lines.append(f"  step {step}: envy graph {edges}")
     lines.append("  final: " + json.dumps(allocation_to_json(run.allocation)))
     lines.append(f"  envy ratio: {run.ratio} (= m2/3)")

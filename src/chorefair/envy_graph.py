@@ -10,7 +10,6 @@ its cost of n-1 bundles to a full max(alpha, 2)-EFX one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -28,25 +27,6 @@ from .core import (
 )
 from .errors import PreconditionError, VerificationError
 from .oracles import cost_rows
-
-
-@dataclass(frozen=True)
-class TopTradingGraph:
-    """succ[i]: the lowest-index bundle of minimum cost to agent i when it
-    is strictly cheaper than i's own, else None."""
-
-    succ: tuple[int | None, ...]
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i, j in enumerate(self.succ) if j is not None)
-
-    def sinks(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.succ) if j is None)
-
-    def find_cycle(self) -> tuple[int, ...] | None:
-        """Some directed cycle as an agent tuple, or None if acyclic."""
-        return _cycle(self.succ, range(len(self.succ)))
 
 
 def _successor(i: int, row: Sequence[int]) -> int | None:
@@ -79,8 +59,8 @@ def _cycle(succ: Sequence[int | None], starts: Iterable[int]) -> tuple[int, ...]
 
 def _eliminate(succ: list[int | None], columns: Sequence[list],
                costs: Sequence[list[int]]) -> Iterator[tuple[int, ...]]:
-    """Rotate the cycle ``find_cycle`` picks in each per-bundle list of
-    ``columns`` (the rows of ``costs`` among them) and yield it, until
+    """Rotate the cycle ``_cycle`` finds from agent 0 in each per-bundle
+    list of ``columns`` (the rows of ``costs`` among them) and yield it, until
     ``succ``, the graph of ``costs``, is acyclic.  Agent i_k on a cycle
     receives X_{i_{k+1}}, its strict favourite, so each rotation strictly
     lowers the rotating agents' own costs and at most n rotations occur."""
@@ -97,27 +77,29 @@ def _eliminate(succ: list[int | None], columns: Sequence[list],
     raise VerificationError("cycle elimination failed to terminate in n rounds")
 
 
-def build_top_trading_graph(alloc: Allocation, instance: Instance) -> TopTradingGraph:
-    """Edge i -> j iff C_i(X_i) > C_i(X_j) = min_k C_i(X_k); ties to lowest j."""
-    return TopTradingGraph(tuple(_successors(
-        list(cost_rows(instance.oracles, alloc.bundles)))))
+def build_top_trading_graph(
+    alloc: Allocation, instance: Instance
+) -> tuple[int | None, ...]:
+    """succ[i] = j, the edge i -> j, iff C_i(X_i) > C_i(X_j) = min_k C_i(X_k),
+    ties to the lowest j; None at a sink."""
+    return tuple(_successors(list(cost_rows(instance.oracles, alloc.bundles))))
 
 
 def eliminate_top_trading_cycles(
     alloc: Allocation,
     instance: Instance,
     on_cycle_removed: Callable[[tuple[int, ...], Allocation], None] | None = None,
-) -> tuple[Allocation, TopTradingGraph]:
+) -> tuple[Allocation, tuple[int | None, ...]]:
     """Rotate bundles along top trading cycles until the graph is acyclic;
-    returns the final allocation and its acyclic graph, and reports each
-    rotated cycle with the allocation after it."""
+    returns the final allocation and its acyclic successor tuple, and
+    reports each rotated cycle with the allocation after it."""
     bundles = list(alloc.bundles)
     costs = list(cost_rows(instance.oracles, bundles))
     succ = _successors(costs)
     for cycle in _eliminate(succ, (bundles, *costs), costs):
         if on_cycle_removed is not None:
             on_cycle_removed(cycle, Allocation(tuple(bundles), alloc.pool))
-    return Allocation(tuple(bundles), alloc.pool), TopTradingGraph(tuple(succ))
+    return Allocation(tuple(bundles), alloc.pool), tuple(succ)
 
 
 def _ttece(

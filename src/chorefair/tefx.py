@@ -16,7 +16,6 @@ from typing import Sequence
 from .core import ONE, TWO, Allocation, Event, Instance, _violations, check_tefx
 from .errors import PreconditionError, VerificationError
 from .oracles import CostOracle, ratio_bound, top_chore_order
-from .verify import exhaustive_search
 
 Bundles = list[frozenset[int]]
 
@@ -63,12 +62,12 @@ def identical_cost_efx(bundle_count: int, oracle: CostOracle) -> Bundles:
 
     Greedy seed (costliest chore first onto the cheapest bundle), then a
     local-search repair that moves the min-marginal chore of a violating
-    bundle to the globally cheapest bundle; exhaustive search as a last
-    resort.  The output is always verified.
+    bundle to the globally cheapest bundle.  Every move must raise a
+    potential, which ends the loop; a move that does not raises
+    VerificationError, as only a non-monotone oracle allows it.
     """
     if bundle_count < 1:
         raise ValueError("need at least one bundle")
-    m = oracle.m
     positions = range(bundle_count)
     bundles: Bundles = [frozenset() for _ in positions]
     for c in top_chore_order(oracle):
@@ -76,8 +75,22 @@ def identical_cost_efx(bundle_count: int, oracle: CostOracle) -> Bundles:
         target = grow.index(min(grow))
         bundles[target] = bundles[target] | {c}
 
-    # at least one pass, so that m = 0 returns its empty bundles here
-    for _ in range(max(m * m * bundle_count, 1)):
+    # Potential: (cheapest cost, minus the bundles at it, chores in the first
+    # of them), compared lexicographically.  On monotone costs every move
+    # raises it: the violator keeps a removal above the cheapest cost, so it
+    # is not the destination and stays above that cost, while the
+    # destination does not fall below it.  So the cheapest cost rises, or
+    # fewer bundles share it, or the same first cheapest bundle gains a
+    # chore.  It takes finitely many values, so the loop ends.
+    potential: tuple = ()  # below every potential
+    while True:
+        costs = [oracle.units(b) for b in bundles]  # destination and potential
+        low = min(costs)
+        dest = costs.index(low)
+        previous, potential = potential, (low, -costs.count(low), len(bundles[dest]))
+        if potential <= previous:
+            raise VerificationError("a repair move did not raise the potential; "
+                                    "the oracle is likely not monotone")
         violator = next((i for i in positions
                          if not is_efx_feasible(bundles, i, oracle)), None)
         if violator is None:
@@ -87,18 +100,8 @@ def identical_cost_efx(bundle_count: int, oracle: CostOracle) -> Bundles:
         chores = sorted(src)
         drops = oracle.removal_units(src, chores)
         chore = chores[drops.index(max(drops))]
-        dest = _min_cost_index(bundles, oracle)
-        if dest == violator:
-            break
         bundles[violator] = src - {chore}
         bundles[dest] = bundles[dest] | {chore}
-
-    # every agent sharing the oracle is EFX iff every bundle is EFX-feasible
-    found = exhaustive_search(Instance(m, bundle_count, (oracle,) * bundle_count))
-    if found is None:
-        raise VerificationError("no single-oracle EFX partition exists; the "
-                                "oracle is likely not monotone")
-    return list(found.bundles)
 
 
 def tefx_two_group(

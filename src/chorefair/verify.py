@@ -21,7 +21,7 @@ from .core import (
     max_removal_cost,
     resolve_criterion,
 )
-from .envy_graph import TopTradingGraph, _ttece, build_top_trading_graph
+from .envy_graph import _ttece, build_top_trading_graph
 from .errors import EnumerationLimitError, PreconditionError
 from .oracles import ENUM_LIMIT, AdditiveOracle, CostOracle
 
@@ -97,7 +97,8 @@ def counterexample_instance(m1: Fraction | int, m2: Fraction | int) -> Instance:
 
 class RivalRun(NamedTuple):
     allocation: Allocation
-    graphs: tuple[TopTradingGraph, ...]  # before any placement, then after each
+    # successor tuples: before any placement, then after each
+    graphs: tuple[tuple[int | None, ...], ...]
     trace: tuple[Event, ...]  # "cycle" and "place" events
     ratio: Fraction
 

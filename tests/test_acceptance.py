@@ -62,8 +62,8 @@ def test_acceptance_1_counterexample_reproduction():
     ok = (
         run.allocation.bundles
         == (frozenset({1}), frozenset({2, 3, 4}), frozenset({0, 5}))
-        and [sorted(g.edges) for g in run.graphs]
-        == [[(0, 1)], [(0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 0)]]
+        and run.graphs
+        == ((1, None, None), (1, None, None), (1, 2, None), (1, None, 0))
         and run.ratio == 4
         and own.bundles == (frozenset({1, 4}), frozenset({2, 3, 5}),
                             frozenset({0}))

@@ -692,11 +692,24 @@ def test_gen_passes_rows_and_k_to_their_families(tmp_path, capsys):
     assert check_k_partial_ido(instance_from_json(json.loads(out.read_text())), 1)
 
 
+# the whole output at m1 = 26, m2 = 12: the graphs, 1-based, then both
+# allocations and verdicts
+REPRO_26_12 = (
+    "rival cycle-elimination run:\n"
+    "  step 0: envy graph [(1, 2)]\n"
+    "  step 1: envy graph [(1, 2)]\n"
+    "  step 2: envy graph [(1, 2), (2, 3)]\n"
+    "  step 3: envy graph [(1, 2), (3, 1)]\n"
+    '  final: {"allocation": [[2], [3, 4, 5], [1, 6]], "pool": []}\n'
+    "  envy ratio: 4 (= m2/3)\n"
+    'own allocation: {"allocation": [[2, 5], [3, 4, 6], [1]], "pool": []}\n'
+    "own EFX verdict: True\n"
+)
+
+
 def test_repro_counterexample_exit_codes(capsys):
     assert main(["repro-counterexample", "--m1", "26", "--m2", "12"]) == 0
-    out = capsys.readouterr().out
-    assert "envy ratio: 4" in out
-    assert "own EFX verdict: True" in out
+    assert capsys.readouterr().out == REPRO_26_12
     assert main(["repro-counterexample", "--m1", "bad", "--m2", "12"]) == 2
 
 

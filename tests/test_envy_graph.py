@@ -33,31 +33,29 @@ from support import CASE_INSTANCES, COUNTEREXAMPLE, PerturbedOracle, tri
 
 def test_counterexample_seed_graph():
     seed = Allocation.from_bundles([{1}, {2}, {0}], 6)
-    graph = build_top_trading_graph(seed, COUNTEREXAMPLE)
-    assert graph.edges == {(0, 1)}
-    assert graph.sinks() == (1, 2)
-    assert graph.find_cycle() is None
+    succ = build_top_trading_graph(seed, COUNTEREXAMPLE)
+    assert succ == (1, None, None)  # the one edge 0 -> 1; sinks 1 and 2
+    assert envy_graph._cycle(succ, range(3)) is None
 
 
 def test_counterexample_mid_graph():
     alloc = Allocation.from_bundles([{1}, {2, 3, 4}, {0}], 6)
-    graph = build_top_trading_graph(alloc, COUNTEREXAMPLE)
-    assert graph.edges == {(0, 1), (1, 2)}
+    assert build_top_trading_graph(alloc, COUNTEREXAMPLE) == (1, 2, None)
 
 
 def test_no_edges_when_all_content():
     inst = tri([1, 9, 9, 9, 9, 9], [9, 1, 9, 9, 9, 9], [9, 9, 1, 9, 9, 9])
     alloc = Allocation.from_bundles([{0}, {1}, {2}], 6)
-    assert build_top_trading_graph(alloc, inst).edges == set()
+    assert build_top_trading_graph(alloc, inst) == (None, None, None)
 
 
 def test_two_agent_swap_cycle():
     inst = Instance(2, 2, (AdditiveOracle([1, 10]), AdditiveOracle([10, 1])))
     alloc = Allocation.full([{1}, {0}])
     removed = []
-    result, graph = eliminate_top_trading_cycles(
+    result, succ = eliminate_top_trading_cycles(
         alloc, inst, lambda cycle, snap: removed.append(cycle))
-    assert graph.find_cycle() is None
+    assert envy_graph._cycle(succ, range(2)) is None
     assert result.bundles == (frozenset({0}), frozenset({1}))
     assert len(removed) == 1 and set(removed[0]) == {0, 1}
 
@@ -71,13 +69,13 @@ def test_acyclic_input_unchanged():
 def test_cycle_elimination_permutes_bundles():
     inst = tri([1, 2, 30, 20, 10, 3], [30, 1, 2, 10, 20, 3], [2, 30, 1, 20, 3, 10])
     alloc = Allocation.from_bundles([{2, 3}, {0, 4}, {1, 5}], 6)
-    result, graph = eliminate_top_trading_cycles(alloc, inst)
+    result, succ = eliminate_top_trading_cycles(alloc, inst)
     assert set(result.bundles) == set(alloc.bundles)
     for agent in range(3):
         oracle = inst.oracles[agent]
         assert oracle.cost(result.bundles[agent]) <= oracle.cost(alloc.bundles[agent])
-    assert graph == build_top_trading_graph(result, inst)
-    assert graph.find_cycle() is None
+    assert succ == build_top_trading_graph(result, inst)
+    assert envy_graph._cycle(succ, range(3)) is None
 
 
 def test_extension_witness_counts_eligible_agents():
@@ -240,7 +238,7 @@ def test_top_trading_graph_matches_reference():
         alloc = Allocation.from_bundles(
             [{c for c in range(m) if owner[c] == j} for j in range(n)], m)
         expected = _reference_succ(rows, alloc.bundles)
-        assert build_top_trading_graph(alloc, inst).succ == expected
+        assert build_top_trading_graph(alloc, inst) == expected
         for i, j in enumerate(expected):
             if j is None:
                 no_edge += 1
@@ -260,9 +258,9 @@ def _reference_ttece(alloc, instance, pool_order, trace):
 
     current = alloc
     for chore in pool_order:
-        current, graph = eliminate_top_trading_cycles(
+        current, succ = eliminate_top_trading_cycles(
             current, instance, record_cycle)
-        sink = graph.sinks()[0]
+        sink = succ.index(None)
         current = Allocation(
             tuple(b | {chore} if i == sink else b
                   for i, b in enumerate(current.bundles)),
@@ -386,14 +384,14 @@ def test_ttece_steps_match_rebuilt_graph():
         result = _ttece(alloc, inst, sorted(alloc.pool), trace)
         prev = alloc
         for event in trace:
-            graph = build_top_trading_graph(prev, inst)
+            succ = build_top_trading_graph(prev, inst)
             if event.kind == "cycle":
-                assert event.agents == graph.find_cycle()
+                assert event.agents == envy_graph._cycle(succ, range(inst.n))
                 cycles += 1
             else:
-                assert graph.find_cycle() is None
+                assert envy_graph._cycle(succ, range(inst.n)) is None
                 (sink,) = event.agents
-                assert sink == graph.sinks()[0]
+                assert sink == succ.index(None)
                 fell += any(o.units(event.allocation.bundles[sink])
                             < o.units(prev.bundles[sink]) for o in inst.oracles)
             prev = event.allocation

@@ -7,6 +7,7 @@ import pytest
 from chorefair import (
     AdditiveOracle,
     Allocation,
+    CappedAdditiveOracle,
     GroupSpec,
     Instance,
     MaxOfAdditiveOracle,
@@ -23,7 +24,7 @@ from chorefair import (
 )
 from chorefair.tefx import is_efx_feasible, is_tefx_feasible
 
-from support import ratio2_oracle, two_group_cases, unit_potential_drops
+from support import all_subsets, ratio2_oracle, two_group_cases, unit_potential_drops
 
 
 def test_feasibility_predicates():
@@ -85,20 +86,57 @@ def test_identical_cost_efx_refuses_zero_bundles():
         identical_cost_efx(0, AdditiveOracle([1, 2]))
 
 
-def test_identical_cost_efx_falls_back_to_exhaustive_search():
-    # the repair loop stops when the violating bundle is also the cheapest,
-    # which only a non-monotone cost allows: the greedy split is {1, 2}, {0},
-    # both at cost 0, and dropping chore 2 from {1, 2} leaves {1} at cost 3
+def test_identical_cost_efx_refuses_a_move_that_does_not_raise_the_potential():
+    # only a non-monotone cost lets the violating bundle be the cheapest: the
+    # greedy split is {1, 2}, {0}, both at cost 0, and dropping chore 2 from
+    # {1, 2} leaves {1} at cost 3, so the move puts chore 2 back where it was
     oracle = _table({(): 0, (0,): 0, (1,): 3, (2,): 1, (0, 1): 0, (0, 2): 1,
                      (1, 2): 0, (0, 1, 2): 2})
-    bundles = identical_cost_efx(2, oracle)
-    assert bundles == [frozenset({0, 2}), frozenset({1})]
-    assert all(is_efx_feasible(bundles, i, oracle) for i in range(2))
+    with pytest.raises(VerificationError, match="likely not monotone"):
+        identical_cost_efx(2, oracle)
+
+
+def _monotone_closure(rng, m, top):
+    """Random subset values, each raised to the largest on its subsets."""
+    table = {}
+    for s in all_subsets(m):  # every subset after its own subsets
+        table[s] = max([rng.randint(0, top) if s else 0] + [table[s - {c}] for c in s])
+    return TabulatedOracle(m, table)
+
+
+def test_identical_cost_efx_repairs_every_monotone_cost(monkeypatch):
+    # monotone closures of random tables, and rows with zero costs, so that
+    # ties at the cheapest cost are common; each output is an EFX split
+    calls = Counter()
+
+    def counted(bundles, i, oracle):
+        calls["checks"] += 1
+        return is_efx_feasible(bundles, i, oracle)
+
+    monkeypatch.setattr("chorefair.tefx.is_efx_feasible", counted)
+    rng = random.Random(22)
+    repaired = 0
+    for trial in range(300):
+        m, count = rng.randint(1, 8), rng.randint(2, 4)
+        if trial % 3 == 0:
+            oracle = _monotone_closure(rng, m, rng.choice((5, 40, 1000)))
+        else:
+            rows = [[rng.choice((0, rng.randint(1, 20))) for _ in range(m)]
+                    for _ in range(2)]
+            oracle = (MaxOfAdditiveOracle(rows) if trial % 3 == 1
+                      else CappedAdditiveOracle(rows[0], rng.randint(1, 40)))
+        calls.clear()
+        bundles = identical_cost_efx(count, oracle)
+        assert len(bundles) == count
+        assert sorted(c for b in bundles for c in b) == list(range(m))
+        assert all(is_efx_feasible(bundles, i, oracle) for i in range(count))
+        repaired += calls["checks"] > count  # a clean seed is checked once
+    assert repaired > 60  # about a third of the cases need a repair move
 
 
 def test_identical_cost_efx_without_an_efx_split_raises():
     # non-monotone values from {0, 1, 5, 9}: no split into two bundles is
-    # EFX-feasible, so the search behind the repair loop comes back empty
+    # EFX-feasible, so some repair move fails to raise the potential
     oracle = _table({(): 0, (0,): 5, (1,): 5, (2,): 1, (3,): 0, (0, 1): 0,
                      (0, 2): 0, (0, 3): 0, (1, 2): 1, (1, 3): 9, (2, 3): 9,
                      (0, 1, 2): 1, (0, 1, 3): 5, (0, 2, 3): 9, (1, 2, 3): 5,
