@@ -1,8 +1,8 @@
-"""Scaling ladders of `three_agent_2efx`, `check_tefx`, `check_alpha_efx`
-and `partial_ido_2efx`, and the cost of building instances (standard
-library only).
+"""Scaling ladders of `three_agent_2efx`, `check_tefx`, `check_alpha_efx`,
+`partial_ido_2efx` and `exhaustive_search`, the cost of building
+instances, and an in-process CLI round trip (standard library only).
 
-Six rungs, each run on every checkout, written to one JSON file:
+Eight rungs, each run on every checkout, written to one JSON file:
 
 - `three_agent_2efx` on `generate_instance(family, 3, m, 1)` for each m in
   SIZES and each row-cost family;
@@ -59,11 +59,14 @@ fast spell of the host falls on both sides alike.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -76,6 +79,7 @@ IDO_AGENTS = (50, 100, 200)
 # (family, n, m) of the generate and load rungs
 LOAD_SHAPES = (("additive_ratio", 40, 200),
                *((family, 3, 188) for family in FAMILIES))
+SEARCH_SIZES = (5, 7, 10)
 RUNS = 5
 SEED = 1
 
@@ -87,6 +91,8 @@ CASES = [(rung, family, n, m)
 CASES += [("check_alpha_efx", "additive_ratio", n, 5 * n) for n in ALPHA_AGENTS]
 CASES += [("partial_ido_2efx", "k_partial_ido", n, 4 * n) for n in IDO_AGENTS]
 CASES += [(rung, *shape) for shape in LOAD_SHAPES for rung in ("generate", "load")]
+CASES += [("exhaustive_search", family, 3, m) for m in SEARCH_SIZES for family in FAMILIES]
+CASES += [("cli", "additive", 3, 8)]
 
 # chore terms each wrapped RowOracle method sums, from its arguments
 TERMS = {
@@ -109,8 +115,8 @@ def worker(src: str) -> None:
     seconds, or with counted true its chores_summed, of one run on a
     freshly generated instance."""
     sys.path.insert(0, src)
-    from chorefair import (check_alpha_efx, check_tefx, cli, generate_instance,
-                           guarantee_ratio, partial_ido_2efx,
+    from chorefair import (check_alpha_efx, check_tefx, cli, exhaustive_search,
+                           generate_instance, guarantee_ratio, partial_ido_2efx,
                            round_robin_allocate, three_agent_2efx)
     from chorefair.oracles import RowOracle
     from chorefair.round_robin import round_count
@@ -153,29 +159,50 @@ def worker(src: str) -> None:
         instance = generate(family, n, m)
         return lambda: cli.instance_from_json(cli.instance_to_json(instance))
 
+    def search(family, n, m):
+        instance = generate(family, n, m)
+        return lambda: exhaustive_search(instance, "efx")
+
+    def command_line(family, n, m):
+        path, out = Path(workdir, "instance.json"), Path(workdir, "allocation.json")
+        path.write_text(json.dumps(cli.instance_to_json(generate(family, n, m))))
+        solve = ["solve", "--instance", str(path), "--algorithm",
+                 "three-agent-2efx", "--output", str(out)]
+        verify = ["verify", "--instance", str(path), "--allocation", str(out),
+                  "--criterion", "alpha_efx", "--alpha", "2"]
+
+        def run():
+            # verify prints its report, and this process's output is replies
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(solve) != 0 or cli.main(verify) != 0:
+                    raise RuntimeError("the CLI round trip did not exit 0")
+        return run
+
     makers = {"three_agent_2efx": three_agent, "check_tefx": tefx,
               "check_alpha_efx": alpha_efx, "partial_ido_2efx": ido,
               "generate": lambda *shape: functools.partial(generate, *shape),
-              "load": load}
-    for line in sys.stdin:
-        index, count = json.loads(line)
-        rung, *shape = CASES[index]
-        run = makers[rung](*shape)
-        if count:
-            for name, method in originals.items():
-                setattr(RowOracle, name, counted(method, TERMS[name]))
-            summed[0] = 0
-            try:
-                run()
-            finally:
+              "load": load, "exhaustive_search": search, "cli": command_line}
+    # the cli rung's files, removed when standard input closes
+    with tempfile.TemporaryDirectory(prefix="ladder-") as workdir:
+        for line in sys.stdin:
+            index, count = json.loads(line)
+            rung, *shape = CASES[index]
+            run = makers[rung](*shape)
+            if count:
                 for name, method in originals.items():
-                    setattr(RowOracle, name, method)
-            reply = summed[0]
-        else:
-            start = perf_counter()
-            run()
-            reply = perf_counter() - start
-        print(json.dumps(reply), flush=True)
+                    setattr(RowOracle, name, counted(method, TERMS[name]))
+                summed[0] = 0
+                try:
+                    run()
+                finally:
+                    for name, method in originals.items():
+                        setattr(RowOracle, name, method)
+                reply = summed[0]
+            else:
+                start = perf_counter()
+                run()
+                reply = perf_counter() - start
+            print(json.dumps(reply), flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -218,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
                 sides[name].append({"rung": rung, "family": family, "n": n, "m": m,
                                     "best_s": round(best[name], 6),
                                     "chores_summed": summed})
-                print(f"{name:8} {rung:16} {family:16} n={n:3} m={m:5}  "
+                print(f"{name:8} {rung:17} {family:16} n={n:3} m={m:5}  "
                       f"best {best[name]:9.4f} s  chores_summed {summed}",
                       file=sys.stderr)
     finally:
@@ -238,7 +265,12 @@ def main(argv: list[str] | None = None) -> int:
                  "generate_instance(family, n, m, seed) (alpha=2 for "
                  "additive_ratio); rung load: cli.instance_from_json("
                  "cli.instance_to_json(instance)) on a freshly generated "
-                 f"instance. Best of {RUNS} wall times (s) on fresh "
+                 "instance; rung exhaustive_search: exhaustive_search(instance, "
+                 "'efx') on generate_instance(family, 3, m, seed); rung cli: "
+                 "in-process cli.main solve --algorithm three-agent-2efx, then "
+                 "verify --criterion alpha_efx --alpha 2, on the JSON file of "
+                 "generate_instance('additive', 3, 8, seed). "
+                 f"Best of {RUNS} wall times (s) on fresh "
                  "instances, the sides taking turns run by run with the first "
                  "side alternating, and chores_summed (chore terms summed by "
                  "RowOracle's _raw_cost, add, row sums, uncached removal_units, "

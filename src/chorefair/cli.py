@@ -9,6 +9,7 @@ failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -412,7 +413,11 @@ def cmd_repro_counterexample(args: argparse.Namespace) -> int:
     return 0 if run.ratio > 2 and own_report.verdict else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared, so callers must
+    not change it: each add_argument makes a help formatter, while parsing
+    leaves the parser as it is and fills a fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="chorefair",
         description="Exact-arithmetic fair division of indivisible chores")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import ONE, TWO, Allocation, Event, Instance, _violations, check_tefx
 from .errors import PreconditionError, VerificationError
-from .oracles import CostOracle, ratio_bound, top_chore_order
+from .oracles import CostOracle, ratio_bound, top_chore_order, validate_oracle
 
 Bundles = list[frozenset[int]]
 
@@ -128,6 +128,13 @@ def tefx_two_group(
         raise PreconditionError("C1 and C2 disagree on the chore count")
     if ratio_bound(c2) > TWO:
         raise PreconditionError("second cost function must be 2-ratio-bounded")
+    if not c1.monotone:  # not so by construction: checked within ENUM_LIMIT
+        bad = validate_oracle(c1, ("monotone",))["monotone"]
+        if bad:
+            subset, chore = bad[0]
+            raise PreconditionError(
+                f"first cost function is not monotone: adding chore {chore} "
+                f"to {{{', '.join(map(str, subset))}}} lowers its cost")
 
     def park_cheapest() -> None:
         cheap = _min_cost_index(bundles, c2)

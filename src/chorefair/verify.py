@@ -1,7 +1,8 @@
 """Brute-force oracles and the reproduction of a rival algorithm's failure.
 
-The exhaustive search enumerates every full allocation and is the ground
-truth the constructive algorithms are tested against.  The rival run
+The exhaustive search walks full allocations in enumeration order,
+skipping on monotone costs only subtrees where none can pass, and is the
+ground truth the constructive algorithms are tested against.  The rival run
 replays, step by step, a published cycle-elimination strategy on the
 six-chore instance where its envy ratio grows without bound.
 """
@@ -18,6 +19,7 @@ from .core import (
     Instance,
     _all_violations,
     _check_shapes,
+    _violations,
     max_removal_cost,
     resolve_criterion,
 )
@@ -36,19 +38,60 @@ def exhaustive_search(
     refuses past the search limit.
 
     criterion: "efx" (alpha forced to 1), "alpha_efx", or "tefx".
+
+    One depth-first search assigns chores 0..m-1 in index order, trying
+    agents 0..n-1 at each level, so it reaches full assignments in
+    ``itertools.product``'s order.  When every oracle is monotone it cuts
+    a node whose every completion violates the criterion (``_doomed``), so
+    the first hit is the same; otherwise it walks every node.
     """
     criterion, alpha = resolve_criterion(criterion, alpha)
     m, n = instance.m, instance.n
     if n**m > ENUM_LIMIT:
         raise EnumerationLimitError(f"{n}^{m} assignments exceed the search limit")
-    for assignment in itertools.product(range(n), repeat=m):
-        bundles = [set() for _ in range(n)]
-        for chore, agent in enumerate(assignment):
-            bundles[agent].add(chore)
-        alloc = Allocation.full(bundles)
-        if next(_all_violations(alloc, instance, criterion, alpha), None) is None:
-            return alloc
-    return None
+    # one agent envies no one, and a cut needs monotone costs
+    prune = n > 1 and all(oracle.monotone for oracle in instance.oracles)
+    bundles = [frozenset()] * n
+    path: list[int] = []  # the agent of each assigned chore
+    agent = 0
+    while True:
+        if agent < n:
+            chore = len(path)
+            path.append(agent)
+            bundles[agent] |= {chore}
+            if chore + 1 == m:
+                alloc = Allocation.full(bundles)
+                if next(_all_violations(alloc, instance, criterion, alpha), None) is None:
+                    return alloc
+            elif not (prune and _doomed(bundles, frozenset(range(chore + 1, m)),
+                                        instance, criterion, alpha)):
+                agent = 0  # descend to the next chore
+                continue
+        elif not path:
+            return None
+        # take back the last assignment and give its chore to the next agent
+        agent = path.pop()
+        bundles[agent] -= {len(path)}
+        agent += 1
+
+
+def _doomed(bundles: list[frozenset[int]], unassigned: frozenset[int],
+            instance: Instance, criterion: str, alpha: Fraction | None) -> bool:
+    """Whether every completion of a partial assignment violates the
+    criterion on monotone costs: some assigned c in X_i has
+    q*C_i(X_i - c) > p*C_i(X_j + U), or for tEFX C_i(X_i - c) >
+    C_i(X_j + U + c), with U the unassigned chores.  A completion only
+    grows X_i and keeps X_j within X_j + U, so on monotone costs its left
+    side is no smaller and its right side no larger."""
+    widened = [bundle | unassigned for bundle in bundles]
+    for i, oracle in enumerate(instance.oracles):
+        if len(bundles[i]) < 2:  # X_i - c is empty, and costs 0
+            continue
+        view = widened.copy()
+        view[i] = bundles[i]
+        if next(_violations(oracle, i, view, criterion, alpha), None) is not None:
+            return True
+    return False
 
 
 def _second_opinion(

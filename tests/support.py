@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from chorefair import (
     AdditiveOracle,
@@ -14,6 +14,7 @@ from chorefair import (
     PreconditionError,
     generate_instance,
 )
+from chorefair.core import check_criterion
 from chorefair.oracles import _scaled
 from chorefair.verify import counterexample_instance
 
@@ -160,6 +161,19 @@ def all_subsets(m):
     """Every subset of chores 0..m-1, by size, then lexicographically."""
     return [frozenset(s) for s in chain.from_iterable(
         combinations(range(m), r) for r in range(m + 1))]
+
+
+def product_search(instance: Instance, criterion: str, alpha=1):
+    """The unpruned reference for exhaustive_search: the first assignment
+    vector in itertools.product order whose allocation passes, or None."""
+    for assignment in product(range(instance.n), repeat=instance.m):
+        bundles = [[] for _ in range(instance.n)]
+        for chore, agent in enumerate(assignment):
+            bundles[agent].append(chore)
+        alloc = Allocation.full(bundles)
+        if check_criterion(alloc, instance, criterion, alpha).verdict:
+            return alloc
+    return None
 
 
 class PerturbedOracle(CostOracle):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,47 @@ def test_solve_three_agent(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["verdict"] is True
     assert payload["allocation"] == [[2, 5], [3, 4, 6], [1]]
+
+
+def test_parser_is_built_once_and_keeps_no_flag(tmp_path, capsys):
+    # the cached parser fills a fresh Namespace on every call, so an --order
+    # read by one solve is not a stray flag of the next
+    assert cli.build_parser() is cli.build_parser()
+    o = AdditiveOracle([6, 5, 4, 4, 3, 3])
+    inst_path = write_instance(tmp_path, Instance(6, 3, (o, o, o)))
+    assert main(["solve", "--instance", inst_path, "--algorithm", "round-robin",
+                 "--order", "2,1,3"]) == 0
+    assert main(["solve", "--instance", inst_path,
+                 "--algorithm", "three-agent-2efx"]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_parser_reuse_after_a_parse_error_matches_a_fresh_process(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, counterexample_instance(26, 12))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"allocation": [[2, 5], [3, 4, 6], [1]]}))
+    argv = ["verify", "--instance", inst_path, "--allocation", str(alloc),
+            "--criterion", "alpha_efx", "--alpha", "3/2"]
+    with pytest.raises(SystemExit) as failed:
+        main(argv[:-4] + ["--criterion", "nash"])  # not a choice
+    assert failed.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "chorefair.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_after_a_cached_build(capsys, argv):
+    cli.build_parser()
+    with pytest.raises(SystemExit) as shown:
+        main(argv)
+    assert shown.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: chorefair")
 
 
 def test_solve_round_robin_with_order_and_trace(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -143,6 +144,35 @@ def test_identical_cost_efx_without_an_efx_split_raises():
                      (0, 1, 2, 3): 9})
     with pytest.raises(VerificationError, match="likely not monotone"):
         identical_cost_efx(2, oracle)
+
+def test_two_group_refuses_a_non_monotone_first_cost():
+    # the table above, where adding chore 0 to {1} lowers its cost from 3 to
+    # 0, is refused up front as a precondition, by both entries
+    c1 = _table({(): 0, (0,): 0, (1,): 3, (2,): 1, (0, 1): 0, (0, 2): 1,
+                 (1, 2): 0, (0, 1, 2): 2})
+    c2 = AdditiveOracle([2, 2, 3])
+    named = re.escape("not monotone: adding chore 0 to {1} lowers its cost")
+    with pytest.raises(PreconditionError, match=named):
+        tefx_two_group(2, c1, c2, 1)
+    groups = GroupSpec(frozenset({0}), frozenset({1}), frozenset())
+    with pytest.raises(PreconditionError, match=named):
+        tefx_three_group(Instance(3, 2, (c1, c2)), groups)
+
+
+def test_two_group_solves_a_monotone_table_first_cost():
+    rng = random.Random(23)
+    for m in range(2, 8):
+        c1, c2 = _monotone_closure(rng, m, 40), ratio2_oracle(m, m)
+        for k in (1, 2):
+            alloc = tefx_two_group(3, c1, c2, k)
+            front = 3 - k + 1
+            assert all(is_efx_feasible(alloc.bundles, i, c1) for i in range(front))
+            assert all(is_tefx_feasible(alloc.bundles, i, c2)
+                       for i in range(front - 1, 3))
+        groups = GroupSpec(frozenset({0, 1}), frozenset({2}), frozenset())
+        instance = Instance(m, 3, (c1, c1, c2))
+        assert check_tefx(tefx_three_group(instance, groups), instance).verdict
+
 
 def test_two_group_base_case_example():
     c1 = AdditiveOracle([4, 3, 2, 1])

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +22,7 @@ from chorefair import (
 )
 from chorefair import verify
 
-from support import COUNTEREXAMPLE
+from support import COUNTEREXAMPLE, PerturbedOracle, product_search
 
 
 def test_efx_exists_for_small_instances():
@@ -66,6 +68,74 @@ def test_search_guard(monkeypatch):
     inst = generate_instance("additive", 3, 15, 0)
     with pytest.raises(EnumerationLimitError):
         exhaustive_search(inst, "efx")
+
+
+SEARCH_CRITERIA = [("efx", 1), ("alpha_efx", Fraction(3, 2)), ("alpha_efx", 2),
+                   ("tefx", 1)]
+
+
+@pytest.mark.parametrize("criterion, alpha", SEARCH_CRITERIA,
+                         ids=["efx", "alpha_efx-3/2", "alpha_efx-2", "tefx"])
+def test_pruned_search_matches_the_product_loop_on_monotone_costs(criterion, alpha):
+    # the prune is on: row oracles, and a perturbed copy that is monotone
+    # but no RowOracle, at n = 2 with m <= 8 and n = 3 with m <= 7
+    for family in ("additive", "capped_additive", "max_of_additive"):
+        for n, top in ((2, 8), (3, 7)):
+            for m in range(1, top + 1):
+                for seed in range(2):
+                    inst = generate_instance(family, n, m, seed)
+                    assert (exhaustive_search(inst, criterion, alpha)
+                            == product_search(inst, criterion, alpha))
+                perturbed = Instance(m, n, tuple(PerturbedOracle(o, Fraction(1, 1000))
+                                                 for o in inst.oracles))
+                assert (exhaustive_search(perturbed, criterion, alpha)
+                        == product_search(perturbed, criterion, alpha))
+
+
+def test_search_walks_every_node_on_non_monotone_tables():
+    # random tables are not known monotone, so the prune is off; every
+    # other pair shares one table, and some pairs have no tEFX allocation,
+    # which the search must certify
+    rng = random.Random(8)
+    missing = 0
+    for trial in range(120):
+        m = rng.randint(1, 5)
+        subsets = [s for r in range(m + 1) for s in combinations(range(m), r)]
+        tables = [TabulatedOracle(m, {s: rng.randint(0, 9) if s else 0
+                                      for s in subsets}) for _ in range(2)]
+        inst = Instance(m, 2, (tables[0], tables[trial % 2]))
+        for criterion, alpha in SEARCH_CRITERIA:
+            found = exhaustive_search(inst, criterion, alpha)
+            assert found == product_search(inst, criterion, alpha)
+            missing += found is None
+    assert missing > 0
+
+
+def test_prune_judges_fewer_leaves_than_the_product_loop(monkeypatch):
+    # the product loop judges every assignment up to the first hit; with the
+    # prune on, the search judges fewer in all, and with it off, as many
+    judged = [0]
+
+    def counted(*args):
+        judged[0] += 1
+        return original(*args)
+
+    original = verify._all_violations
+    monkeypatch.setattr(verify, "_all_violations", counted)
+    walked = 0
+    for seed in range(20):
+        inst = generate_instance("additive", 3, 5, seed)
+        alloc = exhaustive_search(inst, "efx")
+        # the first hit's index in product order, plus one
+        walked += 1 + sum(agent * 3 ** (4 - chore)
+                          for agent, bundle in enumerate(alloc.bundles)
+                          for chore in bundle)
+    assert judged[0] < walked / 2
+    table = TabulatedOracle(3, {s: len(s) for r in range(4)
+                                for s in combinations(range(3), r)})
+    judged[0] = 0
+    assert exhaustive_search(Instance(3, 2, (table, table)), "efx") is not None
+    assert judged[0] == 2  # ({0, 1}, {2}) is the second assignment
 
 
 def test_unknown_criterion_rejected():
