@@ -30,13 +30,14 @@ wrapping them from outside the library.
 - `_raw_cost`, one cost-cache miss: |S| terms;
 - `add`, one chore onto a bundle's state: 1 term (|chores| terms where
   `add` takes a collection of chores);
-- `_row_sums`, a bundle's uncapped row sums, behind `bundle_state` and
-  the row-sum paths of `removal_units` and `addition_units`: |S| terms.
-  Where `add` takes a collection, `bundle_state` builds the row sums
-  through `add` instead, so they are counted there, once either way;
+- `_row_sums`, a bundle's uncapped row sums, behind `bundle_state` (an
+  uncapped one-row oracle's state is its `units` instead, so a cache
+  miss counts at `_raw_cost`) and the row-sum path of `removal_units`:
+  |S| terms. Where `add` takes a collection, `bundle_state` builds the
+  row sums through `add` instead, so they are counted there, once either
+  way;
 - `removal_units` on a bundle it has not cached: |S| terms (an additive
   oracle caches none and takes |chores| = |S| differences each call);
-- `addition_units`: |chores| terms;
 - `singleton_units` when it builds the table of a capped or
   max-of-additive oracle: m terms (an additive oracle's table reads its
   one row and counts none);
@@ -101,7 +102,6 @@ TERMS = {
     "_row_sums": lambda oracle, chores: len(chores),
     "removal_units": lambda oracle, bundle, chores:
         0 if bundle in oracle._removals else len(bundle),
-    "addition_units": lambda oracle, bundle, chores: len(chores),
     "singleton_units": lambda oracle:
         oracle.m if oracle._singles is None and oracle.kind != "additive" else 0,
     # the layout's pick lays out every chore it values, once
@@ -274,8 +274,8 @@ def main(argv: list[str] | None = None) -> int:
                  "instances, the sides taking turns run by run with the first "
                  "side alternating, and chores_summed (chore terms summed by "
                  "RowOracle's _raw_cost, add, row sums, uncached removal_units, "
-                 "addition_units, non-additive singleton table and "
-                 "bundle_units) of one more run",
+                 "non-additive singleton table and bundle_units) of one "
+                 "more run",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "seed": SEED,

@@ -139,8 +139,8 @@ def oracle_to_json(oracle: CostOracle) -> dict:
         return data
     if isinstance(oracle, TabulatedOracle):
         return {"type": "table",
-                "values": {_subset_key(k): str(v)
-                           for k, v in sorted(oracle.values.items(),
+                "values": {_subset_key(k): _over(u, oracle.den)
+                           for k, u in sorted(oracle._units.items(),
                                               key=lambda kv: sorted(kv[0]))}}
     raise ValueError(f"cannot serialize oracle {oracle!r}")
 
@@ -163,6 +163,7 @@ def oracle_from_json(data: Any, m: int) -> CostOracle:
             raise ValueError(
                 f"table is not monotone: adding chore {chore + 1} to "
                 f"{{{_subset_key(subset)}}} lowers its cost")
+        oracle.monotone = True  # so the search's cut and the tEFX screen apply
         return oracle
     raise ValueError(f"unknown oracle type {kind!r}")
 
@@ -253,6 +254,15 @@ def write_json_atomic(path: str, payload: dict) -> None:
         raise
 
 
+def _emit(payload: dict, path: str | None) -> None:
+    """Write payload atomically to path, or without one to stdout."""
+    if path:
+        write_json_atomic(path, payload)
+    else:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
+
+
 def _load_json(path: str) -> dict:
     with open(path) as handle:
         return json.load(handle)
@@ -340,11 +350,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     if trace is not None:
         payload["trace"] = [_event_line(event) for event in trace]
-    if args.output:
-        write_json_atomic(args.output, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(payload, args.output)
     return 0 if report is None or report.verdict else 1
 
 
@@ -352,8 +358,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instance = instance_from_json(_load_json(args.instance))
     alloc = allocation_from_json(_load_json(args.allocation), instance.m)
     report = check_criterion(alloc, instance, *_criterion_alpha(args, 2))
-    json.dump(report_to_json(report), sys.stdout, indent=2, sort_keys=True)
-    print()
+    _emit(report_to_json(report), None)
     return 0 if report.verdict else 1
 
 
@@ -386,12 +391,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             params["rows"] = args.rows
         instance = generate_instance(args.family, args.n, args.m, args.seed,
                                      **params)
-    payload = instance_to_json(instance)
-    if args.output:
-        write_json_atomic(args.output, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(instance_to_json(instance), args.output)
     return 0
 
 

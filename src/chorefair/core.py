@@ -188,7 +188,11 @@ def _violations(
             bound = p * (units(other) if costs is None else costs[j])
             if worst <= bound:
                 continue
-        rights = oracle.addition_units(other, chores) if tefx else repeat(bound)
+        if tefx:  # add leaves the state as it was, so one serves every chore
+            state = oracle.bundle_state(other)
+            rights = [oracle.add(state, c)[1] for c in chores]
+        else:
+            rights = repeat(bound)
         for c, lhs, rhs in zip(chores, removals, rights):
             if q * lhs > rhs:
                 yield Witness(agent, j, c, Fraction(lhs, den), Fraction(rhs, q * den))

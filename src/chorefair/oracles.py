@@ -83,7 +83,8 @@ class CostOracle:
         return chores
 
     def add(self, state, chore: int) -> tuple[object, int]:
-        """(state, units) of the bundle in ``state`` plus a new ``chore``."""
+        """(state, units) of the bundle in ``state`` plus a new ``chore``;
+        ``state`` itself is left as it was, so one state serves many chores."""
         state = state | {chore}
         return state, self.units(state)
 
@@ -91,11 +92,6 @@ class CostOracle:
                       ) -> list[int]:
         """units(bundle - {c}) for each c in chores, a subset of bundle."""
         return [self.units(bundle - {c}) for c in chores]
-
-    def addition_units(self, bundle: frozenset[int], chores: Collection[int]
-                       ) -> list[int]:
-        """units(bundle | {c}) for each c in chores, none of them in bundle."""
-        return [self.units(bundle | {c}) for c in chores]
 
     def _raw_cost(self, chores: frozenset[int]) -> int:
         raise NotImplementedError
@@ -189,7 +185,10 @@ class RowOracle(CostOracle):
         return [sum(map(row.__getitem__, self._checked(chores))) for row in self._rows]
 
     def bundle_state(self, chores: frozenset[int]) -> int | list[int]:
-        # one row's state is its sum as a plain int, more rows' their list
+        # one row's state is its sum as a plain int, more rows' their list;
+        # an uncapped row's sum is its units, read from the cache
+        if self.kind == "additive":
+            return self.units(chores)
         sums = self._row_sums(chores)
         return sums[0] if len(sums) == 1 else sums
 
@@ -212,17 +211,6 @@ class RowOracle(CostOracle):
             lows = zip(*([s - row[c] for c in bundle] for s, row in zip(sums, self._rows)))
             removals = self._removals[bundle] = dict(zip(bundle, map(self._total, lows)))
         return [removals[c] for c in chores]
-
-    def addition_units(self, bundle: frozenset[int], chores: Collection[int]
-                       ) -> list[int]:
-        if chores and min(chores) < 0:  # a row index would wrap around
-            raise IndexError(f"chore {min(chores)} out of range for m={self.m}")
-        if self.kind == "additive":
-            total, row = self.units(bundle), self._rows[0]
-            return [total + row[c] for c in chores]
-        sums = self._row_sums(bundle)
-        return [self._total([s + row[c] for s, row in zip(sums, self._rows)])
-                for c in chores]
 
     def _key(self) -> tuple:
         # den is canonical, so equal ints are equal costs, hashed as ints
@@ -298,29 +286,32 @@ def MaxOfAdditiveOracle(rows: Iterable[Iterable]) -> RowOracle:
 
 
 class TabulatedOracle(CostOracle):
-    """Explicit table over all 2^m subsets; validated monotone on demand."""
+    """Explicit table over all 2^m subsets; validated monotone on demand,
+    as the CLI does when it loads one.
+    It stores ints alone: ``den``, the lcm of the values' reduced
+    denominators, and each subset's value times ``den``."""
 
     def __init__(self, m: int, values: dict) -> None:
         super().__init__()
         self.m = m
-        self.values = {frozenset(k): Fraction(v) for k, v in values.items()}
+        exact = {frozenset(k): _exact(v) for k, v in values.items()}
         chores = frozenset(range(m))
         # 2^m distinct subsets of the m chores are exactly all of them
-        if len(self.values) != 2**m or not all(k <= chores for k in self.values):
+        if len(exact) != 2**m or not all(k <= chores for k in exact):
             raise ValueError(
                 f"table keys must be exactly the {2 ** m} subsets of chores "
                 f"0..{m - 1}")
-        if any(v < 0 for v in self.values.values()):
+        if any(v < 0 for v in exact.values()):
             raise ValueError("table values must be non-negative")
-        self.den = math.lcm(*(v.denominator for v in self.values.values()))
-        self._units = dict(zip(self.values,
-                               _scaled(self.values.values(), self.den)))
+        self.den = math.lcm(*(v.denominator for v in exact.values()))
+        self._units = dict(zip(exact, _scaled(exact.values(), self.den)))
 
     def _raw_cost(self, chores: frozenset[int]) -> int:
         return self._units[chores]
 
     def _key(self) -> tuple:
-        return (self.m, frozenset(self.values.items()))
+        # den is canonical, so equal ints are equal costs, as for RowOracle
+        return (self.m, self.den, frozenset(self._units.items()))
 
     def __repr__(self) -> str:
         return f"TabulatedOracle(m={self.m})"

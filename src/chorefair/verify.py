@@ -47,10 +47,12 @@ def exhaustive_search(
     """
     criterion, alpha = resolve_criterion(criterion, alpha)
     m, n = instance.m, instance.n
+    if n == 1:  # one agent envies no one: the one assignment passes
+        return Allocation.full([range(m)])
     if n**m > ENUM_LIMIT:
         raise EnumerationLimitError(f"{n}^{m} assignments exceed the search limit")
-    # one agent envies no one, and a cut needs monotone costs
-    prune = n > 1 and all(oracle.monotone for oracle in instance.oracles)
+    # a cut needs monotone costs
+    prune = all(oracle.monotone for oracle in instance.oracles)
     bundles = [frozenset()] * n
     path: list[int] = []  # the agent of each assigned chore
     agent = 0

@@ -28,7 +28,7 @@ from chorefair import (
     top_chore_order,
     validate_oracle,
 )
-from chorefair.cli import instance_to_json
+from chorefair.cli import instance_to_json, oracle_to_json
 from chorefair.core import ROW_KERNEL_BUNDLES, check_partial_property2, eligible_bundles
 from chorefair.errors import DimensionError
 from chorefair.oracles import GENERATOR_FAMILIES, cost_rows
@@ -116,6 +116,25 @@ def test_oracle_identity():
                 CappedAdditiveOracle(costs, 10)}) == 2
     assert repr(AdditiveOracle([1])) == "RowOracle(((Fraction(1, 1),),), None)"
     assert repr(TabulatedOracle(2, table)) == "TabulatedOracle(m=2)"
+
+
+def test_table_stores_ints_alone():
+    # whole values as ints or as Fractions give one oracle, kept as ints
+    # over one den, and its JSON writes each value in lowest terms
+    ints = {s: 3 * len(s) for s in all_subsets(2)}
+    as_fractions = TabulatedOracle(2, {s: Fraction(2 * v, 2) for s, v in ints.items()})
+    oracle = TabulatedOracle(2, ints)
+    assert oracle == as_fractions and hash(oracle) == hash(as_fractions)
+    assert repr(oracle) == repr(as_fractions) == "TabulatedOracle(m=2)"
+    assert oracle.den == 1 and not hasattr(oracle, "values")
+    assert oracle_to_json(oracle) == oracle_to_json(as_fractions) == {
+        "type": "table", "values": {"": "0", "1": "3", "2": "3", "1,2": "6"}}
+    mixed = TabulatedOracle(2, {frozenset(): 0, frozenset({0}): Fraction(1, 2),
+                                frozenset({1}): Fraction(2, 3), frozenset({0, 1}): 1})
+    assert mixed.den == 6 and all(type(u) is int for u in mixed._units.values())
+    assert mixed.cost({1}) == Fraction(2, 3)
+    assert oracle_to_json(mixed) == {
+        "type": "table", "values": {"": "0", "1": "1/2", "2": "2/3", "1,2": "1"}}
 
 
 @pytest.mark.parametrize("rows, cap, message", [
@@ -554,22 +573,25 @@ def test_removal_units_match_reference_every_subset(m):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_addition_units_match_reference_every_subset(m):
-    # a fresh oracle's first pass values each bundle cold, the second from
-    # the cache; the added chores are every chore outside the bundle
+    # tEFX's right sides as the core takes them, units(S | {c}) for every c
+    # outside S: one bundle_state per bundle, then one add per chore, in
+    # either chore order from the same state.  The first pass runs on a
+    # fresh oracle, so each state is built cold; the second after every
+    # subset went through units, so an additive state is a cache read.
     rng = random.Random(f"additions:{m}")
     for spec in _specs(rng, m, with_table=True):
         oracle = _build(spec)
-        for _ in range(2):
+        for warm in (False, True):
+            if warm:
+                assert all(oracle.units(s) == _reference(spec, s) * oracle.den
+                           for s in all_subsets(m))
             for s in all_subsets(m):
                 chores = [c for c in range(m) if c not in s]
                 expected = [_reference(spec, s | {c}) * oracle.den for c in chores]
-                assert oracle.addition_units(s, chores) == expected, (spec[0], chores)
-                assert oracle.addition_units(s, chores[::-1]) == expected[::-1]
-                assert expected == [oracle.units(s | {c}) for c in chores]
-        for s in (frozenset(), frozenset(range(m - 1))):
-            for bad in (-1, -m, m, m + 1):
-                with pytest.raises(IndexError):
-                    oracle.addition_units(s, [bad])
+                state = oracle.bundle_state(s)
+                assert [oracle.add(state, c)[1] for c in chores] == expected, (
+                    spec[0], sorted(s), warm)
+                assert [oracle.add(state, c)[1] for c in chores[::-1]] == expected[::-1]
 
 
 @pytest.mark.parametrize("m", range(1, 9))

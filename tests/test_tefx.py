@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -23,6 +24,8 @@ from chorefair import (
     tefx_three_group,
     tefx_two_group,
 )
+from chorefair import tefx
+from chorefair.cli import instance_to_json, main
 from chorefair.tefx import is_efx_feasible, is_tefx_feasible
 
 from support import all_subsets, ratio2_oracle, two_group_cases, unit_potential_drops
@@ -172,6 +175,25 @@ def test_two_group_solves_a_monotone_table_first_cost():
         groups = GroupSpec(frozenset({0, 1}), frozenset({2}), frozenset())
         instance = Instance(m, 3, (c1, c1, c2))
         assert check_tefx(tefx_three_group(instance, groups), instance).verdict
+
+
+def test_a_loaded_table_is_not_checked_monotone_twice(tmp_path, monkeypatch, capsys):
+    # the CLI checks every table monotone as it loads it, so the two-group
+    # core takes the table as monotone and does not enumerate it again
+    def refused(*args):
+        raise AssertionError("the loaded table was checked again")
+
+    w = (5, 3, 4, 2)
+    table = TabulatedOracle(4, {s: max(w[c] for c in s) + len(s) if s else 0
+                                for s in all_subsets(4)})
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json(
+        Instance(4, 3, (table, table, AdditiveOracle([3, 4, 5, 6]))))))
+    monkeypatch.setattr(tefx, "validate_oracle", refused)
+    assert main(["solve", "--instance", str(path), "--algorithm", "tefx-two-group",
+                 "--k", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["allocation"] == [[2, 4], [3], [1]] and out["verdict"] is True
 
 
 def test_two_group_base_case_example():

@@ -111,6 +111,28 @@ def test_search_walks_every_node_on_non_monotone_tables():
     assert missing > 0
 
 
+def test_search_gives_one_agent_every_chore():
+    # one agent envies no one, so its one assignment is the first hit,
+    # returned without a walk, m = 3000 included
+    inst = generate_instance("additive", 1, 3000, 0)
+    for criterion, alpha in SEARCH_CRITERIA:
+        assert exhaustive_search(inst, criterion, alpha) == Allocation.full([range(3000)])
+    for family in ("additive", "capped_additive", "max_of_additive"):
+        for m in range(1, 7):
+            inst = generate_instance(family, 1, m, m)
+            for criterion, alpha in SEARCH_CRITERIA:
+                assert (exhaustive_search(inst, criterion, alpha)
+                        == product_search(inst, criterion, alpha))
+    rng = random.Random(1)
+    for m in range(1, 5):  # random tables, so not known monotone either
+        table = TabulatedOracle(m, {s: rng.randint(0, 9) if s else 0 for r in range(m + 1)
+                                    for s in combinations(range(m), r)})
+        inst = Instance(m, 1, (table,))
+        for criterion, alpha in SEARCH_CRITERIA:
+            assert (exhaustive_search(inst, criterion, alpha)
+                    == product_search(inst, criterion, alpha))
+
+
 def test_prune_judges_fewer_leaves_than_the_product_loop(monkeypatch):
     # the product loop judges every assignment up to the first hit; with the
     # prune on, the search judges fewer in all, and with it off, as many
