@@ -19,7 +19,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .core import (
     CRITERIA,
@@ -287,59 +287,75 @@ def _criterion_alpha(args: argparse.Namespace, default: int) -> tuple[str, int |
     return criterion, parse_rational(default if args.alpha is None else args.alpha)
 
 
-# the flags of `solve` that one algorithm reads and the others refuse
-SOLVE_FLAGS = {"round-robin": ("order",), "tefx-two-group": ("k",),
-               "tefx-three-group": ("group1", "group2", "group3"),
-               "exhaustive": ("criterion", "alpha")}
+def _run_round_robin(instance: Instance, args: argparse.Namespace, trace):
+    order = (None if args.order is None
+             else _parse_index_list(args.order, instance.n, "--order"))
+    alloc, picks = round_robin_allocate(instance, order)
+    if trace is not None:
+        trace.extend(picks.picks)
+    return alloc, claimed_guarantee(instance)
+
+
+def _run_tefx_two_group(instance: Instance, args: argparse.Namespace, trace):
+    # agents 1..n-k share C1 and agents n-k+1..n share C2
+    n, k = instance.n, args.k
+    if k is None or not 1 <= k < n:
+        raise ValueError(f"tefx-two-group needs --k between 1 and n-1 = {n - 1}")
+    groups = GroupSpec(frozenset(range(n - k)), frozenset(range(n - k, n)),
+                       frozenset())
+    return tefx_three_group(instance, groups, trace), ("tefx", None)
+
+
+def _run_tefx_three_group(instance: Instance, args: argparse.Namespace, trace):
+    groups = GroupSpec(*(
+        frozenset(_parse_index_list(raw or "", instance.n, "agent list"))
+        for raw in (args.group1, args.group2, args.group3)))
+    return tefx_three_group(instance, groups, trace), ("tefx", None)
+
+
+def _run_exhaustive(instance: Instance, args: argparse.Namespace, trace):
+    claim = _criterion_alpha(args, 1)
+    return exhaustive_search(instance, *claim), claim
+
+
+class Solver(NamedTuple):
+    """One `solve` algorithm: the flags only it reads, and its run
+    (instance, args, trace) -> (allocation or None, (criterion, alpha) it
+    claims or None).  Runs call the solvers through this module's globals,
+    so a solver patched onto the module is the one that runs."""
+    flags: tuple[str, ...]
+    run: Callable[[Instance, argparse.Namespace, list[Event] | None],
+                  tuple[Allocation | None, tuple | None]]
+
+
+SOLVERS = {
+    "three-agent-2efx": Solver((), lambda instance, args, trace: (
+        three_agent_2efx(instance, trace), ("alpha_efx", TWO))),
+    "partial-ido-2efx": Solver((), lambda instance, args, trace: (
+        partial_ido_2efx(instance, trace), ("alpha_efx", TWO))),
+    "round-robin": Solver(("order",), _run_round_robin),
+    "tefx-two-group": Solver(("k",), _run_tefx_two_group),
+    "tefx-three-group": Solver(("group1", "group2", "group3"), _run_tefx_three_group),
+    "exhaustive": Solver(("criterion", "alpha"), _run_exhaustive),
+}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _refuse_unread(args, [flag for algorithm, flags in SOLVE_FLAGS.items()
-                          if algorithm != args.algorithm for flag in flags],
+    _refuse_unread(args, [flag for name, solver in SOLVERS.items()
+                          if name != args.algorithm for flag in solver.flags],
                    f"algorithm {args.algorithm!r}")
     instance = instance_from_json(_load_json(args.instance))
     started = time.perf_counter()
-    criterion, alpha = "alpha_efx", TWO
     trace: list[Event] | None = [] if args.trace else None
-
-    if args.algorithm == "three-agent-2efx":
-        alloc = three_agent_2efx(instance, trace)
-    elif args.algorithm == "partial-ido-2efx":
-        alloc = partial_ido_2efx(instance, trace)
-    elif args.algorithm == "round-robin":
-        order = (None if args.order is None
-                 else _parse_index_list(args.order, instance.n, "--order"))
-        alloc, picks = round_robin_allocate(instance, order)
-        criterion, alpha = claimed_guarantee(instance) or (None, None)
-        if trace is not None:
-            trace.extend(picks.picks)
-    elif args.algorithm == "tefx-two-group":
-        # agents 1..n-k share C1 and agents n-k+1..n share C2
-        n, k = instance.n, args.k
-        if k is None or not 1 <= k < n:
-            raise ValueError(f"tefx-two-group needs --k between 1 and n-1 = {n - 1}")
-        groups = GroupSpec(frozenset(range(n - k)), frozenset(range(n - k, n)),
-                           frozenset())
-        alloc = tefx_three_group(instance, groups, trace)
-        criterion, alpha = "tefx", None
-    elif args.algorithm == "tefx-three-group":
-        groups = GroupSpec(*(
-            frozenset(_parse_index_list(raw or "", instance.n, "agent list"))
-            for raw in (args.group1, args.group2, args.group3)))
-        alloc = tefx_three_group(instance, groups, trace)
-        criterion, alpha = "tefx", None
-    elif args.algorithm == "exhaustive":
-        criterion, alpha = _criterion_alpha(args, 1)
-        alloc = exhaustive_search(instance, criterion, alpha)
-        if alloc is None:
-            print("no allocation satisfies the criterion", file=sys.stderr)
-            return 1
+    alloc, claim = SOLVERS[args.algorithm].run(instance, args, trace)
+    if alloc is None:
+        print("no allocation satisfies the criterion", file=sys.stderr)
+        return 1
     if not alloc.is_full:
         raise VerificationError(f"{args.algorithm} left chores unallocated")
 
     # out of every guarantee's scope, nothing is claimed and nothing checked
-    report = (None if criterion is None
-              else check_criterion(alloc, instance, criterion, alpha))
+    report = None if claim is None else check_criterion(alloc, instance, *claim)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": args.algorithm,
@@ -426,9 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run an allocation algorithm")
     solve.add_argument("--instance", required=True)
     solve.add_argument("--algorithm", required=True,
-                       choices=["three-agent-2efx", "partial-ido-2efx",
-                                "round-robin", "tefx-two-group",
-                                "tefx-three-group", "exhaustive"])
+                       choices=list(SOLVERS))
     solve.add_argument("--output")
     solve.add_argument("--trace", action="store_true")
     solve.add_argument("--order", help="round-robin agent order, e.g. 2,1,3")

@@ -295,11 +295,12 @@ class TabulatedOracle(CostOracle):
         super().__init__()
         self.m = m
         exact = {frozenset(k): _exact(v) for k, v in values.items()}
-        chores = frozenset(range(m))
-        # 2^m distinct subsets of the m chores are exactly all of them
-        if len(exact) != 2**m or not all(k <= chores for k in exact):
+        # 2^m distinct subsets of the m chores are exactly all of them; the
+        # key count's bit length comes first, so a huge m builds nothing
+        if (len(exact).bit_length() != m + 1 or len(exact) != 2**m
+                or not frozenset().union(*exact) <= frozenset(range(m))):
             raise ValueError(
-                f"table keys must be exactly the {2 ** m} subsets of chores "
+                f"table keys must be exactly the 2^{m} subsets of chores "
                 f"0..{m - 1}")
         if any(v < 0 for v in exact.values()):
             raise ValueError("table values must be non-negative")
@@ -337,8 +338,13 @@ def validate_oracle(
             raise ValueError(f"unknown check {check!r}")
         steps = m * 2**m if check == "monotone" else 3**m
         if steps > ENUM_LIMIT:
+            # the count in full only while short: str() refuses an int of
+            # over 4,300 digits, which m * 2^m reaches at m = 14,300
+            spelled = f"{m}·2^{m}" if check == "monotone" else f"3^{m}"
+            if m <= 64:
+                spelled += f" = {steps}"
             raise EnumerationLimitError(
-                f"{check} check on m={m} chores takes {steps} steps, "
+                f"{check} check on m={m} chores takes {spelled} steps, "
                 f"over the limit of {ENUM_LIMIT}")
         bad = []
         units = oracle.units  # one oracle's ints over den compare as its costs

@@ -290,6 +290,80 @@ def test_solve_trace_for_every_algorithm(tmp_path, capsys):
         assert line in json.loads(capsys.readouterr().out)["trace"]
 
 
+def _pinned_runs():
+    """Per run: its instance, its flags, its allocation, its claim and its
+    trace, which with the fixed keys make up the whole `solve` payload but
+    timings."""
+    c1, c2, c3 = two_group_oracles()
+    two = {"criterion": "alpha_efx", "alpha": "2"}
+    tefx = {"criterion": "tefx", "alpha": None}
+    tefx_move = ("level k=2: chore 7 from bundle 1 to bundle 3: "
+                 "bundles [[4, 9], [1, 2, 3, 5], [6, 7, 8]]")
+    return {
+        "three-agent-2efx": (
+            generate_instance("additive", 3, 7, 0), [],
+            [[1, 3, 4, 6, 7], [5], [2]], two,
+            ["case B1, roles 1-3 played by agents [1, 3, 2]",
+             "seed: bundles [[3], [5], [2]], pool [1, 4, 6, 7]",
+             "chore 1 to sink agent 1: bundles [[1, 3], [5], [2]], pool [4, 6, 7]",
+             "chore 4 to sink agent 1: bundles [[1, 3, 4], [5], [2]], pool [6, 7]",
+             "chore 6 to sink agent 1: bundles [[1, 3, 4, 6], [5], [2]], pool [7]",
+             "chore 7 to sink agent 1: bundles [[1, 3, 4, 6, 7], [5], [2]]"]),
+        "partial-ido-2efx": (
+            generate_instance("k_partial_ido", 3, 9, 17, k=2), [],
+            [[6], [2, 3, 4, 5, 7, 8, 9], [1]], two,
+            ["chore 2 to sink agent 3: bundles [[6], [1], [2]], pool [3, 4, 5, 7, 8, 9]",
+             "chore 3 to sink agent 3: bundles [[6], [1], [2, 3]], pool [4, 5, 7, 8, 9]",
+             "chore 4 to sink agent 3: bundles [[6], [1], [2, 3, 4]], pool [5, 7, 8, 9]",
+             "chore 5 to sink agent 3: bundles [[6], [1], [2, 3, 4, 5]], pool [7, 8, 9]",
+             "chore 7 to sink agent 3: bundles [[6], [1], [2, 3, 4, 5, 7]], pool [8, 9]",
+             "envy cycle 2 -> 3 -> 2: bundles [[6], [2, 3, 4, 5, 7], [1]], pool [8, 9]",
+             "chore 8 to sink agent 2: bundles [[6], [2, 3, 4, 5, 7, 8], [1]], pool [9]",
+             "chore 9 to sink agent 2: bundles [[6], [2, 3, 4, 5, 7, 8, 9], [1]]"]),
+        "round-robin": (
+            generate_instance("additive_ratio", 3, 9, 2, alpha=3), ["--order", "2,3,1"],
+            [[1, 7, 8], [2, 4, 9], [3, 5, 6]],
+            {"criterion": "alpha_efx", "alpha": "201/106"},
+            [f"round {r}: agent {a} takes chore {c}" for r, a, c in [
+                (1, 2, 2), (1, 3, 5), (1, 1, 8), (2, 2, 4), (2, 3, 6), (2, 1, 1),
+                (3, 2, 9), (3, 3, 3), (3, 1, 7)]]),
+        # capped costs: out of every guarantee's scope, so nothing is checked
+        "round-robin, no claim": (
+            generate_instance("capped_additive", 3, 9, 12), [],
+            [[1, 6, 8], [2, 4, 5], [3, 7, 9]],
+            {"criterion": None, "alpha": None, "verdict": None},
+            [f"round {r}: agent {a} takes chore {c}" for r, a, c in [
+                (1, 1, 6), (1, 2, 5), (1, 3, 3), (2, 1, 1), (2, 2, 4), (2, 3, 9),
+                (3, 1, 8), (3, 2, 2), (3, 3, 7)]]),
+        "tefx-two-group": (
+            Instance(9, 3, (c1, c2, c2)), ["--k", "2"],
+            [[1, 2, 3, 5], [4, 9], [6, 7, 8]], tefx, [tefx_move]),
+        "tefx-three-group": (
+            Instance(9, 3, (c1, c2, c3)),
+            ["--group1", "1", "--group2", "2", "--group3", "3"],
+            [[1, 2, 3, 5], [6, 7, 8], [4, 9]], tefx, [tefx_move]),
+        "exhaustive": (
+            generate_instance("additive", 3, 5, 2),
+            ["--criterion", "alpha_efx", "--alpha", "3/2"],
+            [[1, 2], [3, 4], [5]], {"criterion": "alpha_efx", "alpha": "3/2"}, []),
+    }
+
+
+@pytest.mark.parametrize("run", list(_pinned_runs()))
+def test_solve_payload_is_pinned_for_every_algorithm(tmp_path, capsys, run):
+    inst, flags, allocation, claim, trace = _pinned_runs()[run]
+    expected = {"schema_version": 1, "algorithm": run.split(",")[0],
+                "allocation": allocation, "pool": [], "verdict": True,
+                "witnesses": [], **claim}
+    argv = ["solve", "--instance", write_instance(tmp_path, inst),
+            "--algorithm", expected["algorithm"], *flags]
+    for extra, payload in (([], expected), (["--trace"], {**expected, "trace": trace})):
+        assert main(argv + extra) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert set(printed.pop("timings")) == {"seconds"}
+        assert printed == payload
+
+
 def assert_input_error(code, capsys, *words):
     assert code == 2
     captured = capsys.readouterr()

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,13 @@ def test_tabulated_keys_are_the_subsets():
         TabulatedOracle(1, {(): 0, (7,): 1})
     with pytest.raises(ValueError, match="subsets of chores 0..1"):
         TabulatedOracle(2, {(): 0, (0,): 1, (1,): 1, (0, 2): 2})
+
+
+def test_tabulated_refuses_a_huge_m_before_building_anything():
+    # 2^m and range(m) at m = 10^6 once came first: 150 MB at m = 2 * 10^6,
+    # and a ValueError for the 301,030-digit count instead of this one
+    with pytest.raises(ValueError, match=r"exactly the 2\^1000000 subsets"):
+        TabulatedOracle(10**6, {(): 0, (0,): 1})
 
 
 def test_oracle_identity():
@@ -303,6 +311,16 @@ def test_validate_refuses_oversize():
         oracle.cost = oracle.units = enumerated
         with pytest.raises(EnumerationLimitError, match=f"{check} check on m={m}"):
             validate_oracle(oracle, checks=(check,))
+
+
+@pytest.mark.parametrize("check, spelled", [
+    ("monotone", "20000·2^20000 steps"), ("subadditive", "3^20000 steps")],
+    ids=["monotone", "subadditive"])
+def test_validate_refuses_a_huge_m_by_its_own_error(check, spelled):
+    # the count in full has over 4,300 digits, so formatting it once raised
+    # Python's ValueError in place of EnumerationLimitError
+    with pytest.raises(EnumerationLimitError, match=re.escape(spelled)):
+        validate_oracle(AdditiveOracle([1] * 20000), (check,))
 
 
 def test_ratio_bound():
