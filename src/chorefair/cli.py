@@ -69,13 +69,13 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 RATIONAL_MAX_CHARS = 1000
 
 
-def parse_rational(value: Any) -> int | Fraction:
-    """A JSON integer, or a string "p" or "p/q" of at most RATIONAL_MAX_CHARS
-    characters, as an int or, for "p/q", a Fraction.  Decimals and
-    exponents are refused: Fraction expands an exponent in full, so
-    "1e99999999" would never finish."""
+def _rational_parts(value: Any) -> tuple[int, int | None]:
+    """(p, q) of a JSON integer, or of a string "p" or "p/q" of at most
+    RATIONAL_MAX_CHARS characters, as ints; q is None without "/" and never
+    0.  Decimals and exponents are refused: Fraction expands an exponent in
+    full, so "1e99999999" would never finish."""
     if type(value) is int:
-        return value
+        return value, None
     match = (isinstance(value, str) and len(value) <= RATIONAL_MAX_CHARS
              and _RATIONAL.fullmatch(value))
     if not match:
@@ -84,7 +84,14 @@ def parse_rational(value: Any) -> int | Fraction:
     p, q = match.groups()
     if q is not None and not int(q):
         raise ValueError(f"rational {value!r:.40} has a zero denominator")
-    return int(p) if q is None else Fraction(int(p), int(q))
+    return int(p), None if q is None else int(q)
+
+
+def parse_rational(value: Any) -> int | Fraction:
+    """A rational as _rational_parts reads it: an int, or for "p/q" a
+    Fraction."""
+    p, q = _rational_parts(value)
+    return p if q is None else Fraction(p, q)
 
 
 def _subset_key(chores) -> str:
@@ -145,14 +152,19 @@ def oracle_to_json(oracle: CostOracle) -> dict:
     raise ValueError(f"cannot serialize oracle {oracle!r}")
 
 
+# the keys each agent "type" reads; any other key is refused
+ORACLE_KEYS = {
+    "additive": {"type", "costs"}, "capped_additive": {"type", "costs", "cap"},
+    "max_of_additive": {"type", "rows"}, "table": {"type", "values"}}
+
+
 def oracle_from_json(data: Any, m: int) -> CostOracle:
     kind = _json_typed(data, dict, "an agent").get("type")
-    if kind in ("additive", "capped_additive", "max_of_additive"):
-        rows = (_json_typed(data["rows"], list, '"rows"')
-                if kind == "max_of_additive" else [data["costs"]])
-        cap = parse_rational(data["cap"]) if kind == "capped_additive" else None
-        return RowOracle([[parse_rational(c) for c in _json_typed(row, list, "a row")]
-                          for row in rows], cap)
+    if kind not in ORACLE_KEYS:
+        raise ValueError(f"unknown oracle type {kind!r}")
+    if not data.keys() <= ORACLE_KEYS[kind]:
+        raise ValueError(f"oracle type {kind!r} does not use " + ", ".join(
+            f'"{key}"' for key in sorted(data.keys() - ORACLE_KEYS[kind])))
     if kind == "table":
         values = {_parse_subset_key(k, m): parse_rational(v)
                   for k, v in _json_typed(data["values"], dict, '"values"').items()}
@@ -165,7 +177,15 @@ def oracle_from_json(data: Any, m: int) -> CostOracle:
                 f"{{{_subset_key(subset)}}} lowers its cost")
         oracle.monotone = True  # so the search's cut and the tEFX screen apply
         return oracle
-    raise ValueError(f"unknown oracle type {kind!r}")
+    rows = (_json_typed(data["rows"], list, '"rows"')
+            if kind == "max_of_additive" else [data["costs"]])
+    caps = [data["cap"]] if kind == "capped_additive" else []
+    # every value as (p, q), the cap's last, then as ints over the qs' lcm
+    parts = [[_rational_parts(c) for c in _json_typed(row, list, "a row")]
+             for row in rows] + [list(map(_rational_parts, caps))]
+    den = math.lcm(*(q for row in parts for _, q in row if q))
+    *units, cap = [[p * (den // (q or 1)) for p, q in row] for row in parts]
+    return RowOracle.from_units(units, den, *cap)
 
 
 def instance_to_json(instance: Instance) -> dict:

@@ -122,17 +122,42 @@ class RowOracle(CostOracle):
     monotone = True
 
     def __init__(self, rows: Iterable[Iterable], cap=None) -> None:
+        rows = [tuple(row) for row in rows]
+        caps = () if cap is None else (cap,)
+        den = 1
+        if not set(map(type, itertools.chain(*rows, caps))) <= {int}:
+            # each value through Fraction, over the reduced denominators' lcm
+            exact = [list(map(_exact, row)) for row in [*rows, caps]]
+            den = math.lcm(*(v.denominator for row in exact for v in row))
+            *rows, caps = (_scaled(row, den) for row in exact)
+        self._store(rows, den, *caps)
+
+    @classmethod
+    def from_units(cls, rows: Iterable[Iterable[int]], den: int,
+                   cap: int | None = None) -> RowOracle:
+        """The oracle of int rows and an int cap over a positive int den,
+        equal to ``RowOracle`` of the values ``Fraction(u, den)``."""
+        oracle = cls.__new__(cls)
+        oracle._store([tuple(row) for row in rows], den, cap)
+        return oracle
+
+    def _store(self, rows: list[tuple[int, ...]], den: int,
+               cap: int | None = None) -> None:
+        """One tail for both constructors: the ints and den over their gcd
+        (so den is the lcm of reduced denominators), checked and stored."""
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den must be a positive int, got {den!r}")
         super().__init__()
-        exact = [list(map(_exact, row)) for row in rows]
-        if not exact:
+        g = math.gcd(den, *itertools.chain(*rows), cap or 0)
+        if g > 1:
+            rows = [tuple(map(g.__rfloordiv__, row)) for row in rows]
+        if not rows:
             raise ValueError("at least one row required")
-        if len({len(row) for row in exact}) != 1:
+        if len({len(row) for row in rows}) != 1:
             raise ValueError("rows must have equal length")
-        cap = None if cap is None else _exact(cap)
-        dens = {v.denominator for row in exact for v in row}
-        self.den = math.lcm(*dens, 1 if cap is None else cap.denominator)
-        self._rows = tuple(sorted({_scaled(row, self.den) for row in exact}))
-        self._cap = None if cap is None else _scaled((cap,), self.den)[0]
+        self.den = den // g
+        self._rows = tuple(sorted(set(rows)))
+        self._cap = cap and cap // g
         # the JSON kind this shape is written as; _raw_cost branches on it
         if self._cap is not None:
             if len(self._rows) != 1:
@@ -403,14 +428,15 @@ def _distinct_costs(rng: random.Random, m: int) -> list[int]:
     return rng.sample(range(1, 20 * m + 200), m)
 
 
-def _ratio_bounded_costs(rng: random.Random, m: int, alpha: Fraction) -> list[Fraction]:
+def _ratio_bounded_oracle(rng: random.Random, m: int, alpha: Fraction) -> RowOracle:
     # low * (1 + (alpha - 1) * off / (grid - 1)) in [low, alpha*low] for
-    # distinct offsets, so ratio <= alpha: one Fraction each, alpha = p/q
+    # distinct offsets, so ratio <= alpha: ints over den, alpha = p/q
     low = rng.randint(20, 80)
     grid = max(m + 1, 101)
     p, q = alpha.numerator, alpha.denominator
-    return [Fraction(low * ((grid - 1) * q + (p - q) * off), (grid - 1) * q)
-            for off in rng.sample(range(grid), m)]
+    den = (grid - 1) * q
+    return RowOracle.from_units(
+        [[low * (den + (p - q) * off) for off in rng.sample(range(grid), m)]], den)
 
 
 def generate_instance(family: str, n: int, m: int, seed: int, **params):
@@ -434,8 +460,7 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
         alpha = Fraction(params.get("alpha", 2))
         if alpha < 1:
             raise ValueError("alpha must be >= 1")
-        oracles = tuple(
-            AdditiveOracle(_ratio_bounded_costs(rng, m, alpha)) for _ in range(n))
+        oracles = tuple(_ratio_bounded_oracle(rng, m, alpha) for _ in range(n))
         for oracle in oracles:
             if ratio_bound(oracle) > alpha:
                 raise AssertionError("generator broke its ratio bound")
@@ -443,9 +468,9 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
         built = []
         for _ in range(n):
             costs = _distinct_costs(rng, m)
-            top = max(costs)  # the cap lies in [top, sum(costs)]
-            cap = Fraction(100 * top + rng.randint(1, 100) * (sum(costs) - top), 100)
-            built.append(CappedAdditiveOracle(costs, cap))
+            top = max(costs)  # the cap lies in [top, sum(costs)], over 100
+            cap = 100 * top + rng.randint(1, 100) * (sum(costs) - top)
+            built.append(RowOracle.from_units([[100 * c for c in costs]], 100, cap))
         oracles = tuple(built)
     elif family == "max_of_additive":
         rows_per_agent = int(params.get("rows", 2))

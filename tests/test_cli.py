@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -621,6 +622,43 @@ def test_unknown_oracle_type_exit_2(tmp_path, capsys, kind):
     code = main(["solve", "--instance", str(inst_path), "--algorithm",
                  "three-agent-2efx"])
     assert_input_error(code, capsys, f"unknown oracle type {kind!r}")
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("additive", "cap", "3"),
+    ("additive", "rows", [["1", "2"]]),
+    ("capped_additive", "rows", [["1", "2"]]),
+    ("max_of_additive", "costs", ["1", "2"]),
+    ("table", "cap", "3"),
+])
+def test_agent_key_its_type_does_not_read_exit_2(tmp_path, capsys, family, key, value):
+    # a cap on an additive agent once loaded as uncapped and solved, exit 0
+    data = (with_table(additive_data()) if family == "table"
+            else additive_data(family))
+    data = set_in(data, ("agents", 0, key), value)
+    with pytest.raises(ValueError, match=f'oracle type {family!r} does not use "{key}"'):
+        instance_from_json(data)
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(data))
+    code = main(["solve", "--instance", str(inst_path), "--algorithm",
+                 "round-robin"])
+    assert_input_error(code, capsys, f'oracle type {family!r} does not use "{key}"')
+
+
+# sha256 prefixes of `chorefair gen --family additive_ratio` output, taken
+# while the generator still built one Fraction per cost; the last setting
+# has m + 1 > 101 grid points
+@pytest.mark.parametrize("alpha, n, m, seed, digest", [
+    ("2", 40, 200, 1, "86dc92df2060e81c"),
+    ("7/3", 4, 20, 1, "d345dffc9bf38bf8"),
+    ("1", 2, 5, 3, "da6f1dbb1ac503eb"),
+    ("101/100", 3, 300, 2, "69dcc8319b1030f9"),
+])
+def test_gen_additive_ratio_output_is_pinned(capsys, alpha, n, m, seed, digest):
+    assert main(["gen", "--family", "additive_ratio", "--alpha", alpha, "--n", str(n),
+                 "--m", str(m), "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_exponent_rationals_exit_2(tmp_path, capsys):

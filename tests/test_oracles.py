@@ -29,7 +29,7 @@ from chorefair import (
     top_chore_order,
     validate_oracle,
 )
-from chorefair.cli import instance_to_json, oracle_to_json
+from chorefair.cli import instance_from_json, instance_to_json, oracle_to_json
 from chorefair.core import ROW_KERNEL_BUNDLES, check_partial_property2, eligible_bundles
 from chorefair.errors import DimensionError
 from chorefair.oracles import GENERATOR_FAMILIES, cost_rows
@@ -155,6 +155,8 @@ def test_table_stores_ints_alone():
 def test_row_oracle_rejects_bad_shapes(rows, cap, message):
     with pytest.raises(ValueError, match=message):
         RowOracle(rows, cap)
+    with pytest.raises(ValueError, match=message):
+        RowOracle.from_units(rows, 6, cap)
 
 
 # one cost in each spelling the constructor takes: an int, a Fraction, an
@@ -225,6 +227,60 @@ def test_row_oracle_constructor_matches_fraction_reference(data):
     elif len(plain) == 1:
         with pytest.raises(ValueError, match="non-negative"):
             RowOracle(rows, bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_units_matches_the_fraction_constructor(data):
+    m = data.draw(st.integers(1, 5))
+    # a factor of den that every unit shares, or no common factor; all-zero
+    # rows, one row with or without a cap, and max-of-additive rows
+    shared = data.draw(st.integers(1, 12))
+    den = shared * data.draw(st.integers(1, 12))
+    unit = st.integers(0, 40).map(shared.__mul__)
+    zeros = data.draw(st.booleans())
+    row = st.just([0] * m) if zeros else st.lists(unit, min_size=m, max_size=m)
+    rows = data.draw(st.lists(row, min_size=1, max_size=3))
+    cap = data.draw(st.none() | unit) if len(rows) == 1 else None
+    oracle = RowOracle.from_units(rows, den, cap)
+    ref = RowOracle([[Fraction(u, den) for u in row] for row in rows],
+                    None if cap is None else Fraction(cap, den))
+    assert (oracle.den, oracle._rows, oracle._cap) == (ref.den, ref._rows, ref._cap)
+    assert oracle == ref and hash(oracle) == hash(ref) and repr(oracle) == repr(ref)
+    assert oracle.kind == ref.kind and oracle.m == m
+    assert all(type(u) is int for r in oracle._rows for u in r)
+
+
+@pytest.mark.parametrize("den", [0, -6, 2.0, Fraction(2), True, "2", None])
+def test_from_units_refuses_a_den_that_is_no_positive_int(den):
+    with pytest.raises(ValueError, match="den must be a positive int"):
+        RowOracle.from_units([[2, 4]], den)
+
+
+# row values: Fractions with small denominators
+_FRACTIONS = st.fractions(min_value=0, max_value=60, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fractional_instances_roundtrip_byte_identically(data):
+    m = data.draw(st.integers(1, 6))
+    row = st.lists(_FRACTIONS, min_size=m, max_size=m)
+    agent = st.one_of(
+        st.builds(AdditiveOracle, row),
+        st.builds(CappedAdditiveOracle, row, _FRACTIONS),
+        st.builds(MaxOfAdditiveOracle, st.lists(row, min_size=2, max_size=3)))
+    oracles = data.draw(st.lists(agent, min_size=1, max_size=4))
+    text = json.dumps(instance_to_json(Instance(m, len(oracles), tuple(oracles))),
+                      sort_keys=True)
+    back = instance_from_json(json.loads(text))
+    assert json.dumps(instance_to_json(back), sort_keys=True) == text
+    assert back.oracles == tuple(oracles)
+    # each value spelled over k times its denominator loads as the same oracle
+    k = data.draw(st.integers(2, 6))
+    unreduced = re.sub(r'"(-?\d+)(?:/(\d+))?"',
+                       lambda v: f'"{int(v[1]) * k}/{int(v[2] or 1) * k}"', text)
+    assert instance_from_json(json.loads(unreduced)).oracles == tuple(oracles)
 
 
 def test_out_of_range_chore_rejected():
