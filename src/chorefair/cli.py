@@ -64,6 +64,13 @@ def _json_typed(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+def _refuse_unread_keys(data: dict, keys: set[str], reader: str) -> None:
+    """Refuse the keys of data that reader does not read, naming each."""
+    if stray := sorted(data.keys() - keys):
+        raise ValueError(f"{reader} does not use "
+                         + ", ".join(f'"{key}"' for key in stray))
+
+
 DIGITS = re.compile(r"[0-9]+")
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 RATIONAL_MAX_CHARS = 1000
@@ -162,9 +169,7 @@ def oracle_from_json(data: Any, m: int) -> CostOracle:
     kind = _json_typed(data, dict, "an agent").get("type")
     if kind not in ORACLE_KEYS:
         raise ValueError(f"unknown oracle type {kind!r}")
-    if not data.keys() <= ORACLE_KEYS[kind]:
-        raise ValueError(f"oracle type {kind!r} does not use " + ", ".join(
-            f'"{key}"' for key in sorted(data.keys() - ORACLE_KEYS[kind])))
+    _refuse_unread_keys(data, ORACLE_KEYS[kind], f"oracle type {kind!r}")
     if kind == "table":
         values = {_parse_subset_key(k, m): parse_rational(v)
                   for k, v in _json_typed(data["values"], dict, '"values"').items()}
@@ -199,6 +204,7 @@ def instance_from_json(data: Any) -> Instance:
     data = _json_typed(data, dict, "an instance")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported or missing schema_version")
+    _refuse_unread_keys(data, {"schema_version", "m", "n", "agents"}, "instance")
     m, n = _json_typed(data["m"], int, '"m"'), _json_typed(data["n"], int, '"n"')
     oracles = tuple(oracle_from_json(a, m)
                     for a in _json_typed(data["agents"], list, '"agents"'))
@@ -210,8 +216,15 @@ def allocation_to_json(alloc: Allocation) -> dict:
             "pool": sorted(c + 1 for c in alloc.pool)}
 
 
+# an allocation's bundles and pool, and the other keys `solve` writes beside
+# them, so that `verify --allocation` reads solve's output
+ALLOCATION_KEYS = {"allocation", "pool", "schema_version", "algorithm", "criterion",
+                   "alpha", "verdict", "witnesses", "timings", "trace"}
+
+
 def allocation_from_json(data: Any, m: int) -> Allocation:
     data = _json_typed(data, dict, "an allocation")
+    _refuse_unread_keys(data, ALLOCATION_KEYS, "allocation")
     bundles = [[_json_typed(c, int, "a chore") - 1 for c in _json_typed(b, list, "a bundle")]
                for b in _json_typed(data["allocation"], list, '"allocation"')]
     pool = [_json_typed(c, int, "a chore") - 1

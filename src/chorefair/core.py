@@ -115,6 +115,11 @@ class FairnessReport:
     def verdict(self) -> bool:
         return not self.witnesses
 
+    def first_witnesses(self) -> str:
+        """Up to three witnesses for an error message, 1-based, sides as p/q."""
+        return "; ".join(f"agent {w.agent + 1}, other {w.other + 1}, chore "
+                         f"{w.chore + 1}: {w.lhs} > {w.rhs}" for w in self.witnesses[:3])
+
 
 def _check_shapes(alloc: Allocation, instance: Instance) -> None:
     if alloc.n != instance.n:

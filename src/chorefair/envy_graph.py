@@ -183,6 +183,5 @@ def extend_partial(
     report = check_alpha_efx(result, instance, guarantee)
     if not report.verdict:
         raise VerificationError(
-            f"extension lost the {guarantee}-EFX guarantee: "
-            f"{report.witnesses[:3]}")
+            f"extension lost the {guarantee}-EFX guarantee: {report.first_witnesses()}")
     return result

@@ -218,5 +218,5 @@ def tefx_three_group(
     result = Allocation.full(bundles)
     report = check_tefx(result, instance)
     if not report.verdict:
-        raise VerificationError(f"output not tEFX: {report.witnesses[:3]}")
+        raise VerificationError(f"output not tEFX: {report.first_witnesses()}")
     return result

@@ -35,6 +35,24 @@ CASE_IDS = (
     "D1", "D21", "D22", "D23",
 )
 
+# the seeds that place fixed chores, in role space: per case, the (role,
+# rank) chores roles 1, 2 and 3 hold, then the roles that take, in turn,
+# role 3's costliest chore not yet taken.  In A2, role 2 never gets t or s,
+# which roles 1 and 3 hold: every role's top chore is t, roles 1 and 2 share
+# the second s, role 3's second is not s, and no role's third is in its top two
+CASE_SEEDS = {
+    "A1": ([[(1, 3), (2, 3), (3, 3)], [(1, 2)], [(1, 1)]], ()),
+    "A2": ([[(1, 1)], [(1, 3), (2, 3), (3, 2)], [(1, 2)]], ()),
+    "A3": ([[(2, 2)], [(1, 2)], [(1, 1)]], (1, 2)),
+    "B1": ([[], [(1, 2)], [(1, 1)]], (1,)),
+    "B221": ([[(3, 2)], [(3, 1)], [(1, 1), (1, 2)]], ()),
+    "C": ([[(2, 2)], [(1, 2)], [(1, 1)]], (1, 2)),
+    "D1": ([[(2, 1)], [(1, 2)], [(1, 1)]], (1, 2)),
+    "D21": ([[(2, 1), (3, 2)], [(3, 1), (1, 2)], [(1, 1), (2, 2)]], ()),
+    "D22": ([[(3, 1), (2, 1)], [(1, 2)], [(1, 1)]], ()),
+    "D23": ([[(2, 1)], [(1, 1)], [(1, 2)]], (1, 2)),
+}
+
 
 @dataclass
 class CaseContext:
@@ -165,14 +183,6 @@ def _alloc(instance: Instance, roles: tuple[int, int, int],
     return Allocation.from_bundles(bundles, instance.m)
 
 
-def _give_top_remaining(order: tuple[int, ...], taken: set[int]) -> int:
-    """Most costly not-yet-allocated chore in the given preference order."""
-    for chore in order:
-        if chore not in taken:
-            return chore
-    raise VerificationError("no unallocated chore left to pick")
-
-
 def solve_case(instance: Instance, case: str, ctx: CaseContext,
                trace: list[Event] | None = None) -> Allocation:
     """Build and verify the per-case seed allocation, appending its "branch"
@@ -188,26 +198,14 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext,
         trace = []  # the error messages list its notes
     trace.append(Event("branch", roles, note=f"case {case}"))
 
-    def pick_rest(bundles: list[set[int]], pickers: tuple[int, ...]) -> None:
+    if case in CASE_SEEDS:
+        held, pickers = CASE_SEEDS[case]
+        bundles = [{c(*chore) for chore in chores} for chores in held]
         taken = set().union(*bundles)
-        for r in pickers:
-            chore = _give_top_remaining(ctx.orders[2], taken)
-            bundles[r].add(chore)
-            taken.add(chore)
-
-    if case == "A1":
-        bundles = [{c(1, 3), c(2, 3), c(3, 3)}, {c(1, 2)}, {c(1, 1)}]
-    elif case == "A2":
-        placed = {c(1, 1), c(1, 2)}
-        bundles = [{c(1, 1)},
-                   {c(1, 3), c(2, 3), c(3, 2)} - placed,
-                   {c(1, 2)}]
-    elif case == "A3":
-        bundles = [{c(2, 2)}, {c(1, 2)}, {c(1, 1)}]
-        pick_rest(bundles, (0, 1))
-    elif case == "B1":
-        bundles = [set(), {c(1, 2)}, {c(1, 1)}]
-        pick_rest(bundles, (0,))
+        # m >= 6 and a seed holds at most three chores, so both picks find one
+        rest = [chore for chore in ctx.orders[2] if chore not in taken]
+        for r, chore in zip(pickers, rest):
+            bundles[r - 1].add(chore)
     elif case == "B21":
         bundles = [{c(2, 3)}, {c(1, 3)}, {c(1, 1), c(1, 2)}]
         taken = set().union(*bundles)
@@ -218,23 +216,8 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext,
                 bundles[r].add(free[0])
                 taken.add(free[0])
                 want.remove(free[0])
-    elif case == "B221":
-        bundles = [{c(3, 2)}, {c(3, 1)}, {c(1, 1), c(1, 2)}]
     elif case in ("B2221", "B2222"):
         bundles = _solve_deep_b(instance, case, ctx, trace)
-    elif case == "C":
-        bundles = [{c(2, 2)}, {c(1, 2)}, {c(1, 1)}]
-        pick_rest(bundles, (0, 1))
-    elif case == "D1":
-        bundles = [{c(2, 1)}, {c(1, 2)}, {c(1, 1)}]
-        pick_rest(bundles, (0, 1))
-    elif case == "D21":
-        bundles = [{c(2, 1), c(3, 2)}, {c(3, 1), c(1, 2)}, {c(1, 1), c(2, 2)}]
-    elif case == "D22":
-        bundles = [{c(3, 1), c(2, 1)}, {c(1, 2)}, {c(1, 1)}]
-    elif case == "D23":
-        bundles = [{c(2, 1)}, {c(1, 1)}, {c(1, 2)}]
-        pick_rest(bundles, (0, 1))
     else:
         raise ValueError(f"unknown case {case!r}")
 
@@ -244,7 +227,7 @@ def solve_case(instance: Instance, case: str, ctx: CaseContext,
     report = check_alpha_efx(alloc, instance, TWO)
     if not report.verdict:
         raise VerificationError(
-            f"case outcome not 2-EFX: {report.witnesses[:3]}; "
+            f"case outcome not 2-EFX: {report.first_witnesses()}; "
             f"trace={[e.note for e in trace]}")
     return alloc
 

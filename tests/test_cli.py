@@ -645,6 +645,41 @@ def test_agent_key_its_type_does_not_read_exit_2(tmp_path, capsys, family, key, 
     assert_input_error(code, capsys, f'oracle type {family!r} does not use "{key}"')
 
 
+def test_instance_key_it_does_not_read_exit_2(tmp_path, capsys):
+    # an instance with "caps" once solved with the caps dropped, exit 0
+    data = {**additive_data(), "caps": ["3", "3", "3"]}
+    with pytest.raises(ValueError, match='instance does not use "caps"'):
+        instance_from_json(data)
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(data))
+    code = main(["solve", "--instance", str(inst_path), "--algorithm",
+                 "three-agent-2efx"])
+    assert_input_error(code, capsys, 'instance does not use "caps"')
+
+
+def test_allocation_key_it_does_not_read_exit_2(tmp_path, capsys):
+    # "pools" once vanished, and with it chore 4 of a 3-chore instance
+    data = {"allocation": [[1, 2], [3]], "pools": [4]}
+    with pytest.raises(ValueError, match='allocation does not use "pools"'):
+        allocation_from_json(data, 3)
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps(data))
+    inst_path = write_instance(tmp_path, generate_instance("additive", 2, 3, 1))
+    code = main(["verify", "--instance", inst_path, "--allocation", str(alloc),
+                 "--criterion", "efx"])
+    assert_input_error(code, capsys, 'allocation does not use "pools"')
+
+
+def test_verify_reads_every_key_solve_writes(tmp_path):
+    inst_path = write_instance(tmp_path, counterexample_instance(26, 12))
+    out = tmp_path / "solved.json"
+    assert main(["solve", "--instance", inst_path, "--algorithm",
+                 "three-agent-2efx", "--trace", "--output", str(out)]) == 0
+    assert json.loads(out.read_text()).keys() == cli.ALLOCATION_KEYS
+    assert main(["verify", "--instance", inst_path, "--allocation", str(out),
+                 "--criterion", "alpha_efx", "--alpha", "2"]) == 0
+
+
 # sha256 prefixes of `chorefair gen --family additive_ratio` output, taken
 # while the generator still built one Fraction per cost; the last setting
 # has m + 1 > 101 grid points

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -162,6 +163,19 @@ def test_solvers_enforce_extension_guarantee(monkeypatch):
     with pytest.raises(VerificationError):
         partial_ido_2efx(generate_instance("k_partial_ido", 4, 10, 2, k=3))
     assert len(calls) == 2 and not any(a.is_full for a in calls)
+
+
+def test_extension_failure_lists_witnesses_one_based(monkeypatch):
+    # up to three witnesses, agents and chores 1-based, both sides as p/q
+    monkeypatch.setattr(envy_graph, "_ttece", lambda alloc, instance, *args: (
+        Allocation.full([range(instance.m), (), ()])))
+    rows = ([10, 9, 5, 4, 3, 2], [18, 20, 8, 6, 4, 2], [3, 30, 27, 9, 6, 2])
+    inst = tri(*([Fraction(c, 2) for c in row] for row in rows))  # case B1
+    with pytest.raises(VerificationError, match=re.escape(
+            "extension lost the 2-EFX guarantee: agent 1, other 2, chore 1: "
+            "23/2 > 0; agent 1, other 2, chore 2: 12 > 0; agent 1, other 2, "
+            "chore 3: 14 > 0")):
+        three_agent_2efx(inst)
 
 
 def _pool_rejection(alloc, inst):

@@ -271,6 +271,20 @@ def test_three_group_one_agent_per_group():
     assert check_tefx(out, inst).verdict
 
 
+def test_three_group_failure_lists_witnesses_one_based(monkeypatch):
+    # a two-group core that hands every chore to the first bundle; up to
+    # three witnesses, agents and chores 1-based, both sides as p/q
+    monkeypatch.setattr(tefx, "tefx_two_group", lambda n, c1, c2, ell, trace: (
+        Allocation.full([range(6)] + [()] * (n - 1))))
+    c1 = AdditiveOracle([Fraction(c, 3) for c in (9, 8, 7, 1, 2, 4)])
+    inst = Instance(6, 2, (c1, AdditiveOracle([4, 3, 4, 5, 6, 3])))
+    groups = GroupSpec(frozenset({0}), frozenset({1}), frozenset())
+    with pytest.raises(VerificationError, match=re.escape(
+            "output not tEFX: agent 1, other 2, chore 1: 22/3 > 3; agent 1, "
+            "other 2, chore 2: 23/3 > 8/3; agent 1, other 2, chore 3: 8 > 7/3")):
+        tefx_three_group(inst, groups)
+
+
 def test_three_group_no_third_agent():
     m = 9
     c1 = AdditiveOracle([9, 8, 7, 1, 2, 3, 4, 5, 6])

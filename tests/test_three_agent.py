@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from chorefair import (
     three_agent_2efx,
 )
 from chorefair import three_agent
+from chorefair.cli import allocation_to_json
 from chorefair.three_agent import CASE_IDS
 
 from support import CASE_INSTANCES, COUNTEREXAMPLE, deep_b_cases, tri
@@ -61,6 +65,43 @@ def test_solve_case_outcomes_verified(case):
     assert (trace[0].agents, trace[0].note) == (ctx.roles, f"case {got}")
     assert (trace[-1].note, trace[-1].allocation) == ("seed", seed)
     assert solve_case(inst, got, ctx) == seed
+
+
+# the seed solve_case returns on each hand instance, bundles by agent
+SEED_BUNDLES = {
+    "A1": [[2], [1], [0]],
+    "A2": [[0], [2], [1]],
+    "A3": [[2, 3], [1, 4], [0]],
+    "B1": [[2], [1], [0]],
+    "B21": [[3], [2], [0, 1]],
+    "B221": [[3], [2], [0, 1]],
+    "B2221": [[1, 2], [3, 4, 5], [0]],
+    "B2222": [[1, 2], [3, 4], [0]],
+    "C": [[2, 3], [1, 4], [0]],
+    "D1": [[1, 2], [3, 4], [0]],
+    "D21": [[2, 5], [1, 4], [0, 3]],
+    "D22": [[1, 2], [3], [0]],
+    "D23": [[1, 2], [0, 4], [3]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASE_INSTANCES))
+def test_solve_case_seeds_are_pinned(case):
+    inst = CASE_INSTANCES[case]
+    seed = solve_case(inst, *classify_case(inst))
+    assert [sorted(b) for b in seed.bundles] == SEED_BUNDLES[case]
+
+
+def test_fuzzed_outputs_are_pinned():
+    # sha256 of the outputs on 2,100 generated instances, which reach every
+    # case but A1; taken while each table seed was still its own branch
+    digest = hashlib.sha256()
+    for family, m, seed in itertools.product(
+            ("additive", "capped_additive", "max_of_additive"), range(6, 13),
+            range(100)):
+        alloc = three_agent_2efx(generate_instance(family, 3, m, seed))
+        digest.update(repr(allocation_to_json(alloc)).encode())
+    assert digest.hexdigest()[:16] == "1058d4bafa755727"
 
 
 def test_case_totality_on_fuzzed_instances():
@@ -230,6 +271,19 @@ def test_refused_case_seed_raises_verification_error(monkeypatch):
     monkeypatch.setattr(three_agent, "solve_case", lambda *args: seed)
     with pytest.raises(VerificationError, match="seed refused.*chore 3"):
         three_agent_2efx(inst)
+
+
+def test_a_table_seed_that_is_not_2efx_is_refused(monkeypatch):
+    # role 1 holds the three costliest chores and roles 2 and 3 none; the
+    # witnesses are 1-based
+    monkeypatch.setitem(three_agent.CASE_SEEDS, "A1",
+                        ([[(1, 1), (1, 2), (1, 3)], [], []], ()))
+    inst = CASE_INSTANCES["A1"]
+    with pytest.raises(VerificationError, match=re.escape(
+            "case outcome not 2-EFX: agent 1, other 2, chore 1: 14 > 0; "
+            "agent 1, other 2, chore 2: 15 > 0; agent 1, other 2, chore 3: "
+            "19 > 0; trace=['case A1', 'seed']")):
+        solve_case(inst, *classify_case(inst))
 
 
 def test_small_m_uses_exhaustive_search():
