@@ -34,11 +34,12 @@ from .core import (
 from .errors import ChorefairError, VerificationError
 from .ido import partial_ido_2efx
 from .oracles import (
+    GENERATOR_FAMILIES,
     CostOracle,
     RowOracle,
     TabulatedOracle,
     generate_instance,
-    validate_oracle,
+    require_monotone,
 )
 from .round_robin import claimed_guarantee, round_robin_allocate
 from .tefx import GroupSpec, tefx_three_group
@@ -174,13 +175,7 @@ def oracle_from_json(data: Any, m: int) -> CostOracle:
         values = {_parse_subset_key(k, m): parse_rational(v)
                   for k, v in _json_typed(data["values"], dict, '"values"').items()}
         oracle = TabulatedOracle(m, values)
-        bad = validate_oracle(oracle, ("monotone",))["monotone"]
-        if bad:
-            subset, chore = bad[0]
-            raise ValueError(
-                f"table is not monotone: adding chore {chore + 1} to "
-                f"{{{_subset_key(subset)}}} lowers its cost")
-        oracle.monotone = True  # so the search's cut and the tEFX screen apply
+        require_monotone(oracle, "table")
         return oracle
     rows = (_json_typed(data["rows"], list, '"rows"')
             if kind == "max_of_additive" else [data["costs"]])
@@ -411,35 +406,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.verdict else 1
 
 
-# `gen`'s flags: the counterexample family reads only --m1 and --m2, the
-# generator families never read them
+# `gen`'s flags: counterexample reads only --m1 and --m2, a generator family
+# --n, --m, --seed and the parameter GENERATOR_FAMILIES names, by its reader
 COUNTEREXAMPLE_FLAGS = ("m1", "m2")
-GENERATOR_FLAGS = ("n", "m", "seed", "alpha", "k", "sizes", "rows")
+PARAMETER_READERS = {"alpha": parse_rational, "k": int, "rows": int,
+                     "sizes": lambda raw: tuple(_parse_digit_list(raw, "--sizes"))}
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    counterexample = args.family == "counterexample"
-    _refuse_unread(args, GENERATOR_FLAGS if counterexample else COUNTEREXAMPLE_FLAGS,
-                   f"family {args.family!r}")
-    if counterexample:
+    family = args.family
+    if family == "counterexample":
+        _refuse_unread(args, ("n", "m", "seed", *PARAMETER_READERS), f"family {family!r}")
         if args.m1 is None or args.m2 is None:
             raise ValueError("--m1 and --m2 are required for counterexample")
         instance = counterexample_instance(parse_rational(args.m1),
                                            parse_rational(args.m2))
     else:
+        # an unknown family reads every parameter, and generate_instance names it
+        known, param = family in GENERATOR_FAMILIES, GENERATOR_FAMILIES.get(family)
+        _refuse_unread(args, [*COUNTEREXAMPLE_FLAGS, *(
+            p for p in PARAMETER_READERS if known and p != param)], f"family {family!r}")
         if args.n is None or args.m is None or args.seed is None:
             raise ValueError("--n, --m, and --seed are required")
-        params: dict[str, Any] = {}
-        if args.alpha is not None:
-            params["alpha"] = parse_rational(args.alpha)
-        if args.k is not None:
-            params["k"] = args.k
-        if args.sizes is not None:
-            params["sizes"] = tuple(_parse_digit_list(args.sizes, "--sizes"))
-        if args.rows is not None:
-            params["rows"] = args.rows
-        instance = generate_instance(args.family, args.n, args.m, args.seed,
-                                     **params)
+        params = {p: read(getattr(args, p)) for p, read in PARAMETER_READERS.items()
+                  if getattr(args, p) is not None}
+        instance = generate_instance(family, args.n, args.m, args.seed, **params)
     _emit(instance_to_json(instance), args.output)
     return 0
 

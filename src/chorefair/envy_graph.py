@@ -174,8 +174,9 @@ def extend_partial(
         bound = oracle.cost(alloc.bundles[bad_j])
         chore = next(b for b in sorted(alloc.pool) if oracle.cost((b,)) > bound)
         raise PreconditionError(
-            f"agent {i} has only {len(good)} eligible agents {good} (need >= "
-            f"{instance.n - 1}); pool chore {chore} exceeds C_{i}(X_{bad_j})")
+            f"agent {i + 1} has only {len(good)} eligible bundles "
+            f"{[j + 1 for j in good]} (need >= {instance.n - 1}); pool chore "
+            f"{chore + 1} exceeds C_{i + 1}(X_{bad_j + 1})")
     if not is_alpha_efx(alloc, instance, alpha):
         raise PreconditionError(f"input partial allocation is not {alpha}-EFX")
     result = _ttece(alloc, instance, sorted(alloc.pool), trace)

@@ -43,8 +43,8 @@ def partial_ido_2efx(instance: Instance, trace: list[Event] | None = None
         if mismatch is not None:
             t, agent, chore, ref = mismatch
             raise PreconditionError(
-                f"top-chore orderings disagree at position {t}: agent {agent} "
-                f"ranks chore {chore}, agent 0 ranks chore {ref}")
+                f"top-chore orderings disagree at position {t + 1}: agent "
+                f"{agent + 1} ranks chore {chore + 1}, agent 1 ranks chore {ref + 1}")
     shared_top = top_chore_order(instance.oracles[0])[: min(k, instance.m)]
     bundles = [frozenset() for _ in range(instance.n)]
     for t, chore in enumerate(shared_top):

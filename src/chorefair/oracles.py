@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, PreconditionError
 
 # steps any one enumeration may take: a validate_oracle check, m * 2^m
 # for "monotone" and 3^m for "subadditive", or exhaustive_search's n^m
@@ -47,7 +47,7 @@ class CostOracle:
 
     m: int
     den: int
-    # C(S | {c}) >= C(S) by construction; a table is validated only on demand
+    # C(S | {c}) >= C(S) by construction, or once require_monotone passed
     monotone = False
 
     def __init__(self) -> None:
@@ -311,8 +311,8 @@ def MaxOfAdditiveOracle(rows: Iterable[Iterable]) -> RowOracle:
 
 
 class TabulatedOracle(CostOracle):
-    """Explicit table over all 2^m subsets; validated monotone on demand,
-    as the CLI does when it loads one.
+    """Explicit table over all 2^m subsets; checked monotone on demand by
+    ``require_monotone``, as the CLI's loader and the grouped tEFX do.
     It stores ints alone: ``den``, the lcm of the values' reduced
     denominators, and each subset's value times ``den``."""
 
@@ -389,6 +389,20 @@ def validate_oracle(
                     bad.append((tuple(sorted(s)), tuple(sorted(t))))
         results[check] = tuple(bad)
     return results
+
+
+def require_monotone(oracle: CostOracle, what: str) -> None:
+    """Refuse a non-monotone oracle, naming ``what`` and its first violation
+    1-based; mark one that passes, so that it is not enumerated again."""
+    if oracle.monotone:
+        return
+    bad = validate_oracle(oracle, ("monotone",))["monotone"]
+    if bad:
+        subset, chore = bad[0]
+        raise PreconditionError(
+            f"{what} is not monotone: adding chore {chore + 1} to "
+            f"{{{','.join(str(c + 1) for c in subset)}}} lowers its cost")
+    oracle.monotone = True
 
 
 def ratio_bound(oracle: CostOracle) -> Fraction:

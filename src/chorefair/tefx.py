@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import ONE, TWO, Allocation, Event, Instance, _violations, check_tefx
 from .errors import PreconditionError, VerificationError
-from .oracles import CostOracle, ratio_bound, top_chore_order, validate_oracle
+from .oracles import CostOracle, ratio_bound, require_monotone, top_chore_order
 
 Bundles = list[frozenset[int]]
 
@@ -128,13 +128,7 @@ def tefx_two_group(
         raise PreconditionError("C1 and C2 disagree on the chore count")
     if ratio_bound(c2) > TWO:
         raise PreconditionError("second cost function must be 2-ratio-bounded")
-    if not c1.monotone:  # not so by construction: checked within ENUM_LIMIT
-        bad = validate_oracle(c1, ("monotone",))["monotone"]
-        if bad:
-            subset, chore = bad[0]
-            raise PreconditionError(
-                f"first cost function is not monotone: adding chore {chore} "
-                f"to {{{', '.join(map(str, subset))}}} lowers its cost")
+    require_monotone(c1, "first cost function")
 
     def park_cheapest() -> None:
         cheap = _min_cost_index(bundles, c2)
@@ -145,10 +139,10 @@ def tefx_two_group(
         `tefx_start` on tEFX-feasible under C2."""
         for i in range(front):
             if not is_efx_feasible(bundles, i, c1):
-                raise VerificationError(f"bundle {i} not EFX-feasible under C1")
+                raise VerificationError(f"bundle {i + 1} not EFX-feasible under C1")
         for i in range(tefx_start, n):
             if not is_tefx_feasible(bundles, i, c2):
-                raise VerificationError(f"bundle {i} not tEFX-feasible under C2")
+                raise VerificationError(f"bundle {i + 1} not tEFX-feasible under C2")
 
     bundles = identical_cost_efx(n, c1)
     park_cheapest()

@@ -476,6 +476,14 @@ def test_solve_rejects_non_ido_instance(tmp_path):
     assert code == 2
 
 
+def test_solve_names_the_non_ido_position_one_based(tmp_path, capsys):
+    # agent 2's costliest chore is chore 2, agent 1's is chore 1
+    inst_path = write_instance(tmp_path, counterexample_instance(26, 12))
+    code = main(["solve", "--instance", inst_path, "--algorithm", "partial-ido-2efx"])
+    assert_input_error(code, capsys,
+                       "position 1: agent 2 ranks chore 2, agent 1 ranks chore 1")
+
+
 def test_solve_missing_file_exit_2(tmp_path):
     code = main(["solve", "--instance", str(tmp_path / "absent.json"),
                  "--algorithm", "three-agent-2efx"])
@@ -871,6 +879,20 @@ def test_gen_names_every_stray_flag(capsys):
     argv = ["gen", "--family", "counterexample", "--m1", "26", "--m2", "12",
             "--rows", "3", "--n", "5"]
     assert_input_error(main(argv), capsys, "does not use --n, --rows")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--family", "additive", "--rows", "3", "--k", "2", "--alpha", "5"],
+     "family 'additive' does not use --alpha, --k, --rows"),
+    (["--family", "max_of_additive", "--k", "2"],
+     "family 'max_of_additive' does not use --k"),
+    (["--family", "bogus", "--alpha", "2"], "unknown family 'bogus'"),
+], ids=["additive", "max_of_additive", "unknown"])
+def test_gen_refusals_name_flags(capsys, argv, named):
+    # the parameter each family reads comes from GENERATOR_FAMILIES; an
+    # unknown family is named before any flag
+    argv = ["gen", "--n", "3", "--m", "6", "--seed", "1", *argv]
+    assert_input_error(main(argv), capsys, named)
 
 
 def test_gen_passes_rows_and_k_to_their_families(tmp_path, capsys):

@@ -90,7 +90,7 @@ def test_extension_witness_counts_eligible_agents():
 def test_extension_witness_failure_names_chore():
     inst = tri([1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1])
     seed = Allocation.from_bundles([{0}, {1}, {2}], 6)  # pool chore 3 too big
-    with pytest.raises(PreconditionError, match="chore 3"):
+    with pytest.raises(PreconditionError, match="chore 4"):  # named 1-based
         extend_partial(seed, inst)
 
 
@@ -216,7 +216,7 @@ def test_pool_property_matches_extension_witness():
         if all(props):
             assert rejection is None
         else:
-            assert rejection.startswith(f"agent {props.index(False)} ")
+            assert rejection.startswith(f"agent {props.index(False) + 1} ")
     assert seen == {True, False}
 
 

@@ -76,5 +76,5 @@ def test_m_equals_n_minus_one_gives_singletons():
 
 def test_non_ido_rejected_with_position():
     inst = Instance(6, 3, COUNTEREXAMPLE.oracles)
-    with pytest.raises(PreconditionError, match="position 0"):
+    with pytest.raises(PreconditionError, match="position 1"):
         partial_ido_2efx(inst)

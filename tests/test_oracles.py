@@ -32,7 +32,7 @@ from chorefair import (
 from chorefair.cli import instance_from_json, instance_to_json, oracle_to_json
 from chorefair.core import ROW_KERNEL_BUNDLES, check_partial_property2, eligible_bundles
 from chorefair.errors import DimensionError
-from chorefair.oracles import GENERATOR_FAMILIES, cost_rows
+from chorefair.oracles import GENERATOR_FAMILIES, cost_rows, require_monotone
 
 from support import (
     COUNTEREXAMPLE,
@@ -305,6 +305,25 @@ def test_validate_catches_violations():
     oracle = TabulatedOracle(2, {(): 0, (0,): 1, (1,): 1, (0, 1): 3})
     assert validate_oracle(oracle, checks=("monotone", "subadditive")) == {
         "monotone": (), "subadditive": (((0,), (1,)), ((1,), (0,)))}
+
+
+def test_require_monotone_checks_a_table_once_and_a_row_never(monkeypatch):
+    real, checked = chorefair.oracles.validate_oracle, []
+    monkeypatch.setattr(chorefair.oracles, "validate_oracle",
+                        lambda oracle, checks: checked.append(oracle) or real(oracle, checks))
+    row = AdditiveOracle([4, 2, 1])
+    require_monotone(row, "row")  # monotone by construction
+    values = {s: len(s) for s in all_subsets(2)}
+    table = TabulatedOracle(2, values)
+    require_monotone(table, "table")
+    require_monotone(table, "table")
+    assert checked == [table] and table.monotone
+    values[frozenset({0, 1})] = 0
+    table = TabulatedOracle(2, values)
+    with pytest.raises(PreconditionError, match=re.escape(
+            "table is not monotone: adding chore 2 to {1} lowers its cost")):
+        require_monotone(table, "table")
+    assert not table.monotone
 
 
 def test_perturbation_breaks_each_tie():

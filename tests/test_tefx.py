@@ -24,7 +24,7 @@ from chorefair import (
     tefx_three_group,
     tefx_two_group,
 )
-from chorefair import tefx
+from chorefair import oracles, tefx
 from chorefair.cli import instance_to_json, main
 from chorefair.tefx import is_efx_feasible, is_tefx_feasible
 
@@ -150,11 +150,11 @@ def test_identical_cost_efx_without_an_efx_split_raises():
 
 def test_two_group_refuses_a_non_monotone_first_cost():
     # the table above, where adding chore 0 to {1} lowers its cost from 3 to
-    # 0, is refused up front as a precondition, by both entries
+    # 0, is refused up front as a precondition, by both entries, 1-based
     c1 = _table({(): 0, (0,): 0, (1,): 3, (2,): 1, (0, 1): 0, (0, 2): 1,
                  (1, 2): 0, (0, 1, 2): 2})
     c2 = AdditiveOracle([2, 2, 3])
-    named = re.escape("not monotone: adding chore 0 to {1} lowers its cost")
+    named = re.escape("not monotone: adding chore 1 to {2} lowers its cost")
     with pytest.raises(PreconditionError, match=named):
         tefx_two_group(2, c1, c2, 1)
     groups = GroupSpec(frozenset({0}), frozenset({1}), frozenset())
@@ -179,21 +179,85 @@ def test_two_group_solves_a_monotone_table_first_cost():
 
 def test_a_loaded_table_is_not_checked_monotone_twice(tmp_path, monkeypatch, capsys):
     # the CLI checks every table monotone as it loads it, so the two-group
-    # core takes the table as monotone and does not enumerate it again
-    def refused(*args):
-        raise AssertionError("the loaded table was checked again")
+    # core takes the table as monotone and does not enumerate it again: the
+    # one enumeration, oracles.validate_oracle, runs once per table agent
+    checked = []
 
+    def counted(oracle, checks):
+        checked.append(oracle)
+        return real(oracle, checks)
+
+    real = oracles.validate_oracle
     w = (5, 3, 4, 2)
     table = TabulatedOracle(4, {s: max(w[c] for c in s) + len(s) if s else 0
                                 for s in all_subsets(4)})
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance_to_json(
         Instance(4, 3, (table, table, AdditiveOracle([3, 4, 5, 6]))))))
-    monkeypatch.setattr(tefx, "validate_oracle", refused)
+    monkeypatch.setattr(oracles, "validate_oracle", counted)
     assert main(["solve", "--instance", str(path), "--algorithm", "tefx-two-group",
                  "--k", "1"]) == 0
+    assert checked == [table, table]  # the two loaded tables, not the solver
     out = json.loads(capsys.readouterr().out)
     assert out["allocation"] == [[2, 4], [3], [1]] and out["verdict"] is True
+
+
+def test_a_library_table_is_checked_monotone_once(monkeypatch):
+    # require_monotone marks the table it passed, so a second grouped solve
+    # of a table built in library code does not enumerate it again
+    checked = []
+
+    def counted(oracle, checks):
+        checked.append(oracle)
+        return real(oracle, checks)
+
+    real = oracles.validate_oracle
+    monkeypatch.setattr(oracles, "validate_oracle", counted)
+    table = _monotone_closure(random.Random(3), 6, 40)
+    instance = Instance(6, 3, (table, table, ratio2_oracle(6, 6)))
+    groups = GroupSpec(frozenset({0, 1}), frozenset({2}), frozenset())
+    assert not table.monotone
+    for _ in range(2):
+        assert check_tefx(tefx_three_group(instance, groups), instance).verdict
+    assert checked == [table] and table.monotone
+
+
+def test_loader_and_two_group_name_one_monotone_witness(tmp_path, capsys):
+    # adding chore 2 to {0, 1} lowers its cost from 5 to 4: the library and
+    # the CLI's loader name it alike, 1-based, as the first cost function
+    # and as a table
+    c1 = _table({(): 0, (0,): 1, (1,): 1, (2,): 1, (0, 1): 5, (0, 2): 2,
+                 (1, 2): 2, (0, 1, 2): 4})
+    c2 = AdditiveOracle([2, 2, 3])
+    witness = "is not monotone: adding chore 3 to {1,2} lowers its cost"
+    with pytest.raises(PreconditionError) as refused:
+        tefx_two_group(2, c1, c2, 1)
+    assert str(refused.value) == f"first cost function {witness}"
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json(Instance(3, 2, (c1, c2)))))
+    assert main(["solve", "--instance", str(path), "--algorithm", "tefx-two-group",
+                 "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"error: table {witness}\n"
+    assert not c1.monotone
+
+
+def test_two_group_self_checks_name_bundles_one_based(monkeypatch):
+    c1 = AdditiveOracle([4, 3, 2, 1])
+    c2 = AdditiveOracle([1, 2, Fraction(3, 2), Fraction(19, 10)])
+    # a C1 split that is not EFX: the first bundle keeps at least 5 after
+    # any removal, above the second bundle's 1
+    monkeypatch.setattr(tefx, "identical_cost_efx",
+                        lambda count, oracle: [frozenset({0, 1, 2}), frozenset({3})])
+    with pytest.raises(VerificationError,
+                       match=re.escape("bundle 1 not EFX-feasible under C1")):
+        tefx_two_group(2, c1, c2, 1)
+    monkeypatch.undo()
+    # the real split is EFX, so the first check to fail is the C2 one of the
+    # last position, bundle 2
+    monkeypatch.setattr(tefx, "is_tefx_feasible", lambda bundles, i, oracle: False)
+    with pytest.raises(VerificationError,
+                       match=re.escape("bundle 2 not tEFX-feasible under C2")):
+        tefx_two_group(2, c1, c2, 1)
 
 
 def test_two_group_base_case_example():

@@ -269,7 +269,7 @@ def test_refused_case_seed_raises_verification_error(monkeypatch):
     inst = tri([1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1], [1, 1, 1, 99, 1, 1])
     seed = Allocation.from_bundles([{0}, {1}, {2}], 6)
     monkeypatch.setattr(three_agent, "solve_case", lambda *args: seed)
-    with pytest.raises(VerificationError, match="seed refused.*chore 3"):
+    with pytest.raises(VerificationError, match="seed refused.*chore 4"):
         three_agent_2efx(inst)
 
 
