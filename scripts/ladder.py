@@ -24,7 +24,7 @@ Eight rungs, each run on every checkout, written to one JSON file:
 Each point holds the best of five wall times, each on a freshly
 generated instance (empty oracle caches; generation and, for the
 checkers, the allocation not timed), and `chores_summed` of one more
-run: the chore terms the `RowOracle` cost kernels summed, counted by
+run: the chore terms the cost kernels of `chorefair.oracles` summed, counted by
 wrapping them from outside the library.
 
 - `_raw_cost`, one cost-cache miss: |S| terms;
@@ -42,9 +42,15 @@ wrapping them from outside the library.
   max-of-additive oracle: m terms (an additive oracle's table reads its
   one row and counts none);
 - `bundle_units`, one row of `cost_rows`: one term per chore of the
-  bundles it values, whatever the number of rows.
+  bundles it values, whatever the number of rows;
+- `_additive_rows`, which values together the additive oracles' rows
+  that miss the cost cache in `cost_rows`: one term per chore of the
+  bundles it values, for each oracle it values.
 
-A checkout without these methods counts `_raw_cost` only.  The
+The extension's growth of an additive agent's costs in place (one term
+per agent and placement, inline in `envy_graph._ttece` where it went
+through `add` before) is not counted.  A checkout without these kernels
+counts `_raw_cost` only.  The
 count repeats exactly, so it compares two checkouts where noisy wall times
 cannot.
 
@@ -95,7 +101,8 @@ CASES += [(rung, *shape) for shape in LOAD_SHAPES for rung in ("generate", "load
 CASES += [("exhaustive_search", family, 3, m) for m in SEARCH_SIZES for family in FAMILIES]
 CASES += [("cli", "additive", 3, 8)]
 
-# chore terms each wrapped RowOracle method sums, from its arguments
+# chore terms each wrapped kernel sums, from its arguments: a RowOracle
+# method, or a function of the oracles module
 TERMS = {
     "_raw_cost": lambda oracle, chores: len(chores),
     "add": lambda oracle, state, chore: 1 if isinstance(chore, int) else len(chore),
@@ -106,6 +113,7 @@ TERMS = {
         oracle.m if oracle._singles is None and oracle.kind != "additive" else 0,
     # the layout's pick lays out every chore it values, once
     "bundle_units": lambda oracle, layout: len(layout[0](oracle._rows[0])),
+    "_additive_rows": lambda oracles, bundles: len(oracles) * sum(map(len, bundles)),
 }
 
 
@@ -118,19 +126,20 @@ def worker(src: str) -> None:
     from chorefair import (check_alpha_efx, check_tefx, cli, exhaustive_search,
                            generate_instance, guarantee_ratio, partial_ido_2efx,
                            round_robin_allocate, three_agent_2efx)
-    from chorefair.oracles import RowOracle
+    from chorefair import oracles
     from chorefair.round_robin import round_count
 
     summed = [0]
 
     def counted(method, terms):
-        def wrapper(oracle, *args):
-            summed[0] += terms(oracle, *args)
-            return method(oracle, *args)
+        def wrapper(*args):
+            summed[0] += terms(*args)
+            return method(*args)
         return wrapper
 
-    originals = {name: RowOracle.__dict__[name] for name in TERMS
-                 if name in RowOracle.__dict__}
+    # (owner, name): the kernels this checkout defines, and their originals
+    originals = {(owner, name): vars(owner)[name] for name in TERMS
+                 for owner in (oracles.RowOracle, oracles) if name in vars(owner)}
 
     def generate(family, n, m):
         return generate_instance(family, n, m, SEED,
@@ -189,14 +198,14 @@ def worker(src: str) -> None:
             rung, *shape = CASES[index]
             run = makers[rung](*shape)
             if count:
-                for name, method in originals.items():
-                    setattr(RowOracle, name, counted(method, TERMS[name]))
+                for (owner, name), method in originals.items():
+                    setattr(owner, name, counted(method, TERMS[name]))
                 summed[0] = 0
                 try:
                     run()
                 finally:
-                    for name, method in originals.items():
-                        setattr(RowOracle, name, method)
+                    for (owner, name), method in originals.items():
+                        setattr(owner, name, method)
                 reply = summed[0]
             else:
                 start = perf_counter()
@@ -274,8 +283,9 @@ def main(argv: list[str] | None = None) -> int:
                  "instances, the sides taking turns run by run with the first "
                  "side alternating, and chores_summed (chore terms summed by "
                  "RowOracle's _raw_cost, add, row sums, uncached removal_units, "
-                 "non-additive singleton table and bundle_units) of one "
-                 "more run",
+                 "non-additive singleton table and bundle_units, and the "
+                 "additive rows' kernel; not the extension's "
+                 "in-place growth of additive costs) of one more run",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "seed": SEED,

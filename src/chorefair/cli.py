@@ -34,10 +34,10 @@ from .core import (
 from .errors import ChorefairError, VerificationError
 from .ido import partial_ido_2efx
 from .oracles import (
-    GENERATOR_FAMILIES,
     CostOracle,
     RowOracle,
     TabulatedOracle,
+    family_parameter,
     generate_instance,
     require_monotone,
 )
@@ -407,7 +407,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # `gen`'s flags: counterexample reads only --m1 and --m2, a generator family
-# --n, --m, --seed and the parameter GENERATOR_FAMILIES names, by its reader
+# --n, --m, --seed and the parameter family_parameter names, by its reader
 COUNTEREXAMPLE_FLAGS = ("m1", "m2")
 PARAMETER_READERS = {"alpha": parse_rational, "k": int, "rows": int,
                      "sizes": lambda raw: tuple(_parse_digit_list(raw, "--sizes"))}
@@ -422,10 +422,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         instance = counterexample_instance(parse_rational(args.m1),
                                            parse_rational(args.m2))
     else:
-        # an unknown family reads every parameter, and generate_instance names it
-        known, param = family in GENERATOR_FAMILIES, GENERATOR_FAMILIES.get(family)
+        param = family_parameter(family)  # an unknown family is named first
         _refuse_unread(args, [*COUNTEREXAMPLE_FLAGS, *(
-            p for p in PARAMETER_READERS if known and p != param)], f"family {family!r}")
+            p for p in PARAMETER_READERS if p != param)], f"family {family!r}")
         if args.n is None or args.m is None or args.seed is None:
             raise ValueError("--n, --m, and --seed are required")
         params = {p: read(getattr(args, p)) for p, read in PARAMETER_READERS.items()

@@ -210,7 +210,10 @@ def _violations(
 # fresh additive, capped and max-of-additive instances (Python 3.11):
 # with m = 2n or 3n chores, 1.13-1.23 at n = 4, 1.07-1.13 at 5, 1.03-1.07
 # at 6, 0.97-1.03 at 7, 0.95-0.99 at 8 and 0.89-1.01 at 9; with m = 150,
-# 0.97-1.02 at n = 3, 0.95-1.00 at 5 and 0.92-0.97 at 7.
+# 0.97-1.02 at n = 3, 0.95-1.00 at 5 and 0.92-0.97 at 7.  Additive sets,
+# whose rows cost_rows values together, on their round-robin allocations
+# (best of 7 per seed, m = 2n or 3n): 1.25-1.29 at n = 4, 1.13-1.17 at 5,
+# 1.03-1.07 at 6, 0.96-1.00 at 7, 0.91-0.93 at 8 and 0.84-0.88 at 9.
 ROW_KERNEL_BUNDLES = 8
 
 

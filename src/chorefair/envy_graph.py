@@ -111,39 +111,57 @@ def _ttece(
     """Top trading envy cycle elimination: per pool chore, eliminate cycles,
     then hand the chore to the lowest-index sink.  No guarantee checks here.
 
-    ``states[i][j]``, ``costs[i][j]``: agent i's oracle state and units of
-    bundle j, where a column's states are None until its first placement
-    builds them; ``succ`` is the graph of ``costs``.  A placement on sink s
-    changes column s only, so it recomputes the successor of s, of the
-    agents pointing at s and of those whose cost of s fell (a non-monotone
-    oracle); a new cycle runs through one of them."""
+    ``costs[i][j]``: agent i's units of bundle j; ``succ`` is the graph of
+    ``costs``.  An additive agent's units are its bundle state, so they
+    grow in place by its singleton costs; any other agent keeps its oracle
+    states, a column of them built on the column's first placement and
+    rotated with it.  A placement on sink s changes column s only, so it
+    recomputes the successor of s, of the agents pointing at s and of those
+    whose cost of s fell (a non-monotone oracle); a new cycle runs through
+    an agent whose successor is a new bundle."""
     bundles = [list(b) for b in alloc.bundles]  # frozen only when needed
 
     def frozen() -> Allocation:  # the pool is every chore no bundle holds yet
         return Allocation(tuple(map(frozenset, bundles)),
                           alloc.pool.difference(*bundles))
 
-    states = [[None] * instance.n for _ in instance.oracles]
     costs = list(cost_rows(instance.oracles, alloc.bundles))
     succ = _successors(costs)
-    changed: Iterable[int] = range(instance.n)
+    additive = [(i, units, oracle.singleton_units())
+                for i, (oracle, units) in enumerate(zip(instance.oracles, costs))
+                if oracle.additive]
+    stated = [(i, units, oracle, [None] * instance.n)
+              for i, (oracle, units) in enumerate(zip(instance.oracles, costs))
+              if not oracle.additive]
+    states = [row for *_, row in stated]
+    starts: list[int] = list(range(instance.n))
+
+    def repoint(i: int, units: list[int]) -> None:
+        old = succ[i]
+        succ[i] = _successor(i, units)
+        if succ[i] is not None and succ[i] != old:
+            starts.append(i)
+
     for chore in pool_order:
-        if _cycle(succ, changed) is not None:
+        if _cycle(succ, starts) is not None:
             for cycle in _eliminate(succ, (bundles, *states, *costs), costs):
                 if trace is not None:
                     trace.append(Event("cycle", cycle, allocation=frozen()))
         sink = succ.index(None)
-        if states[0][sink] is None:  # states rotate with their column
+        starts.clear()
+        for i, units, singles in additive:
+            units[sink] += singles[chore]
+            if i == sink or succ[i] == sink:
+                repoint(i, units)
+        if stated and states[0][sink] is None:  # states rotate with their column
             bundle = frozenset(bundles[sink])
-            for oracle, row in zip(instance.oracles, states):
+            for _, _, oracle, row in stated:
                 row[sink] = oracle.bundle_state(bundle)
-        changed = []
-        for i, (oracle, row, units) in enumerate(zip(instance.oracles, states, costs)):
+        for i, units, oracle, row in stated:
             before = units[sink]
             row[sink], units[sink] = oracle.add(row[sink], chore)
             if i == sink or succ[i] == sink or units[sink] < before:
-                succ[i] = _successor(i, units)
-                changed.append(i)
+                repoint(i, units)
         bundles[sink].append(chore)
         if trace is not None:
             trace.append(Event("place", (sink,), chore, allocation=frozen()))

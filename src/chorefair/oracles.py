@@ -49,6 +49,8 @@ class CostOracle:
     den: int
     # C(S | {c}) >= C(S) by construction, or once require_monotone passed
     monotone = False
+    # C(S) is the sum of singleton_units() over S, by construction
+    additive = False
 
     def __init__(self) -> None:
         self._cache: dict[frozenset[int], int] = {}
@@ -170,6 +172,7 @@ class RowOracle(CostOracle):
         if min(itertools.chain(*self._rows, [self._cap or 0])) < 0:
             raise ValueError("costs and cap must be non-negative")
         self.m = len(self._rows[0])
+        self.additive = self.kind == "additive"
         self._removals: dict[frozenset[int], dict[int, int]] = {}
 
     @property
@@ -181,21 +184,20 @@ class RowOracle(CostOracle):
         return None if self._cap is None else Fraction(self._cap, self.den)
 
     def _raw_cost(self, chores: frozenset[int]) -> int:
-        if self.kind == "additive":
+        if self.additive:
             return sum(map(self._rows[0].__getitem__, chores))
         return self._total([sum(map(row.__getitem__, chores)) for row in self._rows])
 
     def bundle_units(self, layout: BundleLayout) -> list[int]:
         """units of every bundle of ``layout``: per row, one pick of the
-        laid-out chores' costs, summed bundle by bundle."""
+        laid-out chores' costs, summed bundle by bundle.  ``cost_rows``
+        values additive oracles' rows together instead."""
         pick, split = layout
         sums = [map(sum, split(pick(row))) for row in self._rows]
-        if self.kind == "additive":
-            return list(sums[0])
         return list(map(self._total, zip(*sums)))
 
     def singleton_units(self) -> tuple[int, ...]:
-        if self.kind == "additive":  # one uncapped row is its own table
+        if self.additive:  # one uncapped row is its own table
             return self._rows[0]
         if self._singles is None:  # from the rows, not through the cache
             self._singles = tuple(map(self._total, zip(*self._rows)))
@@ -212,7 +214,7 @@ class RowOracle(CostOracle):
     def bundle_state(self, chores: frozenset[int]) -> int | list[int]:
         # one row's state is its sum as a plain int, more rows' their list;
         # an uncapped row's sum is its units, read from the cache
-        if self.kind == "additive":
+        if self.additive:
             return self.units(chores)
         sums = self._row_sums(chores)
         return sums[0] if len(sums) == 1 else sums
@@ -226,7 +228,7 @@ class RowOracle(CostOracle):
 
     def removal_units(self, bundle: frozenset[int], chores: Collection[int]
                       ) -> list[int]:
-        if self.kind == "additive":
+        if self.additive:
             total, row = self.units(bundle), self._rows[0]
             return [total - row[c] for c in chores]
         # from the bundle's row sums, and cached per bundle like units
@@ -268,21 +270,61 @@ def _bundle_layout(bundles: Sequence[frozenset[int]], m: int) -> BundleLayout:
             _tuple_getter(list(map(slice, [0, *ends], ends))))
 
 
+def _additive_rows(oracles: Sequence[RowOracle], bundles: Sequence[frozenset[int]]
+                   ) -> list[list[int]]:
+    """Each additive oracle's row ``[units(b) for b in bundles]``, valued
+    bundle by bundle for all the oracles at once: one getter of the
+    bundle's chores picks them from every oracle's singleton row, each pick
+    is summed (a one-chore pick is its sum), and the per-bundle sums are
+    transposed into rows.  No chore-major table of every chore's costs is
+    built: on m = 1000 chores its m tuples cost more in garbage collection
+    than they save."""
+    if min(itertools.chain(*bundles), default=0) < 0:  # a pick would wrap
+        raise IndexError(f"chore {min(itertools.chain(*bundles))} out of range "
+                         f"for m={oracles[0].m}")
+    singles = [oracle.singleton_units() for oracle in oracles]
+    zero = (0,) * len(singles)
+    sums = []
+    for bundle in bundles:
+        if not bundle:
+            sums.append(zero)
+            continue
+        picks = map(itemgetter(*bundle), singles)
+        sums.append(picks if len(bundle) == 1 else map(sum, picks))
+    return list(map(list, zip(*sums)))
+
+
+def _cache_row(oracle: CostOracle, bundles: Sequence[frozenset[int]],
+               row: list[int]) -> None:
+    """Store a valued row in the oracle's cache as ``units`` would."""
+    oracle._cache.update(zip(bundles, row))
+    oracle._cache.pop(frozenset(), None)  # units never stores the empty set
+
+
 def cost_rows(oracles: Iterable[CostOracle], bundles: Sequence[frozenset[int]]
               ) -> Iterator[list[int]]:
-    """Each oracle's row ``[units(b) for b in bundles]``, one per oracle as
-    the caller asks for it.  A row comes from the oracle's cache when every
-    non-empty bundle is there; otherwise a ``RowOracle`` values all of them
-    in one ``bundle_units`` pass over a layout built once and shared by the
-    oracles, and stores them in its cache as ``units`` would; any other
-    oracle calls ``units``."""
+    """Each oracle's row ``[units(b) for b in bundles]``, for the oracles of
+    one instance.  A row comes from the oracle's cache when every non-empty
+    bundle is there.  The additive oracles whose rows miss are valued
+    together, bundle by bundle, before the first row is yielded
+    (``_additive_rows``); any other ``RowOracle`` whose row misses values
+    it as the caller asks for it, in one ``bundle_units`` pass over a
+    layout built once and shared by the oracles; any other oracle calls
+    ``units``.  Each valued row is cached as ``units`` would cache it."""
+    oracles = tuple(oracles)
     # cache.get's defaults: None marks a miss, and the empty set costs 0
     defaults = [None if bundle else 0 for bundle in bundles]
+    rows = [list(map(oracle._cache.get, bundles, defaults)) for oracle in oracles]
+    misses = [None in row for row in rows]
+    summed = [i for i, oracle in enumerate(oracles) if misses[i] and oracle.additive]
+    if summed:
+        valued = _additive_rows([oracles[i] for i in summed], bundles)
+        for i, row in zip(summed, valued):
+            _cache_row(oracles[i], bundles, row)
+            rows[i], misses[i] = row, False
     layout = None
-    for oracle in oracles:
-        cache = oracle._cache
-        row = list(map(cache.get, bundles, defaults))
-        if None not in row:
+    for oracle, row, miss in zip(oracles, rows, misses):
+        if not miss:
             yield row
         elif not isinstance(oracle, RowOracle):
             yield list(map(oracle.units, bundles))
@@ -290,8 +332,7 @@ def cost_rows(oracles: Iterable[CostOracle], bundles: Sequence[frozenset[int]]
             if layout is None:
                 layout = _bundle_layout(bundles, oracle.m)
             row = oracle.bundle_units(layout)
-            cache.update(zip(bundles, row))
-            cache.pop(frozenset(), None)  # units never stores the empty set
+            _cache_row(oracle, bundles, row)
             yield row
 
 
@@ -438,6 +479,14 @@ GENERATOR_FAMILIES = {
 }
 
 
+def family_parameter(family: str) -> str | None:
+    """The one keyword parameter generate_instance reads for ``family``, or
+    None; an unknown family is refused by name."""
+    if family not in GENERATOR_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(GENERATOR_FAMILIES)}")
+    return GENERATOR_FAMILIES[family]
+
+
 def _distinct_costs(rng: random.Random, m: int) -> list[int]:
     return rng.sample(range(1, 20 * m + 200), m)
 
@@ -463,8 +512,8 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
 
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    unused = sorted(params.keys() - {GENERATOR_FAMILIES.get(family)})
-    if unused and family in GENERATOR_FAMILIES:
+    unused = sorted(params.keys() - {family_parameter(family)})
+    if unused:
         raise ValueError(f"family {family!r} does not use {', '.join(map(repr, unused))}")
     rng = random.Random(f"{family}:{n}:{m}:{seed}")
 
@@ -514,7 +563,7 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
         if not check_k_partial_ido(instance, k):
             raise AssertionError("generator broke the k-partial-IDO property")
         return instance
-    elif family == "identical_groups":
+    else:  # identical_groups
         sizes = tuple(int(s) for s in params.get("sizes", (n,)))
         if sum(sizes) != n or any(s < 1 for s in sizes):
             raise ValueError("group sizes must be positive and sum to n")
@@ -523,7 +572,5 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
             shared = AdditiveOracle(_distinct_costs(rng, m))
             built.extend([shared] * size)
         oracles = tuple(built)
-    else:
-        raise ValueError(f"unknown family {family!r}; choose from {tuple(GENERATOR_FAMILIES)}")
 
     return Instance(m, n, oracles)

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 from .core import Allocation, Event, Instance
 from .errors import PreconditionError, VerificationError
-from .oracles import RowOracle, ratio_bound
+from .oracles import ratio_bound
 
 
 class RoundRobinTrace(NamedTuple):
@@ -43,8 +43,7 @@ def claimed_guarantee(instance: Instance) -> tuple[str, Fraction | None] | None:
     ratio at most 2, else alpha-EFX at guarantee_ratio(largest ratio,
     rounds) when every cost is additive with positive singletons and there
     are at least three rounds."""
-    if not all(isinstance(o, RowOracle) and o.kind == "additive"
-               and min(o.singleton_units()) > 0 for o in instance.oracles):
+    if not all(o.additive and min(o.singleton_units()) > 0 for o in instance.oracles):
         return None
     ratio = max(map(ratio_bound, instance.oracles))
     if ratio <= 2:

@@ -887,10 +887,12 @@ def test_gen_names_every_stray_flag(capsys):
     (["--family", "max_of_additive", "--k", "2"],
      "family 'max_of_additive' does not use --k"),
     (["--family", "bogus", "--alpha", "2"], "unknown family 'bogus'"),
-], ids=["additive", "max_of_additive", "unknown"])
+    (["--family", "bogus", "--m1", "3"], "unknown family 'bogus'; choose from ('additive', "),
+    (["--family", "bogus", "--m2", "3"], "unknown family 'bogus'; choose from ('additive', "),
+], ids=["additive", "max_of_additive", "unknown", "unknown-m1", "unknown-m2"])
 def test_gen_refusals_name_flags(capsys, argv, named):
     # the parameter each family reads comes from GENERATOR_FAMILIES; an
-    # unknown family is named before any flag
+    # unknown family is named before any flag, a counterexample flag too
     argv = ["gen", "--n", "3", "--m", "6", "--seed", "1", *argv]
     assert_input_error(main(argv), capsys, named)
 

@@ -323,15 +323,27 @@ def _two_swaps():
 def test_ttece_matches_reference_loop():
     # every oracle shape, mixed within an instance; each agent starts with
     # a chore, and pool chores are placed in a random order, with and
-    # without a trace
+    # without a trace.  Additive agents grow their costs in place and the
+    # others through oracle states, so some instances have agent 0
+    # additive and every other agent not; and all-additive IDO instances
+    # from their shared-top seed, the extension's many-agent shape
     rng = random.Random(8)
     shapes = ("additive", "capped", "max", "table", "perturbed")
     cases = [_two_swaps() + ([5, 4],)]
-    for trial in range(300):
+    for n in (16, 20, 24):
+        for seed in range(2):
+            inst = generate_instance("k_partial_ido", n, 3 * n, seed, k=n - 1)
+            top = top_chore_order(inst.oracles[0])[:n - 1]
+            alloc = Allocation.from_bundles([{c} for c in top] + [set()], inst.m)
+            cases.append((inst, alloc, rng.sample(sorted(alloc.pool), len(alloc.pool))))
+    for trial in range(400):
         n = rng.randint(2, 5)
         m = rng.randint(n + 1, 8)
-        inst = Instance(m, n, tuple(_random_oracle(rng, shapes[(trial + i) % 5], m)
-                                    for i in range(n)))
+        if trial < 300:
+            picked = [shapes[(trial + i) % 5] for i in range(n)]
+        else:
+            picked = ["additive"] + [rng.choice(shapes[1:4]) for _ in range(n - 1)]
+        inst = Instance(m, n, tuple(_random_oracle(rng, shape, m) for shape in picked))
         chores = rng.sample(range(m), m)
         owner = {c: j for j, c in enumerate(chores[:n])}
         owner.update((c, rng.randrange(n) if rng.random() < 0.3 else n)
@@ -339,7 +351,7 @@ def test_ttece_matches_reference_loop():
         alloc = Allocation.from_bundles(
             [{c for c in range(m) if owner[c] == j} for j in range(n)], m)
         cases.append((inst, alloc, rng.sample(sorted(alloc.pool), len(alloc.pool))))
-    cycles = multi = rotated_first = 0
+    cycles = multi = rotated_first = mixed_rotated_first = 0
     for inst, alloc, pool_order in cases:
         expected: list = []
         result = _reference_ttece(alloc, inst, pool_order, expected)
@@ -361,9 +373,13 @@ def test_ttece_matches_reference_loop():
                         column[j] = value
             else:
                 (sink,) = event.agents
-                rotated_first += not placed[sink] and origin[sink] != sink
+                moved = not placed[sink] and origin[sink] != sink
+                rotated_first += moved
+                mixed_rotated_first += moved and [o.additive for o in inst.oracles] == [
+                    True] + [False] * (inst.n - 1)
                 placed[sink] = True
     assert cycles > 100 and multi >= 1 and rotated_first >= 1
+    assert mixed_rotated_first >= 1
 
 
 def test_ttece_steps_match_rebuilt_graph():

@@ -780,6 +780,51 @@ def test_cost_rows_match_units(n):
             assert list(cost_rows(ours, bundles)) == expected
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24, 40])
+def test_cost_rows_additive_rows_match_units(n):
+    # the additive oracles whose rows miss are valued together, bundle by
+    # bundle: int costs and fractions over mixed denominators, some oracles
+    # with one bundle or every bundle already cached, and bundles empty, of
+    # one chore and of more; rows and caches as per-oracle units leave them
+    rng = random.Random(f"additive-rows:{n}")
+    dens = set()
+    for m in (n, 3 * n):
+        shapes = [_random_bundles(rng, m, n) for _ in range(3)]
+        shapes.append([frozenset({c}) for c in rng.sample(range(m), n - 1)] + [frozenset()])
+        shapes.append([frozenset()] * (n - 1) + [frozenset(range(m))])
+        for bundles in shapes:
+            values = [_mixed_fractions(rng, m) if k % 3 else
+                      [rng.randint(0, 50) for _ in range(m)] for k in range(n)]
+            ours = [AdditiveOracle(row) for row in values]
+            plain = [AdditiveOracle(row) for row in values]
+            ours[0].units(bundles[-1])
+            for b in bundles:
+                ours[-1].units(b)
+            expected = [[oracle.units(b) for b in bundles] for oracle in plain]
+            assert expected == [[sum((Fraction(row[c]) for c in b), Fraction(0)) * oracle.den
+                                 for b in bundles] for row, oracle in zip(values, plain)]
+            rows = list(cost_rows(ours, bundles))
+            assert rows == expected and {type(row) for row in rows} == {list}
+            assert [o._cache for o in ours] == [o._cache for o in plain]
+            assert list(cost_rows(ours, bundles)) == expected
+            dens.update(oracle.den for oracle in ours)
+    assert 1 in dens and len(dens) > 2
+
+
+@pytest.mark.parametrize("bad", [-1, -9, 9, 10])
+def test_cost_rows_additive_rows_refuse_a_chore_out_of_range(bad):
+    # m = 9: a negative chore would wrap around a singleton row, in a
+    # bundle of one chore or of more; the refusal comes before any row is cached
+    rng = random.Random(f"additive-rows-bad:{bad}")
+    oracles = [AdditiveOracle(_mixed_fractions(rng, 9)) for _ in range(3)]
+    for bundles in ([frozenset({0, 1}), frozenset({bad})],
+                    [frozenset({2, bad}), frozenset({0}), frozenset()],
+                    [frozenset({bad}), frozenset({3, 4})]):
+        with pytest.raises(IndexError):
+            list(cost_rows(oracles, bundles))
+        assert not any(oracle._cache for oracle in oracles)
+
+
 @pytest.mark.parametrize("bad", [-1, -3, 5, 6])
 def test_cost_rows_refuse_a_chore_out_of_range(bad):
     # m = 5; a negative chore would wrap around a row.  Nothing is cached
