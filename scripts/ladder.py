@@ -49,9 +49,11 @@ wrapping them from outside the library.
 
 The extension's growth of an additive agent's costs in place (one term
 per agent and placement, inline in `envy_graph._ttece` where it went
-through `add` before) is not counted.  A checkout without these kernels
-counts `_raw_cost` only.  The
-count repeats exactly, so it compares two checkouts where noisy wall times
+through `add` before) is not counted.  Nor is `floor_units`, the
+checkers' bundle-size floor: it takes each row's cheapest chore once per
+oracle, a min that sums no chore terms, and then one product per row.
+A checkout without these kernels counts `_raw_cost` only.  The count
+repeats exactly, so it compares two checkouts where noisy wall times
 cannot.
 
     python3 scripts/ladder.py --side parent=../parent --side change=. \\
@@ -285,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
                  "RowOracle's _raw_cost, add, row sums, uncached removal_units, "
                  "non-additive singleton table and bundle_units, and the "
                  "additive rows' kernel; not the extension's "
-                 "in-place growth of additive costs) of one more run",
+                 "in-place growth of additive costs nor the checkers' "
+                 "floor_units) of one more run",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "seed": SEED,

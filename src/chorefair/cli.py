@@ -34,10 +34,10 @@ from .core import (
 from .errors import ChorefairError, VerificationError
 from .ido import partial_ido_2efx
 from .oracles import (
+    GENERATOR_FAMILIES,
     CostOracle,
     RowOracle,
     TabulatedOracle,
-    family_parameter,
     generate_instance,
     require_monotone,
 )
@@ -406,8 +406,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.verdict else 1
 
 
-# `gen`'s flags: counterexample reads only --m1 and --m2, a generator family
-# --n, --m, --seed and the parameter family_parameter names, by its reader
+# `gen`'s families: every generator family, then the counterexample.  Its
+# flags: counterexample reads only --m1 and --m2, a generator family --n,
+# --m, --seed and the parameter GENERATOR_FAMILIES names, by its reader
+GEN_FAMILIES = (*GENERATOR_FAMILIES, "counterexample")
 COUNTEREXAMPLE_FLAGS = ("m1", "m2")
 PARAMETER_READERS = {"alpha": parse_rational, "k": int, "rows": int,
                      "sizes": lambda raw: tuple(_parse_digit_list(raw, "--sizes"))}
@@ -415,6 +417,8 @@ PARAMETER_READERS = {"alpha": parse_rational, "k": int, "rows": int,
 
 def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
+    if family not in GEN_FAMILIES:  # named before any flag it would not read
+        raise ValueError(f"unknown family {family!r}; choose from {GEN_FAMILIES}")
     if family == "counterexample":
         _refuse_unread(args, ("n", "m", "seed", *PARAMETER_READERS), f"family {family!r}")
         if args.m1 is None or args.m2 is None:
@@ -422,7 +426,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         instance = counterexample_instance(parse_rational(args.m1),
                                            parse_rational(args.m2))
     else:
-        param = family_parameter(family)  # an unknown family is named first
+        param = GENERATOR_FAMILIES[family]
         _refuse_unread(args, [*COUNTEREXAMPLE_FLAGS, *(
             p for p in PARAMETER_READERS if p != param)], f"family {family!r}")
         if args.n is None or args.m is None or args.seed is None:

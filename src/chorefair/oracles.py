@@ -80,6 +80,14 @@ class CostOracle:
             self._singles = tuple(self.units((c,)) for c in range(self.m))
         return self._singles
 
+    def floor_units(self, k: int) -> int:
+        """A lower bound on units(S) for every S of at least k chores: on
+        monotone costs S costs at least any one of its chores, so the
+        cheapest chore once k >= 1; otherwise 0, as costs are non-negative."""
+        if not (self.monotone and k >= 1):
+            return 0
+        return min(self.singleton_units())
+
     def bundle_state(self, chores: frozenset[int]) -> object:
         """A bundle's state, which ``add`` grows; here the bundle itself."""
         return chores
@@ -122,6 +130,7 @@ class RowOracle(CostOracle):
     ``cap`` are their ``Fraction`` view, built on each read."""
 
     monotone = True
+    _minima: list[int] | None = None  # each row's cheapest, on first floor
 
     def __init__(self, rows: Iterable[Iterable], cap=None) -> None:
         rows = [tuple(row) for row in rows]
@@ -202,6 +211,13 @@ class RowOracle(CostOracle):
         if self._singles is None:  # from the rows, not through the cache
             self._singles = tuple(map(self._total, zip(*self._rows)))
         return self._singles
+
+    def floor_units(self, k: int) -> int:
+        # each row sums k or more non-negative terms, each at least the
+        # row's cheapest; the max over rows and the cap keep the order
+        if self._minima is None:
+            self._minima = [min(row, default=0) for row in self._rows]
+        return self._total([k * low for low in self._minima])
 
     def _total(self, sums: Iterable[int]) -> int:
         total = max(sums)
@@ -479,14 +495,6 @@ GENERATOR_FAMILIES = {
 }
 
 
-def family_parameter(family: str) -> str | None:
-    """The one keyword parameter generate_instance reads for ``family``, or
-    None; an unknown family is refused by name."""
-    if family not in GENERATOR_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {tuple(GENERATOR_FAMILIES)}")
-    return GENERATOR_FAMILIES[family]
-
-
 def _distinct_costs(rng: random.Random, m: int) -> list[int]:
     return rng.sample(range(1, 20 * m + 200), m)
 
@@ -512,7 +520,9 @@ def generate_instance(family: str, n: int, m: int, seed: int, **params):
 
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    unused = sorted(params.keys() - {family_parameter(family)})
+    if family not in GENERATOR_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(GENERATOR_FAMILIES)}")
+    unused = sorted(params.keys() - {GENERATOR_FAMILIES[family]})
     if unused:
         raise ValueError(f"family {family!r} does not use {', '.join(map(repr, unused))}")
     rng = random.Random(f"{family}:{n}:{m}:{seed}")

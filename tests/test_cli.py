@@ -897,6 +897,15 @@ def test_gen_refusals_name_flags(capsys, argv, named):
     assert_input_error(main(argv), capsys, named)
 
 
+def test_gen_unknown_family_lists_every_family_gen_accepts(capsys):
+    # the generator families, then the counterexample, which gen takes too
+    argv = ["gen", "--family", "bogus", "--n", "2", "--m", "3", "--seed", "1"]
+    assert_input_error(main(argv), capsys, (
+        "unknown family 'bogus'; choose from ('additive', 'additive_ratio', "
+        "'capped_additive', 'max_of_additive', 'k_partial_ido', "
+        "'identical_groups', 'counterexample')\n"))
+
+
 def test_gen_passes_rows_and_k_to_their_families(tmp_path, capsys):
     assert main(["gen", "--family", "max_of_additive", "--n", "2", "--m", "5",
                  "--seed", "1", "--rows", "3"]) == 0

@@ -25,7 +25,9 @@ from chorefair import (
     check_k_partial_ido,
     check_tefx,
     generate_instance,
+    guarantee_ratio,
     ratio_bound,
+    round_robin_allocate,
     top_chore_order,
     validate_oracle,
 )
@@ -951,3 +953,108 @@ def test_row_screen_keeps_non_monotone_tefx_witnesses():
     witnesses = [tuple(w) for w in check_tefx(alloc, inst).witnesses]
     assert witnesses == [(0, 1, 0, 1, 0)]
     assert witnesses == _reference_witnesses([spec] * n, alloc.bundles, "tefx", None)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_floor_units_bound_every_bundle_of_k_chores(m):
+    # additive, capped and max-of-additive rows, each wrapped in a generic
+    # monotone oracle, a monotone table and a non-monotone table: for every
+    # k, floor_units(k) is at most units(S) for every S of k or more chores
+    rng = random.Random(f"floor:{m}")
+    specs = _specs(rng, m, with_table=False)
+    weights = [rng.randint(0, 9) for _ in range(m)]
+    monotone = {s: max(map(weights.__getitem__, s), default=0) + len(s)
+                for s in all_subsets(m)}
+    noisy = dict(zip(all_subsets(m), _mixed_fractions(rng, 2 ** m)))
+    noisy[frozenset()] = 0
+    specs += [("table", m, monotone), ("table", m, noisy)]
+    positive = set()
+    for spec in specs:
+        oracle = _build(spec)
+        if spec[-1] is monotone:
+            require_monotone(oracle, "table")
+        # the cheapest bundle of each size r, then of each size r or more
+        cheapest = [min(oracle.units(s) for s in all_subsets(m) if len(s) == r)
+                    for r in range(m + 1)]
+        at_least = list(itertools.accumulate(reversed(cheapest), min))[::-1]
+        floors = [oracle.floor_units(k) for k in range(m + 1)]
+        assert all(type(f) is int and 0 <= f <= low for f, low in zip(floors, at_least))
+        if oracle.monotone and any(floors):
+            positive.add(spec[0])
+        if spec[-1] is noisy:
+            assert not oracle.monotone and floors == [0] * (m + 1)
+    assert positive == {"additive", "capped", "max", "table", "perturbed"}
+
+
+def _cleared(inst, alloc):
+    """The agents whose oracle cached no bundle but their own: after a
+    check on fresh oracles, those the floor cleared from 8 bundles on."""
+    return [i for i, (oracle, mine) in enumerate(zip(inst.oracles, alloc.bundles))
+            if oracle._cache.keys() <= {mine}]
+
+
+@pytest.mark.parametrize("n", [8, 16, 40])
+def test_floor_keeps_round_robin_witnesses(n):
+    # ratio-bounded additive agents, five rounds: every check on fresh
+    # oracles equals the reference, at the claimed ratio, for tEFX and at
+    # alpha = 1, on the round-robin allocation and on it with two of the
+    # last agent's chores moved to the first, which has witnesses
+    assert n >= ROW_KERNEL_BUNDLES
+    witnesses = 0
+    for alpha in (2, 3):
+        def fresh():
+            return generate_instance("additive_ratio", n, 5 * n, n, alpha=alpha)
+        alloc, _ = round_robin_allocate(fresh())
+        moved = sorted(alloc.bundles[-1])[:2]
+        skewed = Allocation.full([alloc.bundles[0] | set(moved), *alloc.bundles[1:-1],
+                                  alloc.bundles[-1] - set(moved)])
+        specs = [("additive", oracle.rows[0]) for oracle in fresh().oracles]
+        claimed = guarantee_ratio(alpha, 5)
+        for tried, ratio in itertools.product((alloc, skewed), (None, claimed, Fraction(1))):
+            inst = fresh()
+            report = (check_tefx(tried, inst) if ratio is None
+                      else check_alpha_efx(tried, inst, ratio))
+            found = [tuple(w) for w in report.witnesses]
+            criterion = "tefx" if ratio is None else "alpha_efx"
+            assert found == _reference_witnesses(specs, tried.bundles, criterion, ratio)
+            witnesses += len(found)
+            cleared = _cleared(inst, tried)
+            assert not {w[0] for w in found} & set(cleared)
+            if tried is alloc and ratio == claimed:  # most agents clear
+                assert not found and 2 * len(cleared) > n
+    assert witnesses > 0
+
+
+def _floor_case(own, smallest, rest):
+    """Eight bundles: agent 0's own 2 chores of cost ``own``, the smallest
+    other bundle, 3 chores of cost ``smallest``, and six bundles of 6
+    chores of cost ``rest``, costs as agent 0 sees them; every other
+    agent's costs are 1."""
+    bundles = [{0, 1}, {2, 3, 4}] + [set(range(5 + 6 * b, 11 + 6 * b)) for b in range(6)]
+    m = 41
+    costs = [own, own] + [smallest] * 3 + [rest] * (m - 5)
+    specs = [("additive", costs)] + [("additive", [1] * m)] * 7
+    inst = Instance(m, 8, tuple(_build(spec) for spec in specs))
+    return specs, inst, Allocation.full(bundles)
+
+
+def test_floor_keeps_a_witness_against_the_smallest_other_bundle():
+    # agent 0's worst removal, 100, exceeds the smallest other bundle, 60,
+    # and its own bundle is smaller still: a floor from the largest bundle
+    # (6 * 20 = 120) would clear it and lose the witnesses against bundle 1
+    specs, inst, alloc = _floor_case(100, 20, 20)
+    assert alloc.n >= ROW_KERNEL_BUNDLES
+    for alpha in (1, Fraction(3, 2)):
+        witnesses = [tuple(w) for w in check_alpha_efx(alloc, inst, alpha).witnesses]
+        assert [w[:3] for w in witnesses if w[0] == 0] == [(0, 1, 0), (0, 1, 1)]
+        assert witnesses == _reference_witnesses(specs, alloc.bundles, "alpha_efx", alpha)
+
+
+def test_floor_counts_the_smallest_bundle_but_the_agents_own():
+    # agent 0's worst removal, 10, is at most the floor of 3 chores of cost
+    # 4 (12), not of its own 2 chores (8): the floor clears it, and it
+    # values no other bundle, for both criteria
+    for check in (check_tefx, lambda alloc, inst: check_alpha_efx(alloc, inst, 1)):
+        specs, inst, alloc = _floor_case(10, 4, 9)
+        assert not [w for w in check(alloc, inst).witnesses if w.agent == 0]
+        assert 0 in _cleared(inst, alloc)
