@@ -41,11 +41,14 @@ wrapping them from outside the library.
 - `singleton_units` when it builds the table of a capped or
   max-of-additive oracle: m terms (an additive oracle's table reads its
   one row and counts none);
-- `bundle_units`, one row of `cost_rows`: one term per chore of the
-  bundles it values, whatever the number of rows;
-- `_additive_rows`, which values together the additive oracles' rows
-  that miss the cost cache in `cost_rows`: one term per chore of the
-  bundles it values, for each oracle it values.
+- `_summed_rows`, which values together the rows that miss the cost
+  cache in `cost_rows`: one term per chore of the bundles it values, for
+  each oracle it values, whatever the number of rows.  Older checkouts
+  split that work between `bundle_units`, one oracle's row (one term per
+  chore of the bundles, whatever the number of rows), and
+  `_additive_rows`, the additive oracles' rows together (one term per
+  chore of the bundles, for each oracle); both are counted where a
+  checkout has them, by the same rule.
 
 The extension's growth of an additive agent's costs in place (one term
 per agent and placement, inline in `envy_graph._ttece` where it went
@@ -113,7 +116,9 @@ TERMS = {
         0 if bundle in oracle._removals else len(bundle),
     "singleton_units": lambda oracle:
         oracle.m if oracle._singles is None and oracle.kind != "additive" else 0,
-    # the layout's pick lays out every chore it values, once
+    "_summed_rows": lambda oracles, bundles: len(oracles) * sum(map(len, bundles)),
+    # older checkouts' row kernels: the layout's pick lays out every chore
+    # it values, once
     "bundle_units": lambda oracle, layout: len(layout[0](oracle._rows[0])),
     "_additive_rows": lambda oracles, bundles: len(oracles) * sum(map(len, bundles)),
 }
@@ -285,8 +290,9 @@ def main(argv: list[str] | None = None) -> int:
                  "instances, the sides taking turns run by run with the first "
                  "side alternating, and chores_summed (chore terms summed by "
                  "RowOracle's _raw_cost, add, row sums, uncached removal_units, "
-                 "non-additive singleton table and bundle_units, and the "
-                 "additive rows' kernel; not the extension's "
+                 "non-additive singleton table, and cost_rows' row kernel "
+                 "(_summed_rows; bundle_units and _additive_rows in older "
+                 "checkouts); not the extension's "
                  "in-place growth of additive costs nor the checkers' "
                  "floor_units) of one more run",
         "python": platform.python_version(),

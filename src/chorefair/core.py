@@ -208,17 +208,15 @@ def _violations(
 
 # Fewest bundles for which the checkers take each agent's costs as one
 # cost_rows row.  A row values every bundle, the agent's own included, so
-# on few bundles it costs more than it saves.  Measured as the median over
-# 10 seeds of row/per-bundle time for check_alpha_efx then check_tefx on
-# fresh additive, capped and max-of-additive instances (Python 3.11):
-# with m = 2n or 3n chores, 1.13-1.23 at n = 4, 1.07-1.13 at 5, 1.03-1.07
-# at 6, 0.97-1.03 at 7, 0.95-0.99 at 8 and 0.89-1.01 at 9; with m = 150,
-# 0.97-1.02 at n = 3, 0.95-1.00 at 5 and 0.92-0.97 at 7.  Additive sets,
-# whose rows cost_rows values together, on their round-robin allocations
-# (best of 7 per seed, m = 2n or 3n): 1.25-1.29 at n = 4, 1.13-1.17 at 5,
-# 1.03-1.07 at 6, 0.96-1.00 at 7, 0.91-0.93 at 8 and 0.84-0.88 at 9.
-# These ratios predate the floor that _all_violations takes from here on;
-# the crossover has not been measured again with it.
+# on few bundles it costs more than it saves.  Measured with the floor
+# below as the median over 10 seeds of row/per-bundle time for
+# check_alpha_efx (alpha = 2) then check_tefx on fresh additive, capped
+# and max-of-additive instances (Python 3.11, best of 7 per seed, m = 2n
+# or 3n): on random allocations 1.24-1.46 at n = 4, 1.10-1.28 at 5,
+# 1.04-1.22 at 6, 1.01-1.14 at 7, 1.00-1.11 at 8 and 0.95-1.07 at 9; on
+# round-robin allocations 1.38-1.78, 1.30-1.55, 1.18-1.43, 1.15-1.40,
+# 1.09-1.32 and 1.00-1.19.  The crossover now lies at 9 or above; the
+# constant stays 8 until a change to it is benchmarked on its own.
 ROW_KERNEL_BUNDLES = 8
 
 

@@ -82,7 +82,7 @@ def build_top_trading_graph(
 ) -> tuple[int | None, ...]:
     """succ[i] = j, the edge i -> j, iff C_i(X_i) > C_i(X_j) = min_k C_i(X_k),
     ties to the lowest j; None at a sink."""
-    return tuple(_successors(list(cost_rows(instance.oracles, alloc.bundles))))
+    return tuple(_successors(cost_rows(instance.oracles, alloc.bundles)))
 
 
 def eliminate_top_trading_cycles(
@@ -94,7 +94,7 @@ def eliminate_top_trading_cycles(
     returns the final allocation and its acyclic successor tuple, and
     reports each rotated cycle with the allocation after it."""
     bundles = list(alloc.bundles)
-    costs = list(cost_rows(instance.oracles, bundles))
+    costs = cost_rows(instance.oracles, bundles)
     succ = _successors(costs)
     for cycle in _eliminate(succ, (bundles, *costs), costs):
         if on_cycle_removed is not None:
@@ -125,7 +125,7 @@ def _ttece(
         return Allocation(tuple(map(frozenset, bundles)),
                           alloc.pool.difference(*bundles))
 
-    costs = list(cost_rows(instance.oracles, alloc.bundles))
+    costs = cost_rows(instance.oracles, alloc.bundles)
     succ = _successors(costs)
     additive = [(i, units, oracle.singleton_units())
                 for i, (oracle, units) in enumerate(zip(instance.oracles, costs))

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import EnumerationLimitError, PreconditionError
 
@@ -197,14 +197,6 @@ class RowOracle(CostOracle):
             return sum(map(self._rows[0].__getitem__, chores))
         return self._total([sum(map(row.__getitem__, chores)) for row in self._rows])
 
-    def bundle_units(self, layout: BundleLayout) -> list[int]:
-        """units of every bundle of ``layout``: per row, one pick of the
-        laid-out chores' costs, summed bundle by bundle.  ``cost_rows``
-        values additive oracles' rows together instead."""
-        pick, split = layout
-        sums = [map(sum, split(pick(row))) for row in self._rows]
-        return list(map(self._total, zip(*sums)))
-
     def singleton_units(self) -> tuple[int, ...]:
         if self.additive:  # one uncapped row is its own table
             return self._rows[0]
@@ -263,93 +255,56 @@ class RowOracle(CostOracle):
         return f"RowOracle({self.rows!r}, {self.cap!r})"
 
 
-# (pick, split): ``pick(row)`` is the tuple of a row's costs of the bundles'
-# chores laid end to end, and ``split`` cuts it into one tuple per bundle
-BundleLayout = tuple[Callable, Callable]
-
-
-def _tuple_getter(items: Sequence) -> Callable:
-    """``itemgetter(*items)``, returning a tuple for one item too."""
-    if len(items) == 1:
-        (item,) = items
-        return lambda seq: (seq[item],)
-    return itemgetter(*items)
-
-
-def _bundle_layout(bundles: Sequence[frozenset[int]], m: int) -> BundleLayout:
-    """The shared layout of bundles, at least one of them non-empty."""
-    order = tuple(itertools.chain.from_iterable(bundles))
-    if min(order) < 0:  # a row index would wrap around; >= m raises itself
-        raise IndexError(f"chore {min(order)} out of range for m={m}")
-    ends = list(itertools.accumulate(map(len, bundles)))
-    return (_tuple_getter(order),
-            _tuple_getter(list(map(slice, [0, *ends], ends))))
-
-
-def _additive_rows(oracles: Sequence[RowOracle], bundles: Sequence[frozenset[int]]
-                   ) -> list[list[int]]:
-    """Each additive oracle's row ``[units(b) for b in bundles]``, valued
-    bundle by bundle for all the oracles at once: one getter of the
-    bundle's chores picks them from every oracle's singleton row, each pick
-    is summed (a one-chore pick is its sum), and the per-bundle sums are
-    transposed into rows.  No chore-major table of every chore's costs is
-    built: on m = 1000 chores its m tuples cost more in garbage collection
-    than they save."""
+def _summed_rows(oracles: Sequence[RowOracle], bundles: Sequence[frozenset[int]]
+                 ) -> list[list[int]]:
+    """Each oracle's row ``[units(b) for b in bundles]``, valued bundle by
+    bundle for all the oracles at once: one getter of the bundle's chores
+    picks them from every row of every oracle, each pick is summed (a
+    one-chore pick is its sum), and the per-bundle sums are transposed into
+    one line per row.  An additive oracle's row is its one line; any
+    other's is the cap or the max over its lines, bundle by bundle.  No
+    chore-major table of every chore's costs is built: on m = 1000 chores
+    its m tuples cost more in garbage collection than they save."""
     if min(itertools.chain(*bundles), default=0) < 0:  # a pick would wrap
         raise IndexError(f"chore {min(itertools.chain(*bundles))} out of range "
                          f"for m={oracles[0].m}")
-    singles = [oracle.singleton_units() for oracle in oracles]
-    zero = (0,) * len(singles)
+    rows = [row for oracle in oracles for row in oracle._rows]
+    zero = (0,) * len(rows)
     sums = []
     for bundle in bundles:
         if not bundle:
             sums.append(zero)
             continue
-        picks = map(itemgetter(*bundle), singles)
+        picks = map(itemgetter(*bundle), rows)
         sums.append(picks if len(bundle) == 1 else map(sum, picks))
-    return list(map(list, zip(*sums)))
+    lines = zip(*sums)
+    return [list(next(lines)) if oracle.additive else
+            list(map(oracle._total, zip(*itertools.islice(lines, len(oracle._rows)))))
+            for oracle in oracles]
 
 
-def _cache_row(oracle: CostOracle, bundles: Sequence[frozenset[int]],
-               row: list[int]) -> None:
-    """Store a valued row in the oracle's cache as ``units`` would."""
-    oracle._cache.update(zip(bundles, row))
-    oracle._cache.pop(frozenset(), None)  # units never stores the empty set
-
-
-def cost_rows(oracles: Iterable[CostOracle], bundles: Sequence[frozenset[int]]
-              ) -> Iterator[list[int]]:
+def cost_rows(oracles: Sequence[CostOracle], bundles: Sequence[frozenset[int]]
+              ) -> list[list[int]]:
     """Each oracle's row ``[units(b) for b in bundles]``, for the oracles of
     one instance.  A row comes from the oracle's cache when every non-empty
-    bundle is there.  The additive oracles whose rows miss are valued
-    together, bundle by bundle, before the first row is yielded
-    (``_additive_rows``); any other ``RowOracle`` whose row misses values
-    it as the caller asks for it, in one ``bundle_units`` pass over a
-    layout built once and shared by the oracles; any other oracle calls
-    ``units``.  Each valued row is cached as ``units`` would cache it."""
-    oracles = tuple(oracles)
+    bundle is there.  The ``RowOracle`` rows that miss are valued together
+    (``_summed_rows``) and cached as ``units`` would cache them; any other
+    oracle whose row misses calls ``units``."""
     # cache.get's defaults: None marks a miss, and the empty set costs 0
     defaults = [None if bundle else 0 for bundle in bundles]
     rows = [list(map(oracle._cache.get, bundles, defaults)) for oracle in oracles]
-    misses = [None in row for row in rows]
-    summed = [i for i, oracle in enumerate(oracles) if misses[i] and oracle.additive]
+    missed = [i for i, row in enumerate(rows) if None in row]
+    summed = [i for i in missed if isinstance(oracles[i], RowOracle)]
     if summed:
-        valued = _additive_rows([oracles[i] for i in summed], bundles)
-        for i, row in zip(summed, valued):
-            _cache_row(oracles[i], bundles, row)
-            rows[i], misses[i] = row, False
-    layout = None
-    for oracle, row, miss in zip(oracles, rows, misses):
-        if not miss:
-            yield row
-        elif not isinstance(oracle, RowOracle):
-            yield list(map(oracle.units, bundles))
-        else:
-            if layout is None:
-                layout = _bundle_layout(bundles, oracle.m)
-            row = oracle.bundle_units(layout)
-            _cache_row(oracle, bundles, row)
-            yield row
+        for i, row in zip(summed, _summed_rows([oracles[i] for i in summed], bundles)):
+            cache = oracles[i]._cache
+            cache.update(zip(bundles, row))
+            cache.pop(frozenset(), None)  # units never stores the empty set
+            rows[i] = row
+    for i in missed:
+        if not isinstance(oracles[i], RowOracle):
+            rows[i] = list(map(oracles[i].units, bundles))
+    return rows
 
 
 def AdditiveOracle(costs: Iterable) -> RowOracle:

@@ -758,8 +758,8 @@ def _random_bundles(rng, m, n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cost_rows_match_units(n):
-    # every oracle shape in one call, so the row oracles share one layout
-    # and the others take units; fresh oracles on both sides, then some
+    # every oracle shape in one call, so the row oracles are valued in one
+    # pass and the others take units; fresh oracles on both sides, then some
     # with one bundle already cached, then the rows read back
     rng = random.Random(f"rows:{n}")
     for m in sorted({1, n, 3 * n}):
@@ -843,6 +843,23 @@ def test_cost_rows_refuse_a_chore_out_of_range(bad):
             assert ours._cache.items() <= plain._cache.items()
             if bad in bundles[0]:
                 assert ours._cache == plain._cache
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_cost_rows_mixed_oracles_refuse_a_chore_out_of_range(bad):
+    # m = 6: additive, capped, max-of-additive and table oracles in one
+    # call, in both orders, the bad chore in one bundle; the one range
+    # check of the row pass refuses it before any row oracle caches a row
+    rng = random.Random(f"mixed-rows-bad:{bad}")
+    specs = [spec for spec in _specs(rng, 6, with_table=True) if spec[0] != "perturbed"]
+    assert {spec[0] for spec in specs} == {"additive", "capped", "max", "table"}
+    for bundles in ([frozenset({0, 1}), frozenset({2, bad}), frozenset()],
+                    [frozenset({bad}), frozenset({3, 4}), frozenset({5})]):
+        oracles = [_build(spec) for spec in specs]
+        for order in (oracles, oracles[::-1]):
+            with pytest.raises(IndexError):
+                cost_rows(order, bundles)
+            assert not any(o._cache for o in oracles if isinstance(o, RowOracle))
 
 
 def test_singleton_units_match_units():
