@@ -41,19 +41,19 @@ def _successors(costs: Sequence[Sequence[int]]) -> list[int | None]:
 def _cycle(succ: Sequence[int | None], starts: Iterable[int]) -> tuple[int, ...] | None:
     """The first directed cycle reached from ``starts``, in order, or None.
     Out-degree <= 1, so following successors from each unvisited node
-    either dies at a sink or closes a cycle."""
-    seen: set[int] = set()
-    for start in starts:
-        path: list[int] = []
-        on_path: dict[int, int] = {}
-        node: int | None = start
-        while node is not None and node not in seen:
-            if node in on_path:
-                return tuple(path[on_path[node]:])
-            on_path[node] = len(path)
-            path.append(node)
+    either dies at a sink, meets an earlier walk or closes a cycle on its
+    own walk."""
+    walk = [0] * len(succ)  # the 1-based walk that first reached each node
+    for w, node in enumerate(starts, 1):
+        while node is not None and not walk[node]:
+            walk[node] = w
             node = succ[node]
-        seen.update(path)
+        if node is not None and walk[node] == w:
+            cycle, j = [node], succ[node]
+            while j != node:
+                cycle.append(j)
+                j = succ[j]
+            return tuple(cycle)
     return None
 
 
@@ -63,16 +63,27 @@ def _eliminate(succ: list[int | None], columns: Sequence[list],
     list of ``columns`` (the rows of ``costs`` among them) and yield it, until
     ``succ``, the graph of ``costs``, is acyclic.  Agent i_k on a cycle
     receives X_{i_{k+1}}, its strict favourite, so each rotation strictly
-    lowers the rotating agents' own costs and at most n rotations occur."""
+    lowers the rotating agents' own costs and at most n rotations occur.
+
+    A rotation permutes each row's values and changes none: an agent off
+    the cycle keeps its own entry and its cheapest value, so its edge goes
+    to the lowest index now holding that value; only the cycle's agents
+    are rescanned."""
     for _ in range(len(succ) + 1):
         cycle = _cycle(succ, range(len(succ)))
         if cycle is None:
             return
         source = cycle[1:] + cycle[:1]
+        on = set(cycle)
+        off = [(i, row, row[j]) for i, (row, j) in enumerate(zip(costs, succ))
+               if j is not None and i not in on]
         for column in columns:
             for j, value in zip(cycle, [column[k] for k in source]):
                 column[j] = value
-        succ[:] = _successors(costs)
+        for i, row, best in off:
+            succ[i] = row.index(best)
+        for i in cycle:
+            succ[i] = _successor(i, costs[i])
         yield cycle
     raise VerificationError("cycle elimination failed to terminate in n rounds")
 
@@ -118,7 +129,8 @@ def _ttece(
     rotated with it.  A placement on sink s changes column s only, so it
     recomputes the successor of s, of the agents pointing at s and of those
     whose cost of s fell (a non-monotone oracle); a new cycle runs through
-    an agent whose successor is a new bundle."""
+    an agent whose successor is a new bundle, so the cycle search before a
+    placement starts from those agents, and is skipped when there are none."""
     bundles = [list(b) for b in alloc.bundles]  # frozen only when needed
 
     def frozen() -> Allocation:  # the pool is every chore no bundle holds yet
@@ -136,23 +148,25 @@ def _ttece(
     states = [row for *_, row in stated]
     starts: list[int] = list(range(instance.n))
 
-    def repoint(i: int, units: list[int]) -> None:
-        old = succ[i]
-        succ[i] = _successor(i, units)
-        if succ[i] is not None and succ[i] != old:
-            starts.append(i)
-
     for chore in pool_order:
-        if _cycle(succ, starts) is not None:
+        if starts and _cycle(succ, starts) is not None:
             for cycle in _eliminate(succ, (bundles, *states, *costs), costs):
                 if trace is not None:
                     trace.append(Event("cycle", cycle, allocation=frozen()))
         sink = succ.index(None)
         starts.clear()
+        # the sink's edge and those pointing at it were None or the sink,
+        # so an edge found to any other bundle is new
         for i, units, singles in additive:
             units[sink] += singles[chore]
             if i == sink or succ[i] == sink:
-                repoint(i, units)
+                best = min(units)
+                if units[i] > best:
+                    succ[i] = units.index(best)
+                    if succ[i] != sink:
+                        starts.append(i)
+                else:
+                    succ[i] = None
         if stated and states[0][sink] is None:  # states rotate with their column
             bundle = frozenset(bundles[sink])
             for _, _, oracle, row in stated:
@@ -161,7 +175,9 @@ def _ttece(
             before = units[sink]
             row[sink], units[sink] = oracle.add(row[sink], chore)
             if i == sink or succ[i] == sink or units[sink] < before:
-                repoint(i, units)
+                old, succ[i] = succ[i], _successor(i, units)
+                if succ[i] is not None and succ[i] != old:
+                    starts.append(i)
         bundles[sink].append(chore)
         if trace is not None:
             trace.append(Event("place", (sink,), chore, allocation=frozen()))

@@ -7,6 +7,9 @@ allocation yields a 2-EFX full allocation for subadditive costs.
 
 from __future__ import annotations
 
+from operator import gt, itemgetter
+from typing import Callable, Sequence
+
 from .core import Allocation, Event, Instance
 from .envy_graph import extend_partial
 from .errors import PreconditionError
@@ -24,28 +27,57 @@ def check_k_partial_ido(instance: Instance, k: int) -> bool:
 def first_ido_disagreement(instance: Instance, k: int) -> tuple[int, int, int, int] | None:
     """First disagreeing position as (position, agent, chore, reference chore)
     against agent 0's ordering, or None when the property holds."""
+    return _ido_reference(instance, k)[1]
+
+
+def _ido_reference(instance: Instance, k: int
+                   ) -> tuple[tuple[int, ...], tuple[int, int, int, int] | None]:
+    """Agent 0's first min(k, m) chores and ``first_ido_disagreement``.
+
+    Agent 0's order is sorted once.  Another agent agrees with it when its
+    costs along that prefix fall strictly and every other chore costs it
+    less than the last; only an agent that fails this has its own order
+    sorted and compared position by position, which settles ties by index
+    and names the first disagreement exactly."""
     depth = min(k, instance.m)
-    orders = [top_chore_order(o)[:depth] for o in instance.oracles]
+    if depth < 1:
+        return (), None
+    reference = top_chore_order(instance.oracles[0])[:depth]
+    top = _picker(reference)
+    rest = _picker(sorted(set(range(instance.m)).difference(reference)))
+    failed = []
+    for i, oracle in enumerate(instance.oracles[1:], 1):
+        singles = oracle.singleton_units()
+        vals = top(singles)
+        if not (all(map(gt, vals, vals[1:]))
+                and max(rest(singles), default=-1) < vals[-1]):
+            failed.append(i)
+    orders = {i: top_chore_order(instance.oracles[i])[:depth] for i in failed}
     for t in range(depth):
-        for i in range(1, instance.n):
-            if orders[i][t] != orders[0][t]:
-                return (t, i, orders[i][t], orders[0][t])
-    return None
+        for i in failed:
+            if orders[i][t] != reference[t]:
+                return reference, (t, i, orders[i][t], reference[t])
+    return reference, None
+
+
+def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``itemgetter(*indices)``, which returns a tuple for one index or none
+    as well."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda values: tuple(values[i] for i in indices)
 
 
 def partial_ido_2efx(instance: Instance, trace: list[Event] | None = None
                      ) -> Allocation:
     """Full 2-EFX allocation for subadditive costs sharing the top-(n-1)
     ordering; errors if the ordering property fails."""
-    k = instance.n - 1
-    if k >= 1:
-        mismatch = first_ido_disagreement(instance, k)
-        if mismatch is not None:
-            t, agent, chore, ref = mismatch
-            raise PreconditionError(
-                f"top-chore orderings disagree at position {t + 1}: agent "
-                f"{agent + 1} ranks chore {chore + 1}, agent 1 ranks chore {ref + 1}")
-    shared_top = top_chore_order(instance.oracles[0])[: min(k, instance.m)]
+    shared_top, mismatch = _ido_reference(instance, instance.n - 1)
+    if mismatch is not None:
+        t, agent, chore, ref = mismatch
+        raise PreconditionError(
+            f"top-chore orderings disagree at position {t + 1}: agent "
+            f"{agent + 1} ranks chore {chore + 1}, agent 1 ranks chore {ref + 1}")
     bundles = [frozenset() for _ in range(instance.n)]
     for t, chore in enumerate(shared_top):
         bundles[t] = frozenset({chore})

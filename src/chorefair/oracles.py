@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import EnumerationLimitError, PreconditionError
 
@@ -201,7 +201,7 @@ class RowOracle(CostOracle):
         if self.additive:  # one uncapped row is its own table
             return self._rows[0]
         if self._singles is None:  # from the rows, not through the cache
-            self._singles = tuple(map(self._total, zip(*self._rows)))
+            self._singles = tuple(self._totals(self._rows))
         return self._singles
 
     def floor_units(self, k: int) -> int:
@@ -214,6 +214,14 @@ class RowOracle(CostOracle):
     def _total(self, sums: Iterable[int]) -> int:
         total = max(sums)
         return total if self._cap is None or total < self._cap else self._cap
+
+    def _totals(self, lines: Sequence[Iterable[int]]) -> Iterator[int]:
+        """``_total`` of each column of ``lines``, one line per row, for a
+        capped or max-of-additive oracle, elementwise in C: the one line
+        capped, or the max over the lines."""
+        if self._cap is not None:
+            return map(min, lines[0], itertools.repeat(self._cap))
+        return map(max, *lines)
 
     def _row_sums(self, chores: frozenset[int]) -> list[int]:
         """The bundle's row sums, uncapped so that a chore can be taken out."""
@@ -243,8 +251,8 @@ class RowOracle(CostOracle):
         removals = self._removals.get(bundle)
         if removals is None:
             sums = self._row_sums(bundle)
-            lows = zip(*([s - row[c] for c in bundle] for s, row in zip(sums, self._rows)))
-            removals = self._removals[bundle] = dict(zip(bundle, map(self._total, lows)))
+            lows = [[s - row[c] for c in bundle] for s, row in zip(sums, self._rows)]
+            removals = self._removals[bundle] = dict(zip(bundle, self._totals(lows)))
         return [removals[c] for c in chores]
 
     def _key(self) -> tuple:
@@ -262,7 +270,7 @@ def _summed_rows(oracles: Sequence[RowOracle], bundles: Sequence[frozenset[int]]
     picks them from every row of every oracle, each pick is summed (a
     one-chore pick is its sum), and the per-bundle sums are transposed into
     one line per row.  An additive oracle's row is its one line; any
-    other's is the cap or the max over its lines, bundle by bundle.  No
+    other's is the cap or the max over its lines, elementwise.  No
     chore-major table of every chore's costs is built: on m = 1000 chores
     its m tuples cost more in garbage collection than they save."""
     if min(itertools.chain(*bundles), default=0) < 0:  # a pick would wrap
@@ -279,7 +287,7 @@ def _summed_rows(oracles: Sequence[RowOracle], bundles: Sequence[frozenset[int]]
         sums.append(picks if len(bundle) == 1 else map(sum, picks))
     lines = zip(*sums)
     return [list(next(lines)) if oracle.additive else
-            list(map(oracle._total, zip(*itertools.islice(lines, len(oracle._rows)))))
+            list(oracle._totals([*itertools.islice(lines, len(oracle._rows))]))
             for oracle in oracles]
 
 
@@ -288,22 +296,26 @@ def cost_rows(oracles: Sequence[CostOracle], bundles: Sequence[frozenset[int]]
     """Each oracle's row ``[units(b) for b in bundles]``, for the oracles of
     one instance.  A row comes from the oracle's cache when every non-empty
     bundle is there.  The ``RowOracle`` rows that miss are valued together
-    (``_summed_rows``) and cached as ``units`` would cache them; any other
-    oracle whose row misses calls ``units``."""
+    (``_summed_rows``), an oracle object that several agents share once,
+    and cached as ``units`` would cache them; any other oracle whose row
+    misses calls ``units``.  Every agent gets a list of its own, as callers
+    grow rows in place."""
     # cache.get's defaults: None marks a miss, and the empty set costs 0
     defaults = [None if bundle else 0 for bundle in bundles]
     rows = [list(map(oracle._cache.get, bundles, defaults)) for oracle in oracles]
     missed = [i for i, row in enumerate(rows) if None in row]
-    summed = [i for i in missed if isinstance(oracles[i], RowOracle)]
+    summed = {id(oracles[i]): oracles[i] for i in missed
+              if isinstance(oracles[i], RowOracle)}
+    valued = {}
     if summed:
-        for i, row in zip(summed, _summed_rows([oracles[i] for i in summed], bundles)):
-            cache = oracles[i]._cache
+        valued = dict(zip(summed, _summed_rows([*summed.values()], bundles)))
+        for key, row in valued.items():
+            cache = summed[key]._cache
             cache.update(zip(bundles, row))
             cache.pop(frozenset(), None)  # units never stores the empty set
-            rows[i] = row
     for i in missed:
-        if not isinstance(oracles[i], RowOracle):
-            rows[i] = list(map(oracles[i].units, bundles))
+        row = valued.get(id(oracles[i]))
+        rows[i][:] = map(oracles[i].units, bundles) if row is None else row
     return rows
 
 

@@ -23,11 +23,12 @@ from chorefair import (
     extend_partial,
     generate_instance,
     partial_ido_2efx,
+    round_robin_allocate,
     three_agent_2efx,
 )
-from chorefair import envy_graph
+from chorefair import envy_graph, oracles
 from chorefair.envy_graph import _ttece
-from chorefair.oracles import top_chore_order
+from chorefair.oracles import cost_rows, top_chore_order
 
 from support import CASE_INSTANCES, COUNTEREXAMPLE, PerturbedOracle, tri
 
@@ -59,6 +60,78 @@ def test_two_agent_swap_cycle():
     assert envy_graph._cycle(succ, range(2)) is None
     assert result.bundles == (frozenset({0}), frozenset({1}))
     assert len(removed) == 1 and set(removed[0]) == {0, 1}
+
+
+def _reference_cycle(succ, starts):
+    """Walk from each start, keeping the path and every node seen so far."""
+    seen = set()
+    for start in starts:
+        path, node = [], start
+        while node is not None and node not in seen:
+            if node in path:
+                return tuple(path[path.index(node):])
+            path.append(node)
+            node = succ[node]
+        seen.update(path)
+    return None
+
+
+def test_cycle_matches_path_walk_reference():
+    # random graphs of out-degree <= 1, sinks included, searched from every
+    # agent, from a few in random order, and from starts named twice
+    rng = random.Random("cycle-reference")
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        succ = [None if rng.random() < 0.2 else rng.randrange(n) for _ in range(n)]
+        succ = [None if j == i else j for i, j in enumerate(succ)]
+        for starts in (range(n), rng.sample(range(n), rng.randint(0, n)),
+                       [rng.randrange(n) for _ in range(n)]):
+            expected = _reference_cycle(succ, starts)
+            assert envy_graph._cycle(succ, starts) == expected
+            found += expected is not None
+    assert found > 1000
+
+
+def test_elimination_refuses_a_cycle_that_never_clears():
+    # the cost rows left out of the rotated columns: the graph never
+    # changes, so the same cycle comes back every round until the n + 1
+    # rounds run out
+    costs = [[5, 1, 9], [9, 5, 1], [1, 9, 5]]
+    succ = envy_graph._successors(costs)
+    bundles = [[0], [1], [2]]
+    rotated = []
+    with pytest.raises(VerificationError, match="failed to terminate in n rounds"):
+        for cycle in envy_graph._eliminate(succ, (bundles,), costs):
+            rotated.append(cycle)
+    assert rotated == [(0, 1, 2)] * 4
+    assert costs == [[5, 1, 9], [9, 5, 1], [1, 9, 5]]
+
+
+def test_shared_oracles_are_valued_once(monkeypatch):
+    # identical groups share one oracle object per group: cost_rows values
+    # each object once, and each agent gets a list of its own, which the
+    # extension grows in place without counting a chore twice
+    inst = generate_instance("identical_groups", 12, 60, 1, sizes=(6, 6))
+    assert len({id(o) for o in inst.oracles}) == 2
+    alloc = round_robin_allocate(inst)[0]
+    valued = []
+    summed = oracles._summed_rows
+    monkeypatch.setattr(oracles, "_summed_rows", lambda rows, bundles: (
+        valued.append(len(rows)) or summed(rows, bundles)))
+    rows = cost_rows(inst.oracles, alloc.bundles)
+    assert valued == [2]
+    assert rows == [[o.units(b) for b in alloc.bundles] for o in inst.oracles]
+    assert len({id(row) for row in rows}) == 12
+    for n, sizes in ((6, (3, 3)), (8, (5, 2, 1)), (20, (20,))):
+        inst = generate_instance("identical_groups", n, 3 * n, 2, sizes=sizes)
+        chores = random.Random(n).sample(range(inst.m), inst.m)
+        seed = Allocation.from_bundles([{c} for c in chores[:n]], inst.m)
+        expected: list = []
+        result = _reference_ttece(seed, inst, chores[n:], expected)
+        trace: list = []
+        assert _ttece(seed, inst, chores[n:], trace) == result
+        assert trace == expected
 
 
 def test_acyclic_input_unchanged():
@@ -320,6 +393,66 @@ def _two_swaps():
     return inst, Allocation.from_bundles([{0}, {1}, {2}, {3}], 6)
 
 
+def _tie_cases(rng):
+    """Tie-heavy extensions: each instance draws its agents from two or
+    three oracle objects, so agents share one (duplicated agents), and each
+    object's row is all one value (a bundle costs its size times it), has
+    zero-cost chores, or is small and random; every shape but the table."""
+    def row(m):
+        style = rng.randrange(3)
+        if style == 0:
+            return [rng.randint(1, 3)] * m
+        if style == 1:
+            return [rng.choice((0, 0, 1, 2)) for _ in range(m)]
+        return [rng.randint(0, 4) for _ in range(m)]
+
+    def oracle(m):
+        shape = rng.choice(("additive", "additive", "capped", "max"))
+        if shape == "additive":
+            return AdditiveOracle(row(m))
+        if shape == "capped":
+            costs = row(m)
+            return CappedAdditiveOracle(costs, max(sum(costs) - rng.randint(0, 3), 0))
+        return MaxOfAdditiveOracle([row(m) for _ in range(rng.randint(2, 3))])
+
+    # by hand: cycles (0, 3) and (1, 2); agent 2 ties bundles 1 and 3 for
+    # its cheapest, so rotating (0, 3) moves its edge to bundle 0, the
+    # lowest index now at that value, and (1, 2) is no cycle any more
+    rows = ([9, 5, 5, 1, 1], [5, 9, 1, 5, 1], [7, 2, 8, 2, 1], [1, 5, 5, 9, 1])
+    cases = [(Instance(5, 4, tuple(map(AdditiveOracle, rows))),
+              Allocation.from_bundles([{0}, {1}, {2}, {3}], 5), [4])]
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        m = rng.randint(n + 1, 10)
+        objects = [oracle(m) for _ in range(rng.randint(2, 3))]
+        inst = Instance(m, n, tuple(rng.choice(objects) for _ in range(n)))
+        chores = rng.sample(range(m), m)
+        owner = dict(zip(chores, range(n)))  # a chore for every agent
+        owner.update((c, rng.randrange(n) if rng.random() < 0.3 else n)
+                     for c in chores[n:])  # n: the pool
+        alloc = Allocation.from_bundles(
+            [{c for c in range(m) if owner[c] == j} for j in range(n)], m)
+        cases.append((inst, alloc, rng.sample(sorted(alloc.pool), len(alloc.pool))))
+    return cases
+
+
+def _tied_remaps(inst, alloc, trace):
+    """Rotations in ``trace`` that leave an agent off the cycle whose
+    cheapest value, below its own, is held by two or more bundles, one of
+    them rotated: its new edge is the lowest index holding that value."""
+    count, prev = 0, alloc
+    for event in trace:
+        if event.kind == "cycle":
+            for i, oracle in enumerate(inst.oracles):
+                row = [oracle.units(b) for b in prev.bundles]
+                best = min(row)
+                count += (i not in event.agents and row[i] > best
+                          and row.count(best) > 1
+                          and any(row[j] == best for j in event.agents))
+        prev = event.allocation
+    return count
+
+
 def test_ttece_matches_reference_loop():
     # every oracle shape, mixed within an instance; each agent starts with
     # a chore, and pool chores are placed in a random order, with and
@@ -351,14 +484,20 @@ def test_ttece_matches_reference_loop():
         alloc = Allocation.from_bundles(
             [{c for c in range(m) if owner[c] == j} for j in range(n)], m)
         cases.append((inst, alloc, rng.sample(sorted(alloc.pool), len(alloc.pool))))
-    cycles = multi = rotated_first = mixed_rotated_first = 0
-    for inst, alloc, pool_order in cases:
+    # tie-heavy cases last: a rotation that moves an off-cycle agent's tied
+    # cheapest value takes the remap's lowest-index path
+    tied = len(cases)
+    cases += _tie_cases(rng)
+    cycles = multi = rotated_first = mixed_rotated_first = tied_remaps = 0
+    for case, (inst, alloc, pool_order) in enumerate(cases):
         expected: list = []
         result = _reference_ttece(alloc, inst, pool_order, expected)
         trace: list = []
         assert _ttece(alloc, inst, pool_order, trace) == result
         assert trace == expected
         assert _ttece(alloc, inst, pool_order) == result
+        if case >= tied:
+            tied_remaps += _tied_remaps(inst, alloc, trace)
         kinds = [event.kind for event in trace]
         cycles += kinds.count("cycle")
         multi += sum(a == b == "cycle" for a, b in zip(kinds, kinds[1:]))
@@ -379,7 +518,7 @@ def test_ttece_matches_reference_loop():
                     True] + [False] * (inst.n - 1)
                 placed[sink] = True
     assert cycles > 100 and multi >= 1 and rotated_first >= 1
-    assert mixed_rotated_first >= 1
+    assert mixed_rotated_first >= 1 and tied_remaps >= 1
 
 
 def test_ttece_steps_match_rebuilt_graph():
@@ -408,6 +547,7 @@ def test_ttece_steps_match_rebuilt_graph():
                      for c in chores[n:])  # n: the pool
         cases.append((inst, Allocation.from_bundles(
             [{c for c in range(m) if owner[c] == j} for j in range(n)], m)))
+    cases += [(inst, alloc) for inst, alloc, _ in _tie_cases(rng)]
     cycles = fell = 0
     for inst, alloc in cases:
         trace: list = []

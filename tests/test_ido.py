@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from chorefair import (
     AdditiveOracle,
+    CappedAdditiveOracle,
     Instance,
     PreconditionError,
     check_alpha_efx,
@@ -11,6 +14,7 @@ from chorefair import (
     partial_ido_2efx,
 )
 from chorefair.ido import first_ido_disagreement
+from chorefair.oracles import top_chore_order
 
 from support import COUNTEREXAMPLE
 
@@ -77,4 +81,60 @@ def test_m_equals_n_minus_one_gives_singletons():
 def test_non_ido_rejected_with_position():
     inst = Instance(6, 3, COUNTEREXAMPLE.oracles)
     with pytest.raises(PreconditionError, match="position 1"):
+        partial_ido_2efx(inst)
+
+
+def _reference_disagreement(instance, k):
+    """Every agent's order sorted, then compared position by position."""
+    depth = min(k, instance.m)
+    orders = [top_chore_order(o)[:depth] for o in instance.oracles]
+    for t in range(depth):
+        for i in range(1, instance.n):
+            if orders[i][t] != orders[0][t]:
+                return (t, i, orders[i][t], orders[0][t])
+    return None
+
+
+def test_first_disagreement_matches_sort_reference():
+    # agents perturb one base row of small costs, zeros included, so that
+    # they mostly agree and often tie: within their top k, where the tie
+    # goes to the lower index, and at the top-k boundary, against a chore
+    # left out.  Every k from 1 to m + 2 and n from 1 to 6, capped agents
+    # among them for a singleton table that is not the row itself
+    rng = random.Random("ido-reference")
+    held = found = tied_inside = tied_boundary = 0
+    for trial in range(1500):
+        n, m = rng.randint(1, 6), rng.randint(1, 8)
+        base = [rng.randint(0, 5) for _ in range(m)]
+        oracles = []
+        for _ in range(n):
+            row = [rng.randint(0, 5) if rng.random() < 0.15 else v for v in base]
+            oracles.append(CappedAdditiveOracle(row, 4) if rng.random() < 0.2
+                           else AdditiveOracle(row))
+        inst = Instance(m, n, tuple(oracles))
+        for k in range(1, m + 3):
+            expected = _reference_disagreement(inst, k)
+            assert first_ido_disagreement(inst, k) == expected, (trial, k)
+            assert check_k_partial_ido(inst, k) == (expected is None)
+            held += expected is None
+            found += expected is not None and expected[0] > 0
+            if expected is None and n > 1 and k < m:
+                top = top_chore_order(inst.oracles[0])[:k]
+                for oracle in inst.oracles[1:]:
+                    singles = oracle.singleton_units()
+                    vals = [singles[c] for c in top]
+                    tied_inside += len(set(vals)) < len(vals)
+                    tied_boundary += vals[-1] in [
+                        singles[c] for c in range(m) if c not in top]
+    assert held > 2000 and found > 1000
+    assert tied_inside > 300 and tied_boundary > 300
+
+
+def test_first_disagreement_names_the_counterexample_pair():
+    # the refusal the CLI prints: position 1, agent 2 ranks chore 2, agent 1
+    # ranks chore 1, all 1-based
+    inst = Instance(6, 3, COUNTEREXAMPLE.oracles)
+    assert first_ido_disagreement(inst, 2) == (0, 1, 1, 0)
+    with pytest.raises(PreconditionError, match=(
+            "position 1: agent 2 ranks chore 2, agent 1 ranks chore 1")):
         partial_ido_2efx(inst)

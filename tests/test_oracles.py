@@ -874,6 +874,47 @@ def test_singleton_units_match_units():
             assert oracle.singleton_units() is table
 
 
+def test_elementwise_totals_match_per_element_total():
+    # singleton_units, the row-sum removals and the rows of cost_rows total
+    # each column of row sums elementwise; per column they must equal
+    # _total and, on a fresh oracle, units.  Capped rows with a cap that one
+    # bundle's sum meets exactly, and 2 to 4 max-of-additive rows drawn
+    # from one base row, so that rows often tie for the max
+    rng = random.Random("elementwise-totals")
+    at_cap = tied = 0
+    for trial in range(300):
+        m = rng.randint(1, 7)
+        base = [rng.randint(0, 4) for _ in range(m)]
+        if trial % 2:
+            exact = frozenset(c for c in range(m) if rng.random() < 0.5)
+            oracle = CappedAdditiveOracle(base, sum(base[c] for c in exact))
+        else:
+            oracle = MaxOfAdditiveOracle(
+                [[v if rng.random() < 0.6 else rng.randint(0, 4) for v in base]
+                 for _ in range(rng.randint(2, 4))])
+        fresh = lambda: RowOracle.from_units(oracle._rows, oracle.den, oracle._cap)
+        if not oracle.additive:  # max-of-additive rows may dedupe to one
+            lines = [[rng.randint(0, 12) for _ in range(5)] for _ in oracle._rows]
+            assert list(oracle._totals(lines)) == [
+                oracle._total(col) for col in zip(*lines)]
+        assert oracle.singleton_units() == tuple(fresh().units((c,)) for c in range(m))
+        bundles = _random_bundles(rng, m, 3) + [frozenset(range(m))]
+        if trial % 2:
+            bundles.append(exact)
+        plain = fresh()
+        assert cost_rows([fresh()], bundles) == [[plain.units(b) for b in bundles]]
+        for bundle in bundles:
+            chores = sorted(bundle)
+            assert fresh().removal_units(bundle, chores) == [
+                plain.units(bundle - {c}) for c in chores]
+            sums = [sum(row[c] for c in bundle) for row in oracle._rows]
+            if oracle._cap is not None:
+                at_cap += bool(bundle) and sums[0] == oracle._cap
+            else:
+                tied += len(sums) > 1 and sums.count(max(sums)) > 1
+    assert at_cap > 20 and tied > 50
+
+
 def test_kernel_matches_reference_large_m():
     m = 200
     rng = random.Random("kernel:200")
