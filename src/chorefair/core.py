@@ -6,13 +6,14 @@ All predicates are pure and exact (no floating point anywhere).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError
-from .oracles import CostOracle, cost_rows
+from .oracles import CostOracle, cost_rows, picker
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -168,9 +169,12 @@ def _violations(
     against the agent's own bundle, by j and then c ascending.  ``costs``
     is the agent's ``cost_rows`` row; without it, bundle j is valued only
     when the check reads it.  ``removals`` is the agent's
-    ``removal_units`` of its chores in order, where the caller has them."""
+    ``removal_units`` of its chores in order, where the caller has them.
+
+    A bundle of fewer than two chores has no witness and is not valued:
+    X_i - c is empty and costs 0, and no right side is below 0."""
     mine = bundles[agent]
-    if not mine:
+    if len(mine) < 2:
         return
     chores = sorted(mine)
     units, den = oracle.units, oracle.den
@@ -236,7 +240,9 @@ def _all_violations(
     floor_units(k) <= p * units(X_j) <= rhs: no (i, j, c) violates, and
     no bundle of the agent need be valued.  The removals are valued once
     per agent, for the floor and the walk alike.  Below the crossover,
-    where the walk values bundles one by one, the floor measured slower."""
+    where the walk values bundles one by one, the floor measured slower.
+    An agent of fewer than two chores is skipped, as ``_violations``
+    skips it."""
     bundles, oracles = alloc.bundles, instance.oracles
     if len(bundles) < ROW_KERNEL_BUNDLES:
         for i, oracle in enumerate(oracles):
@@ -247,7 +253,7 @@ def _all_violations(
     low, second = sorted(sizes)[:2]
     kept, removals = [], {}
     for i, (oracle, mine) in enumerate(zip(oracles, bundles)):
-        if not mine:
+        if len(mine) < 2:
             continue
         removals[i] = oracle.removal_units(mine, sorted(mine))
         k = second if sizes[i] == low else low  # the smallest bundle but X_i
@@ -303,33 +309,34 @@ def is_tefx(alloc: Allocation, instance: Instance) -> bool:
     return next(_checked(alloc, instance, "tefx")[2], None) is None
 
 
-def eligible_bundles(oracle: CostOracle, alloc: Allocation,
-                     costs: Sequence[int] | None = None) -> list[int]:
+def eligible_bundles(oracle: CostOracle, alloc: Allocation) -> list[int]:
     """Every j with C(b) <= C(X_j) for each pool chore b (every j when the
     pool is empty).  The set shrinks as C(b) grows, so only the costliest
-    pool chore needs testing.  ``costs`` is the oracle's ``cost_rows`` row;
-    without it, each bundle is valued through ``units``."""
+    pool chore needs testing."""
     if not alloc.pool:
         return list(range(alloc.n))
     if min(alloc.pool) < 0:  # the table index would wrap around
         raise IndexError(f"chore {min(alloc.pool)} out of range for m={oracle.m}")
     worst = max(map(oracle.singleton_units().__getitem__, alloc.pool))
-    if costs is None:
-        costs = map(oracle.units, alloc.bundles)
-    return [j for j, units in enumerate(costs) if worst <= units]
+    return [j for j, bundle in enumerate(alloc.bundles) if worst <= oracle.units(bundle)]
 
 
 def check_partial_property2(alloc: Allocation, instance: Instance) -> tuple[bool, ...]:
     """Per agent i: every pool chore costs at most C_i(X_j) for >= n-1 agents j.
 
-    Vacuously true for full allocations.  With a pool, every agent's
-    costs of the bundles are valued once, from ROW_KERNEL_BUNDLES bundles
-    on as one ``cost_rows`` row, and cached for the caller's next check.
+    Vacuously true for full allocations.  With a pool, only the agent's
+    costliest pool chore needs testing, taken from its singleton costs by
+    one picker of the pool; an agent passes when at most one bundle costs
+    it less, counted in C as that chore's insertion point in the sorted
+    row.  Every agent's costs of the bundles are valued once, from
+    ROW_KERNEL_BUNDLES bundles on as one ``cost_rows`` row, and cached for
+    the caller's next check.
     """
     _check_shapes(alloc, instance)
     if not alloc.pool:
         return (True,) * instance.n
-    rows = (repeat(None) if alloc.n < ROW_KERNEL_BUNDLES
-            else cost_rows(instance.oracles, alloc.bundles))
-    return tuple(len(eligible_bundles(oracle, alloc, row)) >= instance.n - 1
+    pick = picker(list(alloc.pool))
+    rows = ((map(oracle.units, alloc.bundles) for oracle in instance.oracles)
+            if alloc.n < ROW_KERNEL_BUNDLES else cost_rows(instance.oracles, alloc.bundles))
+    return tuple(bisect_left(sorted(row), max(pick(oracle.singleton_units()))) <= 1
                  for oracle, row in zip(instance.oracles, rows))

@@ -7,13 +7,12 @@ allocation yields a 2-EFX full allocation for subadditive costs.
 
 from __future__ import annotations
 
-from operator import gt, itemgetter
-from typing import Callable, Sequence
+from operator import gt
 
 from .core import Allocation, Event, Instance
 from .envy_graph import extend_partial
 from .errors import PreconditionError
-from .oracles import top_chore_order
+from .oracles import picker, top_chore_order
 
 
 def check_k_partial_ido(instance: Instance, k: int) -> bool:
@@ -43,8 +42,8 @@ def _ido_reference(instance: Instance, k: int
     if depth < 1:
         return (), None
     reference = top_chore_order(instance.oracles[0])[:depth]
-    top = _picker(reference)
-    rest = _picker(sorted(set(range(instance.m)).difference(reference)))
+    top = picker(reference)
+    rest = picker(sorted(set(range(instance.m)).difference(reference)))
     failed = []
     for i, oracle in enumerate(instance.oracles[1:], 1):
         singles = oracle.singleton_units()
@@ -58,14 +57,6 @@ def _ido_reference(instance: Instance, k: int
             if orders[i][t] != reference[t]:
                 return reference, (t, i, orders[i][t], reference[t])
     return reference, None
-
-
-def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """``itemgetter(*indices)``, which returns a tuple for one index or none
-    as well."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda values: tuple(values[i] for i in indices)
 
 
 def partial_ido_2efx(instance: Instance, trace: list[Event] | None = None

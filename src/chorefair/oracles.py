@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import EnumerationLimitError, PreconditionError
 
@@ -317,6 +317,14 @@ def cost_rows(oracles: Sequence[CostOracle], bundles: Sequence[frozenset[int]]
         row = valued.get(id(oracles[i]))
         rows[i][:] = map(oracles[i].units, bundles) if row is None else row
     return rows
+
+
+def picker(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``itemgetter(*indices)``, which returns a tuple for one index or none
+    as well."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda values: tuple(values[i] for i in indices)
 
 
 def AdditiveOracle(costs: Iterable) -> RowOracle:

@@ -87,8 +87,6 @@ def _doomed(bundles: list[frozenset[int]], unassigned: frozenset[int],
     side is no smaller and its right side no larger."""
     widened = [bundle | unassigned for bundle in bundles]
     for i, oracle in enumerate(instance.oracles):
-        if len(bundles[i]) < 2:  # X_i - c is empty, and costs 0
-            continue
         view = widened.copy()
         view[i] = bundles[i]
         if next(_violations(oracle, i, view, criterion, alpha), None) is not None:

@@ -15,6 +15,7 @@ from chorefair import (
     AdditiveOracle,
     Allocation,
     CappedAdditiveOracle,
+    CostOracle,
     EnumerationLimitError,
     Instance,
     MaxOfAdditiveOracle,
@@ -26,15 +27,24 @@ from chorefair import (
     check_tefx,
     generate_instance,
     guarantee_ratio,
+    is_alpha_efx,
+    is_tefx,
     ratio_bound,
     round_robin_allocate,
     top_chore_order,
     validate_oracle,
 )
 from chorefair.cli import instance_from_json, instance_to_json, oracle_to_json
-from chorefair.core import ROW_KERNEL_BUNDLES, check_partial_property2, eligible_bundles
+from chorefair.core import (
+    ROW_KERNEL_BUNDLES,
+    check_criterion,
+    check_partial_property2,
+    eligible_bundles,
+    resolve_criterion,
+)
 from chorefair.errors import DimensionError
 from chorefair.oracles import GENERATOR_FAMILIES, cost_rows, require_monotone
+from chorefair.verify import _doomed
 
 from support import (
     COUNTEREXAMPLE,
@@ -717,7 +727,7 @@ def test_add_matches_reference_every_subset(m):
     assert crossed >= 3
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", [*range(1, 11), 16, 20, 24])
 def test_pool_check_matches_eligible_bundles(n):
     # every oracle shape, mixed within an instance, on partial allocations
     # with empty bundles; from ROW_KERNEL_BUNDLES bundles on the pool check
@@ -747,7 +757,58 @@ def test_pool_check_matches_eligible_bundles(n):
                 check_partial_property2(bad, ours)
             with pytest.raises(IndexError):
                 eligible_bundles(plain[0], bad)
+    for m, picked, alloc, passes in _pool_edge_cases(rng, n):
+        expected = _assert_pool_check(m, n, picked, alloc)
+        assert passes is None or all(expected) == passes
+        verdicts.update(expected)
     assert verdicts == ({True} if n == 1 else {True, False})
+
+
+def _pool_edge_cases(rng, n):
+    """(m, specs, allocation, whether every agent passes or None) at the
+    pool check's edges: one-chore pools, a pool chore costing exactly a
+    bundle's cost (eligible: C(b) <= C(X_j)) or one more, and the seed of
+    partial_ido_2efx, one top chore per agent."""
+    m = n + 2
+    specs = _specs(rng, m, with_table=m <= 8)
+    for _ in range(3):
+        picked = [specs[rng.randrange(len(specs))] for _ in range(n)]
+        left = rng.randrange(m)
+        bundles = [set() for _ in range(n)]
+        for c in set(range(m)) - {left}:
+            bundles[rng.randrange(n)].add(c)
+        yield m, picked, Allocation.from_bundles(bundles, m), None
+    # bundle 0 is {0, n + 1} and bundle j is {j}; chores 0 and n + 1 sum
+    # to 10, chore 1 costs 10, and pool chore n costs 10 or 11
+    for worst in (10, 11):
+        costs = [4] + [10 + j * (j > 1) for j in range(1, n)] + [worst, 6]
+        ties = [("additive", costs), ("capped", costs, 10),
+                ("max", [costs, [c // 2 for c in costs]])]
+        if m <= 8:
+            ties.append(("table", m, {s: sum(costs[c] for c in s) for s in all_subsets(m)}))
+        picked = [ties[0]] + [ties[rng.randrange(len(ties))] for _ in range(n - 1)]
+        bundles = [{0, n + 1}] + [{j} for j in range(1, n)]
+        yield m, picked, Allocation.from_bundles(bundles, m), worst == 10 or n == 1
+    if n > 1:
+        for seed in range(2):
+            inst = generate_instance("k_partial_ido", n, 3 * n, seed, k=n - 1)
+            top = top_chore_order(inst.oracles[0])[:n - 1]
+            picked = [("additive", oracle.rows[0]) for oracle in inst.oracles]
+            yield 3 * n, picked, Allocation.from_bundles([{c} for c in top] + [set()], 3 * n), True
+
+
+def _assert_pool_check(m, n, picked, alloc):
+    """check_partial_property2 against eligible_bundles and the reference,
+    leaving the caches that per-bundle units leaves; the verdicts."""
+    ours = Instance(m, n, tuple(_build(spec) for spec in picked))
+    plain = [_build(spec) for spec in picked]
+    expected = tuple(len(eligible_bundles(oracle, alloc)) >= n - 1 for oracle in plain)
+    assert expected == tuple(
+        all(sum(_reference(spec, {b}) <= _reference(spec, x) for x in alloc.bundles)
+            >= n - 1 for b in alloc.pool) for spec in picked)
+    assert check_partial_property2(alloc, ours) == expected
+    assert [o._cache for o in ours.oracles] == [o._cache for o in plain]
+    return expected
 
 
 def _random_bundles(rng, m, n):
@@ -1011,6 +1072,83 @@ def test_row_screen_keeps_non_monotone_tefx_witnesses():
     witnesses = [tuple(w) for w in check_tefx(alloc, inst).witnesses]
     assert witnesses == [(0, 1, 0, 1, 0)]
     assert witnesses == _reference_witnesses([spec] * n, alloc.bundles, "tefx", None)
+
+
+class _Unvalued(CostOracle):
+    """An oracle that refuses every valuation: a check that reads the cost
+    of any non-empty set, a singleton's included, fails."""
+
+    def __init__(self, m, monotone):
+        super().__init__()
+        self.m, self.den, self.monotone = m, 1, monotone
+
+    def _raw_cost(self, chores):
+        raise AssertionError(f"valued {sorted(chores)}")
+
+
+@pytest.mark.parametrize("n", [1, 3, ROW_KERNEL_BUNDLES - 1, ROW_KERNEL_BUNDLES, 13])
+def test_short_bundles_are_never_valued(n):
+    # every bundle holds one chore or none, so X_i - c is empty and no
+    # (i, j, c) can violate: the verdicts need no cost at all, on either
+    # side of ROW_KERNEL_BUNDLES, for monotone and non-monotone costs alike
+    rng = random.Random(f"short:{n}")
+    for trial in range(6):
+        m = n + trial % 3
+        chores = rng.sample(range(m), m)
+        bundles = [{chores.pop()} if chores and rng.random() < 0.8 else set()
+                   for _ in range(n)]
+        alloc = Allocation.from_bundles(bundles, m)
+        inst = Instance(m, n, tuple(_Unvalued(m, bool(rng.randrange(2))) for _ in range(n)))
+        for alpha in (1, 2):
+            assert check_alpha_efx(alloc, inst, alpha).verdict
+            assert is_alpha_efx(alloc, inst, alpha)
+        assert check_tefx(alloc, inst).verdict and is_tefx(alloc, inst)
+        assert check_criterion(alloc, inst, "efx").verdict
+        for criterion, alpha in (("efx", 1), ("alpha_efx", 2), ("tefx", 1)):
+            assert not _doomed(list(alloc.bundles), alloc.pool, inst,
+                               *resolve_criterion(criterion, alpha))
+
+
+@pytest.mark.parametrize("n", [2, 5, ROW_KERNEL_BUNDLES - 1, ROW_KERNEL_BUNDLES, 11])
+def test_singleton_heavy_witnesses_match_reference(n):
+    # most agents hold one chore or none and one or two hold the rest:
+    # the short bundles are skipped, and the witnesses stay those of the
+    # reference, non-monotone tables under tEFX (where no screen applies)
+    # among them
+    rng = random.Random(f"singletons:{n}")
+    witnesses = tables = 0
+    for trial in range(10):
+        m = rng.randint(3, 10) if trial % 2 else n + 2 + trial % 4
+        pool = _specs(rng, m, with_table=m <= 10)
+        table = [spec for spec in pool if spec[0] == "table"]
+        # the random table, non-monotone, for about half of the agents
+        specs = [table[0] if table and rng.randrange(2) else pool[rng.randrange(len(pool))]
+                 for _ in range(n)]
+        inst = Instance(m, n, tuple(_build(spec) for spec in specs))
+        for _ in range(4):
+            chores = rng.sample(range(m), m)
+            heavy = rng.sample(range(n), min(n - 1, rng.randint(1, 2)))
+            bundles = [set() for _ in range(n)]
+            for i in sorted(set(range(n)) - set(heavy)):
+                if chores and rng.random() < 0.8:
+                    bundles[i].add(chores.pop())
+            for c in chores:  # some left in the pool
+                owner = rng.choice(heavy + [None])
+                if owner is not None:
+                    bundles[owner].add(c)
+            alloc = Allocation.from_bundles(bundles, m)
+            for criterion, alpha in (("tefx", None), ("alpha_efx", Fraction(1)),
+                                     ("alpha_efx", Fraction(2))):
+                report = (check_tefx(alloc, inst) if alpha is None
+                          else check_alpha_efx(alloc, inst, alpha))
+                found = [tuple(w) for w in report.witnesses]
+                assert found == _reference_witnesses(specs, alloc.bundles, criterion, alpha)
+                assert report.verdict == (is_tefx(alloc, inst) if alpha is None
+                                          else is_alpha_efx(alloc, inst, alpha))
+                witnesses += len(found)
+            tables += any(spec[0] == "table" and len(bundle) == 1
+                          for spec, bundle in zip(specs, alloc.bundles))
+    assert witnesses >= 20 and tables >= 3
 
 
 @pytest.mark.parametrize("m", range(1, 9))
