@@ -43,12 +43,7 @@ wrapping them from outside the library.
   one row and counts none);
 - `_summed_rows`, which values together the rows that miss the cost
   cache in `cost_rows`: one term per chore of the bundles it values, for
-  each oracle it values, whatever the number of rows.  Older checkouts
-  split that work between `bundle_units`, one oracle's row (one term per
-  chore of the bundles, whatever the number of rows), and
-  `_additive_rows`, the additive oracles' rows together (one term per
-  chore of the bundles, for each oracle); both are counted where a
-  checkout has them, by the same rule.
+  each oracle it values, whatever the number of rows.
 
 The extension's growth of an additive agent's costs in place (one term
 per agent and placement, inline in `envy_graph._ttece` where it went
@@ -117,10 +112,6 @@ TERMS = {
     "singleton_units": lambda oracle:
         oracle.m if oracle._singles is None and oracle.kind != "additive" else 0,
     "_summed_rows": lambda oracles, bundles: len(oracles) * sum(map(len, bundles)),
-    # older checkouts' row kernels: the layout's pick lays out every chore
-    # it values, once
-    "bundle_units": lambda oracle, layout: len(layout[0](oracle._rows[0])),
-    "_additive_rows": lambda oracles, bundles: len(oracles) * sum(map(len, bundles)),
 }
 
 
@@ -291,8 +282,7 @@ def main(argv: list[str] | None = None) -> int:
                  "side alternating, and chores_summed (chore terms summed by "
                  "RowOracle's _raw_cost, add, row sums, uncached removal_units, "
                  "non-additive singleton table, and cost_rows' row kernel "
-                 "(_summed_rows; bundle_units and _additive_rows in older "
-                 "checkouts); not the extension's "
+                 "(_summed_rows); not the extension's "
                  "in-place growth of additive costs nor the checkers' "
                  "floor_units) of one more run",
         "python": platform.python_version(),

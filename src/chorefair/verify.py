@@ -17,7 +17,6 @@ from .core import (
     Allocation,
     Event,
     Instance,
-    _all_violations,
     _check_shapes,
     _violations,
     max_removal_cost,
@@ -39,11 +38,11 @@ def exhaustive_search(
 
     criterion: "efx" (alpha forced to 1), "alpha_efx", or "tefx".
 
-    One depth-first search assigns chores 0..m-1 in index order, trying
+    One recursive walk assigns chores 0..m-1 in index order, trying
     agents 0..n-1 at each level, so it reaches full assignments in
-    ``itertools.product``'s order.  When every oracle is monotone it cuts
-    a node whose every completion violates the criterion (``_doomed``), so
-    the first hit is the same; otherwise it walks every node.
+    ``itertools.product``'s order.  ``_doomed`` judges each leaf exactly
+    and, when every oracle is monotone, cuts an inner node whose every
+    completion violates the criterion, so the first hit is the same.
     """
     criterion, alpha = resolve_criterion(criterion, alpha)
     m, n = instance.m, instance.n
@@ -54,27 +53,20 @@ def exhaustive_search(
     # a cut needs monotone costs
     prune = all(oracle.monotone for oracle in instance.oracles)
     bundles = [frozenset()] * n
-    path: list[int] = []  # the agent of each assigned chore
-    agent = 0
-    while True:
-        if agent < n:
-            chore = len(path)
-            path.append(agent)
+
+    def search(chore: int) -> bool:
+        """Whether a completion from this chore on passes, left in bundles."""
+        rest = frozenset(range(chore + 1, m))
+        for agent in range(n):
             bundles[agent] |= {chore}
-            if chore + 1 == m:
-                alloc = Allocation.full(bundles)
-                if next(_all_violations(alloc, instance, criterion, alpha), None) is None:
-                    return alloc
-            elif not (prune and _doomed(bundles, frozenset(range(chore + 1, m)),
-                                        instance, criterion, alpha)):
-                agent = 0  # descend to the next chore
-                continue
-        elif not path:
-            return None
-        # take back the last assignment and give its chore to the next agent
-        agent = path.pop()
-        bundles[agent] -= {len(path)}
-        agent += 1
+            if not ((prune or not rest)
+                    and _doomed(bundles, rest, instance, criterion, alpha)):
+                if not rest or search(chore + 1):
+                    return True
+            bundles[agent] -= {chore}
+        return False
+
+    return Allocation.full(bundles) if search(0) else None
 
 
 def _doomed(bundles: list[frozenset[int]], unassigned: frozenset[int],
@@ -84,7 +76,8 @@ def _doomed(bundles: list[frozenset[int]], unassigned: frozenset[int],
     q*C_i(X_i - c) > p*C_i(X_j + U), or for tEFX C_i(X_i - c) >
     C_i(X_j + U + c), with U the unassigned chores.  A completion only
     grows X_i and keeps X_j within X_j + U, so on monotone costs its left
-    side is no smaller and its right side no larger."""
+    side is no smaller and its right side no larger.  With U empty it is
+    the full assignment's own verdict, on any costs."""
     widened = [bundle | unassigned for bundle in bundles]
     for i, oracle in enumerate(instance.oracles):
         view = widened.copy()
@@ -98,14 +91,13 @@ def _second_opinion(
     alloc: Allocation, instance: Instance,
     bound: Callable[[CostOracle, frozenset[int], int], Fraction],
 ) -> bool:
-    """Whether C_i(X_i - c) <= bound(C_i, X_j, c) for every triple (i, j, c)
-    with c in X_i: the core's shape check, then a loop apart from the core's."""
+    """Whether C_i(X_i - c) <= bound(C_i, X_j, c) for each pair i != j and
+    c in X_i: the core's shape check, then a loop apart from the core's."""
     _check_shapes(alloc, instance)
     bundles, oracles = alloc.bundles, instance.oracles
-    triples = itertools.product(range(instance.n), range(instance.n),
-                                range(instance.m))
+    pairs = itertools.permutations(range(instance.n), 2)
     return not any(oracles[i].cost(bundles[i] - {c}) > bound(oracles[i], bundles[j], c)
-                   for i, j, c in triples if i != j and c in bundles[i])
+                   for i, j in pairs for c in bundles[i])
 
 
 def independent_alpha_efx(
@@ -142,7 +134,6 @@ class RivalRun(NamedTuple):
     allocation: Allocation
     # successor tuples: before any placement, then after each
     graphs: tuple[tuple[int | None, ...], ...]
-    trace: tuple[Event, ...]  # "cycle" and "place" events
     ratio: Fraction
 
 
@@ -162,4 +153,4 @@ def rival_counterexample_run(m1: Fraction | int, m2: Fraction | int) -> RivalRun
     graphs += [build_top_trading_graph(event.allocation, instance)
                for event in trace if event.kind == "place"]
     ratio = max_removal_cost(c3, final.bundles[2]) / c3.cost(final.bundles[0])
-    return RivalRun(final, tuple(graphs), tuple(trace), ratio)
+    return RivalRun(final, tuple(graphs), ratio)

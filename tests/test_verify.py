@@ -64,7 +64,7 @@ def test_search_guard(monkeypatch):
     def checked(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(verify, "_all_violations", checked)
+    monkeypatch.setattr(verify, "_doomed", checked)
     inst = generate_instance("additive", 3, 15, 0)
     with pytest.raises(EnumerationLimitError):
         exhaustive_search(inst, "efx")
@@ -135,15 +135,16 @@ def test_search_gives_one_agent_every_chore():
 
 def test_prune_judges_fewer_leaves_than_the_product_loop(monkeypatch):
     # the product loop judges every assignment up to the first hit; with the
-    # prune on, the search judges fewer in all, and with it off, as many
+    # prune on, the search judges fewer in all, and with it off, as many; a
+    # judged leaf is a node test with nothing left unassigned
     judged = [0]
 
-    def counted(*args):
-        judged[0] += 1
-        return original(*args)
+    def counted(bundles, unassigned, *args):
+        judged[0] += not unassigned
+        return original(bundles, unassigned, *args)
 
-    original = verify._all_violations
-    monkeypatch.setattr(verify, "_all_violations", counted)
+    original = verify._doomed
+    monkeypatch.setattr(verify, "_doomed", counted)
     walked = 0
     for seed in range(20):
         inst = generate_instance("additive", 3, 5, seed)
@@ -158,6 +159,30 @@ def test_prune_judges_fewer_leaves_than_the_product_loop(monkeypatch):
     judged[0] = 0
     assert exhaustive_search(Instance(3, 2, (table, table)), "efx") is not None
     assert judged[0] == 2  # ({0, 1}, {2}) is the second assignment
+
+
+def test_search_builds_an_allocation_only_for_its_hit(monkeypatch):
+    # the walk holds bundles as a list and judges each leaf in place, so
+    # one Allocation is built on a hit, none on a nonexistence certificate
+    built = [0]
+
+    class Counted(Allocation):
+        @classmethod
+        def full(cls, bundles):
+            built[0] += 1
+            return Allocation.full(bundles)
+
+    monkeypatch.setattr(verify, "Allocation", Counted)
+    inst = generate_instance("additive", 3, 5, 0)
+    assert exhaustive_search(inst, "efx") == product_search(inst, "efx", 1)
+    assert built[0] == 1
+    oracle = TabulatedOracle(4, {
+        (): 0, (0,): 5, (1,): 5, (2,): 1, (3,): 0, (0, 1): 0, (0, 2): 0,
+        (0, 3): 0, (1, 2): 1, (1, 3): 9, (2, 3): 9, (0, 1, 2): 1,
+        (0, 1, 3): 5, (0, 2, 3): 9, (1, 2, 3): 5, (0, 1, 2, 3): 9})
+    built[0] = 0
+    assert exhaustive_search(Instance(4, 2, (oracle, oracle)), "efx") is None
+    assert built[0] == 0
 
 
 def test_unknown_criterion_rejected():
